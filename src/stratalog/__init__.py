@@ -4,124 +4,45 @@ The pipeline: parse logs (structured CSV or raw syslog) into timestamped
 records, extract logical facts from message content, evaluate detection
 rules written in a stratified logic language with negation-as-failure and
 count aggregates, and report every alert with its full derivation chain.
+
+The names below are the documented API. Everything else, such as the
+reference oracle ``stratalog.oracle.naive_oracle``, is imported from its
+submodule.
 """
-from .analysis import (
-    CycleThroughNegation,
-    SafetyError,
-    SafetyViolation,
-    Stratification,
-    check_safety,
-    stratify,
-)
-from .engine import (
-    AggregateCheck,
-    ComparisonCheck,
-    Derivation,
-    DerivationGraph,
-    DerivationNode,
-    EvaluationError,
-    Inconsistent,
-    Model,
-    NafCheck,
-    NotDerivedError,
-    evaluate,
-    explain,
-    query,
-)
-from .extract import (
-    DEFAULT_TABLE,
-    MappingError,
-    MappingRule,
-    MappingTable,
-    SCHEMAS,
-    entries_to_facts,
-    entry_to_facts,
-    extract_ip,
-    extract_uid,
-    extract_username,
-    load_mapping_table,
-)
-from .facts import Constant, Fact, Symbol, fact, format_fact, write_facts_file
-from .ingest import (
-    DEFAULT_BASE_YEAR,
-    IngestOptions,
-    IngestResult,
-    LogEntry,
-    MissingColumnError,
-    RawLogRecord,
-    SyslogFormatError,
-    parse_raw_syslog_line,
-    parse_structured_csv,
-    read_csv_entries,
-    read_syslog_entries,
-    to_timestamp,
-)
-from .lang import Program, Rule, format_program
-from .oracle import OracleCapacityError, naive_oracle
+from .analysis import CycleThroughNegation, SafetyError, check_safety, stratify
+from .engine import Inconsistent, evaluate, explain, query
+from .extract import DEFAULT_TABLE, entries_to_facts, entry_to_facts
+from .facts import Fact, Symbol, fact, format_fact, write_facts_file
+from .ingest import IngestOptions, read_csv_entries, read_syslog_entries
+from .lang import format_program
 from .parser import ParseError, parse_facts, parse_program
 from .report import (
     Alert,
-    GroupedAlert,
     RunConfig,
     StageError,
     detect,
     group_alerts,
     load_entries,
-    load_program,
     render_alerts,
     render_grouped,
-    render_inconsistent,
 )
-from .rules import (
-    ANOMALY_CATALOG,
-    CatalogEntry,
-    Thresholds,
-    default_program,
-    list_anomaly_predicates,
-)
+from .rules import ANOMALY_CATALOG, Thresholds, default_program
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ANOMALY_CATALOG",
-    "AggregateCheck",
     "Alert",
-    "CatalogEntry",
-    "ComparisonCheck",
-    "Constant",
     "CycleThroughNegation",
-    "DEFAULT_BASE_YEAR",
     "DEFAULT_TABLE",
-    "Derivation",
-    "DerivationGraph",
-    "DerivationNode",
-    "EvaluationError",
     "Fact",
-    "GroupedAlert",
     "Inconsistent",
     "IngestOptions",
-    "IngestResult",
-    "LogEntry",
-    "MappingError",
-    "MappingRule",
-    "MappingTable",
-    "MissingColumnError",
-    "Model",
-    "NafCheck",
-    "NotDerivedError",
-    "OracleCapacityError",
     "ParseError",
-    "Program",
-    "RawLogRecord",
-    "Rule",
     "RunConfig",
-    "SCHEMAS",
     "SafetyError",
-    "SafetyViolation",
     "StageError",
-    "Stratification",
     "Symbol",
-    "SyslogFormatError",
     "Thresholds",
     "check_safety",
     "default_program",
@@ -130,29 +51,18 @@ __all__ = [
     "entry_to_facts",
     "evaluate",
     "explain",
-    "extract_ip",
-    "extract_uid",
-    "extract_username",
     "fact",
     "format_fact",
     "format_program",
     "group_alerts",
-    "list_anomaly_predicates",
     "load_entries",
-    "load_mapping_table",
-    "load_program",
-    "naive_oracle",
     "parse_facts",
     "parse_program",
-    "parse_raw_syslog_line",
-    "parse_structured_csv",
     "query",
     "read_csv_entries",
     "read_syslog_entries",
     "render_alerts",
     "render_grouped",
-    "render_inconsistent",
     "stratify",
-    "to_timestamp",
     "write_facts_file",
 ]

@@ -243,9 +243,6 @@ class Stratification:
     strata: list[tuple[str, ...]]
     level: dict[str, int]
 
-    def __iter__(self):
-        return iter(self.strata)
-
     def __len__(self) -> int:
         return len(self.strata)
 

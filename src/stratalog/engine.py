@@ -52,7 +52,9 @@ class NotDerivedError(LookupError):
 
 
 class Model:
-    """Insertion-ordered set of ground atoms with per-argument hash indexes."""
+    """Insertion-ordered set of ground atoms with per-argument hash indexes.
+
+    Holds the model and, during evaluation, each semi-naive round's delta."""
 
     __slots__ = ("_atoms", "_by_pred", "_index")
 
@@ -296,7 +298,7 @@ Env = dict[Variable, Constant]
 
 
 class _Evaluator:
-    def __init__(self, model: Model, graph: Optional[DerivationGraph]):
+    def __init__(self, model: Model, graph: DerivationGraph):
         self.model = model
         self.graph = graph
 
@@ -335,17 +337,14 @@ class _Evaluator:
         return True
 
     def _atom_candidates(self, atom: Atom, env: Env, rule: Rule,
-                         source) -> Iterator[tuple[Constant, ...]]:
+                         source: Model) -> list[tuple[Constant, ...]]:
         pattern: list[Optional[Constant]] = []
         for term in atom.terms:
             if isinstance(term, Variable):
                 pattern.append(env.get(term))
             else:
                 pattern.append(self.eval_term(term, env, rule))
-        if isinstance(source, Model):
-            return iter(source.candidates(atom.predicate, pattern))
-        # delta list of Facts from the previous round
-        return (f.args for f in source if f.predicate == atom.predicate)
+        return source.candidates(atom.predicate, pattern)
 
     def eval_aggregate(self, compiled: _CompiledRule, plan_index: int,
                        literal: AggregateLiteral, env: Env, rule: Rule) -> int:
@@ -379,7 +378,7 @@ class _Evaluator:
     def solutions(self, compiled: _CompiledRule, env: Env,
                   supports: list[Fact], checks: list[Check],
                   delta_position: Optional[int] = None,
-                  delta: Optional[list[Fact]] = None,
+                  delta: Optional[Model] = None,
                   start: int = 0) -> Iterator[None]:
         """Yield once per satisfying assignment of the rule body; at each
         yield, env/supports/checks describe a complete match."""
@@ -446,10 +445,10 @@ class _Evaluator:
 
     # stratum evaluation
 
-    def _fire(self, compiled: _CompiledRule,
+    def _fire(self, compiled: _CompiledRule, derived: Model,
               delta_position: Optional[int] = None,
-              delta: Optional[list[Fact]] = None) -> list[Fact]:
-        derived: list[Fact] = []
+              delta: Optional[Model] = None) -> None:
+        """Run the rule once; atoms new to the model also go to ``derived``."""
         rule = compiled.rule
         head = rule.head
         assert head is not None
@@ -460,11 +459,8 @@ class _Evaluator:
             atom = Fact(head.predicate,
                         tuple(self.eval_term(t, env, rule) for t in head.terms))
             if self.model.add(atom):
-                derived.append(atom)
-                if self.graph is not None:
-                    self.graph.entries[atom] = Derivation(
-                        rule, tuple(supports), tuple(checks))
-        return derived
+                derived.add(atom)
+                self.graph.entries[atom] = Derivation(rule, tuple(supports), tuple(checks))
 
     def run_stratum(self, compiled_rules: list[_CompiledRule],
                     stratum_predicates: set[str]) -> None:
@@ -472,15 +468,15 @@ class _Evaluator:
             compiled.recursive_positions = tuple(
                 i for i, lit in enumerate(compiled.plan)
                 if isinstance(lit, Atom) and lit.predicate in stratum_predicates)
-        delta: list[Fact] = []
+        delta = Model()
         for compiled in compiled_rules:
-            delta.extend(self._fire(compiled))
+            self._fire(compiled, delta)
         recursive = [c for c in compiled_rules if c.recursive_positions]
         while delta:
-            new: list[Fact] = []
+            new = Model()
             for compiled in recursive:
                 for position in compiled.recursive_positions:
-                    new.extend(self._fire(compiled, position, delta))
+                    self._fire(compiled, new, position, delta)
             delta = new
 
     def find_witness(self, compiled: _CompiledRule) -> Optional[dict[str, Constant]]:

@@ -4,6 +4,12 @@ Both input shapes normalize to :class:`RawLogRecord`; pairing a record with
 its integer Unix timestamp yields a :class:`LogEntry`. Log lines carry no
 year, so the caller pins a base year (and optionally a fixed-offset zone)
 to keep conversions deterministic across runs and machines.
+
+A line or row that cannot become an entry is skipped and counted, with its
+reason, in :class:`IngestResult`; every other line is kept. That covers
+malformed fields, text holding U+FFFD (what an undecodable byte becomes
+when the input is decoded with ``errors="replace"``) and dates that do not
+exist in their year, such as Feb 30.
 """
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone, tzinfo
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Optional
 
 MONTHS = {
     "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
@@ -27,6 +33,8 @@ REQUIRED_COLUMNS = (
 )
 
 _TIME_RE = re.compile(r"(\d{2}):(\d{2}):(\d{2})\Z")
+
+_UNDECODABLE = "\ufffd"
 
 # Month Day hh:mm:ss host component[pid]: content   (pid optional)
 _SYSLOG_RE = re.compile(
@@ -68,12 +76,6 @@ class RawLogRecord:
     def month_number(self) -> int:
         return MONTHS[self.month]
 
-    def time_parts(self) -> tuple[int, int, int]:
-        m = _TIME_RE.match(self.time_of_day)
-        if not m:
-            raise ValueError(f"bad time of day: {self.time_of_day!r}")
-        return int(m.group(1)), int(m.group(2)), int(m.group(3))
-
 
 @dataclass(frozen=True, slots=True)
 class LogEntry:
@@ -114,13 +116,13 @@ def _check_record_fields(month: str, day: int, time_of_day: str, content: str) -
     return None
 
 
-def parse_structured_csv(stream: IO[str], options: IngestOptions | None = None) -> IngestResult:
+def parse_structured_csv(stream: IO[str]) -> IngestResult:
     """Parse a structured log export (CSV with header) into raw records.
 
-    Rows failing type checks are skipped and counted rather than aborting the
-    run; a missing required column raises :class:`MissingColumnError`.
+    Rows failing type checks, or whose kept text holds U+FFFD, are skipped
+    and counted rather than aborting the run; a missing required column
+    raises :class:`MissingColumnError`.
     """
-    del options  # reserved for future parse knobs; kept for interface stability
     reader = csv.DictReader(stream)
     header = reader.fieldnames or []
     for column in REQUIRED_COLUMNS:
@@ -142,9 +144,16 @@ def parse_structured_csv(stream: IO[str], options: IngestOptions | None = None) 
         month = (row["Month"] or "").strip()
         time_of_day = (row["Time"] or "").strip()
         content = (row["Content"] or "").strip()
+        level = row["Level"] if has_level else None
+        component = (row["Component"] or "").strip()
+        event_id = (row["EventId"] or "").strip()
+        event_template = (row["EventTemplate"] or "").strip()
         problem = _check_record_fields(month, day, time_of_day, content)
         if problem is None and line_id < 1:
             problem = f"line id {line_id} not positive"
+        if problem is None and _UNDECODABLE in \
+                f"{level or ''}{component}{content}{event_id}{event_template}":
+            problem = "undecodable bytes"
         if problem is not None:
             result.skipped += 1
             result.errors.append(f"row {row_number}: {problem}")
@@ -154,12 +163,12 @@ def parse_structured_csv(stream: IO[str], options: IngestOptions | None = None) 
             month=month,
             day=day,
             time_of_day=time_of_day,
-            level=row["Level"] if has_level else None,
-            component=(row["Component"] or "").strip(),
+            level=level,
+            component=component,
             pid=pid,
             content=content,
-            event_id=(row["EventId"] or "").strip(),
-            event_template=(row["EventTemplate"] or "").strip(),
+            event_id=event_id,
+            event_template=event_template,
         ))
     return result
 
@@ -199,46 +208,60 @@ def to_timestamp(record: RawLogRecord, base_year: int, zone: tzinfo = timezone.u
 
     Raises ValueError for dates that do not exist (e.g. Feb 30).
     """
-    hh, mm, ss = record.time_parts()
+    hh, mm, ss = (int(part) for part in record.time_of_day.split(":"))
     moment = datetime(base_year, record.month_number, record.day, hh, mm, ss, tzinfo=zone)
     return int(moment.timestamp())
 
 
-def entries_from_records(records: Sequence[RawLogRecord],
+def entries_from_records(result: IngestResult,
                          options: IngestOptions | None = None) -> list[LogEntry]:
-    """Attach timestamps to records, optionally inferring year rollovers."""
+    """Attach timestamps to the result's records, optionally inferring year
+    rollovers. A record whose date does not exist in its year (Feb 30, or
+    Feb 29 outside a leap year) moves from ``records`` to ``skipped``."""
     opts = options or IngestOptions()
     entries: list[LogEntry] = []
     year = opts.base_year
     prev_month = None
-    for record in records:
+    for record in result.records:
         if opts.infer_year_rollover and prev_month is not None \
                 and record.month_number < prev_month:
             year += 1
         prev_month = record.month_number
-        entries.append(LogEntry(record, to_timestamp(record, year, opts.zone)))
+        try:
+            entries.append(LogEntry(record, to_timestamp(record, year, opts.zone)))
+        except ValueError:
+            if record.day <= 28:
+                raise  # every month has this day, so the year is out of range
+            result.skipped += 1
+            result.errors.append(
+                f"line {record.line_id}: no {record.month} {record.day} in {year}")
+    result.records = [entry.record for entry in entries]
     return entries
 
 
 def read_csv_entries(stream: IO[str],
                      options: IngestOptions | None = None) -> tuple[list[LogEntry], IngestResult]:
-    result = parse_structured_csv(stream, options)
-    return entries_from_records(result.records, options), result
+    result = parse_structured_csv(stream)
+    return entries_from_records(result, options), result
 
 
 def read_syslog_entries(lines: Iterable[str],
                         options: IngestOptions | None = None) -> tuple[list[LogEntry], IngestResult]:
-    """Parse raw syslog text line by line; blank and unparseable lines are
-    skipped and counted."""
+    """Parse raw syslog text line by line; blank lines are ignored, and
+    unparseable lines and lines holding U+FFFD are skipped and counted."""
     result = IngestResult()
     line_id = 0
     for line in lines:
         if not line.strip():
             continue
         line_id += 1
+        if _UNDECODABLE in line:
+            result.skipped += 1
+            result.errors.append(f"undecodable bytes in syslog line: {line!r}")
+            continue
         try:
             result.records.append(parse_raw_syslog_line(line, line_id=line_id))
         except SyslogFormatError as exc:
             result.skipped += 1
             result.errors.append(str(exc))
-    return entries_from_records(result.records, options), result
+    return entries_from_records(result, options), result

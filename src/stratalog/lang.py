@@ -134,10 +134,6 @@ class Rule:
     body: tuple[BodyLiteral, ...]
     span: Span = field(default=_NO_SPAN, compare=False)
 
-    @property
-    def is_constraint(self) -> bool:
-        return self.head is None
-
     def __str__(self) -> str:
         body = ", ".join(str(lit) for lit in self.body)
         if self.head is None:
@@ -152,12 +148,6 @@ class Program:
     consts: dict[str, int]
     rules: list[Rule]
     facts: list[Fact]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Program):
-            return NotImplemented
-        return (self.consts == other.consts and self.rules == other.rules
-                and self.facts == other.facts)
 
 
 def format_term(term: Term) -> str:

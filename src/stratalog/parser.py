@@ -24,7 +24,7 @@ Grammar, informally::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from .facts import Constant, Fact, Symbol
 from .lang import (
@@ -470,3 +470,40 @@ def parse_facts(text: str) -> list[Fact]:
     if program.consts:
         raise ParseError("facts file must not define constants", 1, 1)
     return program.facts
+
+
+def override_consts(text: str, overrides: Mapping[str, int]) -> str:
+    """Set the value of each named ``#const`` statement and keep every other
+    character of the text. Statements are found by the lexer, so a
+    ``#const`` inside a comment or a string is never rewritten.
+
+    Raises ValueError for a name the text defines no ``#const`` for.
+    """
+    line_starts = [0]
+    while (newline := text.find("\n", line_starts[-1])) >= 0:
+        line_starts.append(newline + 1)
+
+    def offset(token: _Token) -> int:
+        return line_starts[token.line - 1] + token.column - 1
+
+    tokens = _tokenize(text)
+    pieces: list[str] = []
+    done = 0
+    found: set[str] = set()
+    for i, token in enumerate(tokens):
+        if [t.kind for t in tokens[i:i + 3]] != ["CONST", "IDENT", "ASSIGN"] \
+                or tokens[i + 1].value not in overrides:
+            continue
+        first = tokens[i + 3]  # an EOF token always follows ASSIGN and MINUS
+        last = tokens[i + 4] if first.kind == "MINUS" else first
+        if last.kind != "INT":
+            continue  # malformed; parse_program reports it
+        name = tokens[i + 1].value
+        found.add(name)
+        pieces += [text[done:offset(first)], str(overrides[name])]
+        done = offset(last) + len(last.value)
+    missing = sorted(set(overrides) - found)
+    if missing:
+        raise ValueError(f"rule file defines no #const {missing[0]}")
+    pieces.append(text[done:])
+    return "".join(pieces)

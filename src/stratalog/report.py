@@ -13,11 +13,10 @@ a violated constraint is not an error but a distinguished result
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone, tzinfo
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .engine import (
     AggregateCheck,
@@ -48,7 +47,7 @@ from .ingest import (
     read_syslog_entries,
 )
 from .lang import Program
-from .parser import parse_facts, parse_program
+from .parser import override_consts, parse_facts, parse_program
 from .rules import ANOMALY_CATALOG, Thresholds, default_program
 
 
@@ -113,7 +112,8 @@ def load_entries(config: RunConfig) -> tuple[list[LogEntry], IngestResult]:
     """Ingest the configured input file ("ingest" stage)."""
     options = IngestOptions(base_year=config.base_year, zone=config.zone)
     try:
-        with open(config.input_path, encoding="utf-8", newline="") as stream:
+        with open(config.input_path, encoding="utf-8", errors="replace",
+                  newline="") as stream:
             if config.input_format == "csv":
                 return read_csv_entries(stream, options)
             return read_syslog_entries(stream, options)
@@ -123,15 +123,9 @@ def load_entries(config: RunConfig) -> tuple[list[LogEntry], IngestResult]:
 
 def _program_text(config: RunConfig) -> str:
     if config.rules_path is None:
-        thresholds = Thresholds().with_overrides(**config.overrides)
-        return default_program(thresholds)
+        return default_program(Thresholds().with_overrides(**config.overrides))
     text = Path(config.rules_path).read_text(encoding="utf-8")
-    for name in sorted(config.overrides):
-        pattern = rf"(#const\s+{re.escape(name)}\s*=\s*)-?\d+"
-        text, count = re.subn(pattern, rf"\g<1>{config.overrides[name]}", text, count=1)
-        if count == 0:
-            raise ValueError(f"rule file defines no #const {name}")
-    return text
+    return override_consts(text, config.overrides)
 
 
 def load_program(config: RunConfig) -> Program:
@@ -251,20 +245,10 @@ def _render_node(node: DerivationNode, indent: int, lines: list[str]) -> None:
         lines.append(f"{pad}  {_render_check(check, node)}")
 
 
-def _entity_text(entities: dict[str, Constant]) -> str:
-    return " ".join(f"{role}={format_constant(value)}"
-                    for role, value in entities.items())
-
-
-def _alert_header(kind: str, entities: dict[str, Constant],
-                  timestamps: Sequence[int]) -> str:
-    parts = [f"{kind}:"]
-    entity_text = _entity_text(entities)
-    if entity_text:
-        parts.append(entity_text)
-    for ts in timestamps:
-        parts.append(f"at {ts} ({_iso(ts)})")
-    return " ".join(parts)
+def _header(kind: str, entities: dict[str, Constant], parts: Sequence[str]) -> str:
+    return " ".join([f"{kind}:",
+                     *(f"{role}={format_constant(value)}" for role, value in entities.items()),
+                     *parts])
 
 
 def _summary_line(kinds: Sequence[str]) -> str:
@@ -284,8 +268,8 @@ def _json_value(value: Constant):
     return value
 
 
-def _json_timestamps(timestamps: Sequence[int]) -> list[dict]:
-    return [{"unix": ts, "iso": _iso(ts)} for ts in timestamps]
+def _json_time(ts: Optional[int]) -> Optional[dict]:
+    return None if ts is None else {"unix": ts, "iso": _iso(ts)}
 
 
 def _json_explanation(node: DerivationNode) -> dict:
@@ -297,59 +281,64 @@ def _json_explanation(node: DerivationNode) -> dict:
     }
 
 
+_Row = Union[Alert, GroupedAlert]
+
+
+def _render(rows: Sequence[_Row], output: str, kinds: Sequence[str],
+            record: Callable[[_Row], dict],
+            text: Callable[[_Row], tuple[list[str], list[str]]]) -> str:
+    """The report skeleton shared by alerts and grouped summaries.
+
+    json: one object per row, its kind and entities first, then the fields
+    ``record`` gives. text: per row a header line (kind, entities, then the
+    parts ``text`` gives) followed by the row's own lines, and a closing
+    summary line counting ``kinds``.
+    """
+    if output == "json":
+        return "".join(
+            json.dumps({"kind": row.kind,
+                        **{role: _json_value(value) for role, value in row.entities.items()},
+                        **record(row)}) + "\n"
+            for row in rows)
+    lines = [] if rows else ["no anomalies detected"]
+    for row in rows:
+        parts, body = text(row)
+        lines.append(_header(row.kind, row.entities, parts))
+        lines.extend(body)
+    lines.append(_summary_line(kinds))
+    return "".join(line + "\n" for line in lines)
+
+
 def render_alerts(alerts: Sequence[Alert], output: str) -> str:
     """Render alerts as readable text or json-lines (one object per alert)."""
-    if output == "json":
-        lines = []
-        for alert in alerts:
-            record: dict = {"kind": alert.kind}
-            for role, value in alert.entities.items():
-                record[role] = _json_value(value)
-            record["timestamps"] = _json_timestamps(alert.timestamps)
-            record["explanation"] = _json_explanation(alert.explanation)
-            lines.append(json.dumps(record))
-        return "".join(line + "\n" for line in lines)
-    lines = []
-    if not alerts:
-        lines.append("no anomalies detected")
-    for alert in alerts:
-        lines.append(_alert_header(alert.kind, alert.entities, alert.timestamps))
-        _render_node(alert.explanation, 1, lines)
-        lines.append("")
-    lines.append(_summary_line([a.kind for a in alerts]))
-    return "".join(line + "\n" for line in lines)
+    def record(alert: Alert) -> dict:
+        return {"timestamps": [_json_time(ts) for ts in alert.timestamps],
+                "explanation": _json_explanation(alert.explanation)}
+
+    def text(alert: Alert) -> tuple[list[str], list[str]]:
+        body: list[str] = []
+        _render_node(alert.explanation, 1, body)
+        body.append("")
+        return [f"at {ts} ({_iso(ts)})" for ts in alert.timestamps], body
+
+    return _render(alerts, output, [a.kind for a in alerts], record, text)
 
 
 def render_grouped(groups: Sequence[GroupedAlert], output: str) -> str:
     """Render grouped summaries in the same two formats."""
-    if output == "json":
-        lines = []
-        for g in groups:
-            record: dict = {"kind": g.kind}
-            for role, value in g.entities.items():
-                record[role] = _json_value(value)
-            record["count"] = g.count
-            record["first"] = (None if g.first_timestamp is None
-                               else {"unix": g.first_timestamp, "iso": _iso(g.first_timestamp)})
-            record["last"] = (None if g.last_timestamp is None
-                              else {"unix": g.last_timestamp, "iso": _iso(g.last_timestamp)})
-            lines.append(json.dumps(record))
-        return "".join(line + "\n" for line in lines)
-    lines = []
-    if not groups:
-        lines.append("no anomalies detected")
-    for g in groups:
-        parts = [f"{g.kind}:"]
-        entity_text = _entity_text(g.entities)
-        if entity_text:
-            parts.append(entity_text)
-        parts.append(f"count={g.count}")
+    def record(g: GroupedAlert) -> dict:
+        return {"count": g.count, "first": _json_time(g.first_timestamp),
+                "last": _json_time(g.last_timestamp)}
+
+    def text(g: GroupedAlert) -> tuple[list[str], list[str]]:
+        parts = [f"count={g.count}"]
         if g.first_timestamp is not None:
             parts.append(f"first={g.first_timestamp} ({_iso(g.first_timestamp)})")
             parts.append(f"last={g.last_timestamp} ({_iso(g.last_timestamp)})")
-        lines.append(" ".join(parts))
-    lines.append(_summary_line([g.kind for g in groups for _ in range(g.count)]))
-    return "".join(line + "\n" for line in lines)
+        return parts, []
+
+    kinds = [g.kind for g in groups for _ in range(g.count)]
+    return _render(groups, output, kinds, record, text)
 
 
 def render_inconsistent(result: Inconsistent, output: str) -> str:

@@ -4,14 +4,15 @@ Seven packages ship as one program: brute-force logins, privilege
 escalation, frequent network connections, account anomalies, klogind
 brute force, GDM authentication failures, and system-level issues. The
 rule text is embedded as-is and never edited programmatically; threshold
-overrides are applied by rewriting the ``#const`` lines only, so the rules
-an operator audits are exactly the rules that run.
+overrides are applied by rewriting the values of ``#const`` statements only,
+so the rules an operator audits are exactly the rules that run.
 """
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
+
+from .parser import override_consts
 
 RULES_TEXT = """\
 % Brute force: repeated failed logins from one address inside a sliding
@@ -103,21 +104,9 @@ class Thresholds:
         return replace(self, **overrides)
 
 
-THRESHOLD_NAMES = tuple(f.name for f in fields(Thresholds))
-
-
 def default_program(thresholds: Optional[Thresholds] = None) -> str:
-    """The bundled program text with ``#const`` lines set from thresholds."""
-    if thresholds is None:
-        return RULES_TEXT
-    text = RULES_TEXT
-    for name in THRESHOLD_NAMES:
-        value = getattr(thresholds, name)
-        text, count = re.subn(
-            rf"(#const {name} = )\d+", rf"\g<1>{value}", text, count=1)
-        if count != 1:
-            raise AssertionError(f"no #const line for {name}")
-    return text
+    """The bundled program text with ``#const`` values set from thresholds."""
+    return override_consts(RULES_TEXT, asdict(thresholds or Thresholds()))
 
 
 @dataclass(frozen=True)
@@ -130,31 +119,35 @@ class CatalogEntry:
 
     predicate: str
     arity: int
-    kind: str
     description: str
     arg_roles: tuple[str, ...]
 
+    @property
+    def kind(self) -> str:
+        """The alert kind, which is the predicate's name."""
+        return self.predicate
+
 
 ANOMALY_CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry("potential_brute_force", 2, "potential_brute_force",
+    CatalogEntry("potential_brute_force", 2,
                  "repeated failed logins from one address within the window",
                  ("ip", "timestamp")),
-    CatalogEntry("potential_privilege_escalation", 2, "potential_privilege_escalation",
+    CatalogEntry("potential_privilege_escalation", 2,
                  "non-root user opened a session with uid 0",
                  ("user", "timestamp")),
-    CatalogEntry("network_anomaly", 1, "network_anomaly",
+    CatalogEntry("network_anomaly", 1,
                  "address with an unusually high connection count",
                  ("ip",)),
-    CatalogEntry("account_anomaly", 3, "account_anomaly",
+    CatalogEntry("account_anomaly", 3,
                  "admin account created or dormant account reactivated",
                  ("action", "user", "timestamp")),
-    CatalogEntry("potential_klogind_brute_force", 1, "potential_klogind_brute_force",
+    CatalogEntry("potential_klogind_brute_force", 1,
                  "repeated klogind authentication failures from one address",
                  ("ip",)),
-    CatalogEntry("potential_gdm_brute_force", 1, "potential_gdm_brute_force",
+    CatalogEntry("potential_gdm_brute_force", 1,
                  "display-manager authentication failures past the threshold",
                  ("timestamp",)),
-    CatalogEntry("system_issue", 2, "system_issue",
+    CatalogEntry("system_issue", 2,
                  "operational problem observed in the logs",
                  ("issue", "timestamp")),
 )

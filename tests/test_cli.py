@@ -134,6 +134,22 @@ class TestFlags:
         assert code == EXIT_OK
         assert "account_anomaly" in out
 
+    def test_set_on_rule_file_rewrites_the_const_not_the_comment(
+            self, capsys, sample_path, tmp_path):
+        rules = tmp_path / "rules.lp"
+        rules.write_text(
+            "% tune with #const limit = 6.\n"
+            "#const limit = 6.\n"
+            "network_anomaly(IP) :- login_attempt(IP, _, failed, _),\n"
+            "    #count{T : login_attempt(IP, T, failed, _)} >= limit.\n")
+        argv = ["detect", str(sample_path), "--rules", str(rules)] + BASE
+        code, out, _ = run_main(capsys, argv)
+        assert code == EXIT_OK
+        assert "no anomalies detected" in out
+        code, out, _ = run_main(capsys, argv + ["--set", "limit=5"])
+        assert code == EXIT_OK
+        assert 'network_anomaly: ip="218.188.2.4"' in out
+
 
 class TestEnvironmentFallbacks:
     def test_output_from_env(self, capsys, sample_path):

@@ -8,6 +8,7 @@ import pytest
 
 from stratalog.ingest import (
     IngestOptions,
+    IngestResult,
     MissingColumnError,
     RawLogRecord,
     SyslogFormatError,
@@ -18,7 +19,8 @@ from stratalog.ingest import (
     read_syslog_entries,
     to_timestamp,
 )
-from conftest import make_csv_sample
+from stratalog.report import RunConfig, load_entries
+from conftest import SYSLOG_SAMPLE, make_csv_sample
 
 MONTH_NAMES = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
@@ -176,12 +178,55 @@ class TestRawSyslog:
 class TestYearHandling:
     def test_single_year_by_default(self):
         records = [record("Dec", 31, "23:59:59"), record("Jan", 1, "00:00:01")]
-        entries = entries_from_records(records, IngestOptions(base_year=2005))
+        entries = entries_from_records(IngestResult(records), IngestOptions(base_year=2005))
         assert entries[0].timestamp == calendar.timegm((2005, 12, 31, 23, 59, 59))
         assert entries[1].timestamp == calendar.timegm((2005, 1, 1, 0, 0, 1))
 
     def test_optional_rollover_inference(self):
         records = [record("Dec", 31, "23:59:59"), record("Jan", 1, "00:00:01")]
         entries = entries_from_records(
-            records, IngestOptions(base_year=2005, infer_year_rollover=True))
+            IngestResult(records), IngestOptions(base_year=2005, infer_year_rollover=True))
         assert entries[1].timestamp == calendar.timegm((2006, 1, 1, 0, 0, 1))
+
+
+class TestOneBadLineIsSkipped:
+    """An undecodable byte or a date that does not exist costs one line, not
+    the run; every non-blank line ends up in records or in skipped."""
+
+    @staticmethod
+    def sample(input_format: str) -> str:
+        return SYSLOG_SAMPLE if input_format == "syslog" else make_csv_sample()
+
+    @pytest.mark.parametrize("input_format", ["syslog", "csv"])
+    def test_undecodable_byte(self, tmp_path, input_format):
+        data = self.sample(input_format).encode("utf-8")
+        data = data.replace(b"session closed for user cyrus", b"session closed for \xff")
+        path = tmp_path / "input.log"
+        path.write_bytes(data)
+        config = RunConfig(input_path=str(path), input_format=input_format)
+        entries, result = load_entries(config)
+        assert len(entries) == len(result.records) == 8
+        assert result.skipped == 1
+        assert "undecodable" in result.errors[0]
+        assert not any("session closed" in e.record.content for e in entries)
+
+    @pytest.mark.parametrize("input_format", ["syslog", "csv"])
+    @pytest.mark.parametrize("date, year, kept", [
+        ("Feb 30", 2004, 8), ("Feb 29", 2005, 8), ("Feb 29", 2004, 9), ("Apr 31", 2005, 8)])
+    def test_impossible_date(self, input_format, date, year, kept):
+        month, day = date.split()
+        text = self.sample(input_format)
+        if input_format == "syslog":
+            text = text.replace("Jun 15 04:06:19", f"{month} {day} 04:06:19")
+            read = read_syslog_entries
+        else:
+            text = text.replace("7,Jun,15,04:06:19", f"7,{month},{day},04:06:19")
+            read = read_csv_entries
+        entries, result = read(io.StringIO(text), IngestOptions(base_year=year))
+        assert len(entries) == len(result.records) == kept
+        assert result.skipped == 9 - kept
+        assert result.errors == ([] if kept == 9 else [f"line 7: no {date} in {year}"])
+
+    def test_year_out_of_range_still_fails(self):
+        with pytest.raises(ValueError, match="year 0 is out of range"):
+            read_syslog_entries(io.StringIO(SYSLOG_SAMPLE), IngestOptions(base_year=0))

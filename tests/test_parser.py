@@ -10,7 +10,7 @@ from stratalog.lang import (
     Variable,
     format_program,
 )
-from stratalog.parser import ParseError, parse_facts, parse_program
+from stratalog.parser import ParseError, override_consts, parse_facts, parse_program
 
 from progen import generate_program
 
@@ -76,6 +76,44 @@ class TestConstDirectives:
     def test_unrelated_symbols_untouched(self):
         program = parse_program("#const failed = 9.\np(other).")
         assert program.facts == [fact("p", Symbol("other"))]
+
+
+class TestOverrideConsts:
+    TEXT = (
+        '% tune with #const limit = 3.\n'
+        '#const limit = 3.  % the real one\n'
+        'msg("#const limit = 3.").\n'
+        '#const  off =  - 2 .\n'
+        'p(X) :- q(X), X >= limit, X > off.\n'
+    )
+
+    def test_comment_and_string_left_alone(self):
+        text = override_consts(self.TEXT, {"limit": 4})
+        assert text == self.TEXT.replace("#const limit = 3.  %", "#const limit = 4.  %")
+        program = parse_program(text)
+        assert program.consts["limit"] == 4
+        assert program.facts == [fact("msg", "#const limit = 3.")]
+
+    def test_spaced_negative_value(self):
+        text = override_consts(self.TEXT, {"off": -7})
+        assert "#const  off =  -7 .\n" in text
+        assert parse_program(text).consts["off"] == -7
+
+    def test_several_names_in_one_call(self):
+        consts = parse_program(override_consts(self.TEXT, {"limit": 8, "off": 1})).consts
+        assert consts == {"limit": 8, "off": 1}
+
+    def test_other_bytes_unchanged(self):
+        assert override_consts(self.TEXT, {}) == self.TEXT
+        text = override_consts(self.TEXT, {"limit": 30, "off": 9})
+        assert text == (self.TEXT.replace("#const limit = 3.  %", "#const limit = 30.  %")
+                        .replace("=  - 2 .", "=  9 ."))
+
+    def test_missing_name_raises(self):
+        with pytest.raises(ValueError, match="rule file defines no #const nope"):
+            override_consts(self.TEXT, {"limit": 4, "nope": 1})
+        with pytest.raises(ValueError, match="no #const tune"):
+            override_consts(self.TEXT, {"tune": 1})  # named only in a comment
 
 
 class TestAggregates:

@@ -1,4 +1,5 @@
 """Alert pipeline: detect, group, render (text and JSON), staged errors."""
+import hashlib
 import json
 
 import pytest
@@ -232,6 +233,24 @@ class TestJsonRendering:
 
     def test_no_alerts_empty_output(self):
         assert render_alerts([], "json") == ""
+
+
+class TestGoldenBytes:
+    """SHA-256 of every rendering of the SYSLOG_SAMPLE alerts, pinned so that
+    a refactor of the renderers cannot change a report byte."""
+
+    @pytest.mark.parametrize("grouped, output, digest", [
+        (False, "text", "dab35c59121ae0a5ca5cef84b684eaffb001f08e47f7553246e2f6c19bf22b0d"),
+        (False, "json", "ab3f80911cfd4fb7ce813d17dfde711d0420c474a4e9c9f5e4b5729c1e2414b3"),
+        (True, "text", "384784aa1f5c849e58796c0bc9cf13baa131bb2ccbc78d8f28557b88a8eeb1bb"),
+        (True, "json", "6e781efd519d04b87255009918c05bee3e362a1c115f20bf3c8e2571c452678c"),
+    ])
+    def test_sample_digest(self, sample_alerts, grouped, output, digest):
+        if grouped:
+            text = render_grouped(group_alerts(sample_alerts), output)
+        else:
+            text = render_alerts(sample_alerts, output)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestInconsistentRendering:

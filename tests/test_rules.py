@@ -8,7 +8,6 @@ from stratalog.parser import parse_program
 from stratalog.rules import (
     ANOMALY_CATALOG,
     RULES_TEXT,
-    THRESHOLD_NAMES,
     Thresholds,
     default_program,
     list_anomaly_predicates,
@@ -62,9 +61,6 @@ class TestThresholds:
         assert (t.login_time_window, t.failed_login_threshold,
                 t.connection_threshold, t.klogind_failure_threshold,
                 t.gdm_failure_threshold) == (600, 5, 10, 5, 3)
-
-    def test_names_cover_all_fields(self):
-        assert set(THRESHOLD_NAMES) == set(Thresholds.__dataclass_fields__)
 
     @pytest.mark.parametrize("bad", [0, -1, True, "5", 2.5])
     def test_invalid_values_rejected(self, bad):
