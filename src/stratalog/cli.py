@@ -138,6 +138,12 @@ def main(argv: Optional[Sequence[str]] = None,
     try:
         entries, ingest_result = load_entries(config)
         result = detect(entries, config)
+        if isinstance(result, Inconsistent):
+            report = render_inconsistent(result, config.output)
+        elif config.group:
+            report = render_grouped(group_alerts(result), config.output)
+        else:
+            report = render_alerts(result, config.output)
     except StageError as exc:
         print(f"error in {exc.stage} stage: {exc.message}", file=sys.stderr)
         return EXIT_ERROR
@@ -145,16 +151,8 @@ def main(argv: Optional[Sequence[str]] = None,
     if ingest_result.skipped:
         print(f"note: skipped {ingest_result.skipped} unparseable line(s)",
               file=sys.stderr)
-
-    if isinstance(result, Inconsistent):
-        sys.stdout.write(render_inconsistent(result, config.output))
-        return EXIT_INCONSISTENT
-
-    if config.group:
-        sys.stdout.write(render_grouped(group_alerts(result), config.output))
-    else:
-        sys.stdout.write(render_alerts(result, config.output))
-    return EXIT_OK
+    sys.stdout.write(report)
+    return EXIT_INCONSISTENT if isinstance(result, Inconsistent) else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -8,6 +8,11 @@ on-the-fly: rule bodies are joined left to right in a statically computed
 order, binding variables from indexed fact lookups instead of enumerating
 the Herbrand universe.
 
+Each body atom is looked up through the narrowest per-argument index among
+its bound positions. A ``#count`` of one range-guarded variable is answered
+by bisecting a sorted index of that variable's values per group, built once
+per evaluation; every other aggregate enumerates its matches.
+
 Every derived atom records the rule and ground supports that first produced
 it, so any alert can be unfolded into a full derivation tree. Iteration
 never depends on hash seeds: atom storage is insertion-ordered and all
@@ -15,6 +20,7 @@ query output is sorted.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
@@ -32,6 +38,7 @@ from .lang import (
     Rule,
     Term,
     Variable,
+    literal_variables,
     rule_global_variables,
     term_variables,
 )
@@ -86,12 +93,18 @@ class Model:
 
     def candidates(self, predicate: str,
                    pattern: Sequence[Optional[Constant]]) -> list[tuple[Constant, ...]]:
-        """Arg tuples possibly matching the pattern (None = free position);
-        the narrowest check is done by the caller while binding."""
+        """Arg tuples possibly matching the pattern (None = free position):
+        the shortest index list among the bound positions, which the caller
+        filters while binding. Every list keeps insertion order."""
+        narrowest = None
         for position, value in enumerate(pattern):
             if value is not None:
-                return self._index.get((predicate, position, value), [])
-        return self._by_pred.get(predicate, [])
+                found = self._index.get((predicate, position, value))
+                if found is None:
+                    return []
+                if narrowest is None or len(found) < len(narrowest):
+                    narrowest = found
+        return self._by_pred.get(predicate, []) if narrowest is None else narrowest
 
 
 # -- derivation bookkeeping --------------------------------------------------
@@ -275,11 +288,80 @@ def _order_condition(condition: Sequence[ConditionLiteral],
     return tuple(plan)
 
 
+_FLIPPED = {">=": "<=", "<=": ">=", ">": "<", "<": ">"}
+
+
+@dataclass(frozen=True)
+class _RangeCount:
+    """A ``#count{T : p(...), T >= lo, T <= hi}`` answered by bisecting the
+    sorted distinct ``constant_key(T)`` values of the matching group.
+
+    ``index`` names the sorted index: predicate, arity, the position of
+    ``T``, the positions fixed to constants, and the group-key positions
+    (those holding outer variables, in ``key_vars``). Each guard is
+    ``T <op> term`` with the term over outer variables.
+    """
+
+    index: tuple
+    key_vars: tuple[Variable, ...]
+    guards: tuple[tuple[str, Term], ...]
+
+
+def _range_count_plan(literal: AggregateLiteral, rule: Rule) -> Optional[_RangeCount]:
+    """The range-count plan of an aggregate, or None when it does not fit."""
+    agg = literal.aggregate
+    atoms = [c for c in agg.condition if isinstance(c, Atom)]
+    if len(agg.elements) != 1 or len(atoms) != 1:
+        return None
+    element, (atom,) = agg.elements[0], atoms
+    outer = _aggregate_required(literal, rule_global_variables(rule))
+    occurrences: dict[Variable, int] = {}
+    for var in literal_variables(literal):
+        occurrences[var] = occurrences.get(var, 0) + 1
+    if not isinstance(element, Variable) or element in outer \
+            or atom.terms.count(element) != 1:
+        return None
+    constants: list[tuple[int, Term]] = []
+    key_positions: list[int] = []
+    key_vars: list[Variable] = []
+    for position, term in enumerate(atom.terms):
+        if term == element:
+            continue
+        if isinstance(term, ArithTerm):
+            return None
+        if not isinstance(term, Variable):
+            constants.append((position, term))
+        elif term in outer:
+            key_positions.append(position)
+            key_vars.append(term)
+        elif occurrences[term] != 1:
+            return None
+    guards: list[tuple[str, Term]] = []
+    for cond in agg.condition:
+        if cond is atom:
+            continue
+        if cond.op not in _ORDERED:
+            return None
+        if cond.left == element:
+            op, other = cond.op, cond.right
+        elif cond.right == element:
+            op, other = _FLIPPED[cond.op], cond.left
+        else:
+            return None
+        if not set(term_variables(other)) <= outer:
+            return None
+        guards.append((op, other))
+    index = (atom.predicate, len(atom.terms), atom.terms.index(element),
+             tuple(constants), tuple(key_positions))
+    return _RangeCount(index, tuple(key_vars), tuple(guards))
+
+
 @dataclass
 class _CompiledRule:
     rule: Rule
     plan: tuple[BodyLiteral, ...]
     condition_plans: dict[int, tuple[ConditionLiteral, ...]]
+    range_counts: dict[int, _RangeCount]
     recursive_positions: tuple[int, ...] = ()
 
 
@@ -289,7 +371,10 @@ def _compile_rule(rule: Rule) -> _CompiledRule:
         i: _order_condition(lit.aggregate.condition, rule)
         for i, lit in enumerate(plan) if isinstance(lit, AggregateLiteral)
     }
-    return _CompiledRule(rule, plan, condition_plans)
+    range_counts = {i: count for i, lit in enumerate(plan)
+                    if isinstance(lit, AggregateLiteral)
+                    and (count := _range_count_plan(lit, rule)) is not None}
+    return _CompiledRule(rule, plan, condition_plans, range_counts)
 
 
 # -- the evaluator -------------------------------------------------------------
@@ -301,6 +386,8 @@ class _Evaluator:
     def __init__(self, model: Model, graph: DerivationGraph):
         self.model = model
         self.graph = graph
+        # sorted range indexes, built on first use: group key -> sorted keys
+        self.ranges: dict[tuple, dict[tuple[Constant, ...], list[tuple]]] = {}
 
     # term / literal evaluation
 
@@ -323,6 +410,8 @@ class _Evaluator:
     def _bind(self, atom: Atom, args: tuple[Constant, ...], env: Env,
               undo: list[Variable], rule: Rule) -> bool:
         """Extend env by matching atom terms against ground args."""
+        if len(args) != len(atom.terms):
+            return False
         for term, value in zip(atom.terms, args):
             if isinstance(term, Variable):
                 current = env.get(term)
@@ -346,8 +435,51 @@ class _Evaluator:
                 pattern.append(self.eval_term(term, env, rule))
         return source.candidates(atom.predicate, pattern)
 
+    def _range_index(self, index: tuple) -> dict[tuple[Constant, ...], list[tuple]]:
+        """Sorted distinct keys of the counted position per group key. The
+        counted predicate sits in a strictly lower, complete stratum, so the
+        index built on first use stays valid for the whole evaluation."""
+        groups = self.ranges.get(index)
+        if groups is None:
+            predicate, arity, position, constants, key_positions = index
+            keys: dict[tuple[Constant, ...], set[tuple]] = {}
+            for args in self.model.atoms(predicate):
+                if len(args) == arity and all(args[p] == c for p, c in constants):
+                    keys.setdefault(tuple(args[p] for p in key_positions), set()).add(
+                        constant_key(args[position]))
+            groups = self.ranges[index] = {group: sorted(values)
+                                           for group, values in keys.items()}
+        return groups
+
+    def _count_range(self, count: _RangeCount, env: Env, rule: Rule) -> Optional[int]:
+        """The count by bisection, or None when a guard fails to evaluate
+        (the general path then raises the same error)."""
+        keys = self._range_index(count.index).get(tuple(env[v] for v in count.key_vars))
+        if keys is None:
+            return 0  # guards are never evaluated over an empty group
+        low, high = 0, len(keys)
+        for op, term in count.guards:
+            try:
+                bound = constant_key(self.eval_term(term, env, rule))
+            except EvaluationError:
+                return None
+            if op == ">=":
+                low = max(low, bisect_left(keys, bound))
+            elif op == ">":
+                low = max(low, bisect_right(keys, bound))
+            elif op == "<=":
+                high = min(high, bisect_right(keys, bound))
+            else:
+                high = min(high, bisect_left(keys, bound))
+        return max(0, high - low)
+
     def eval_aggregate(self, compiled: _CompiledRule, plan_index: int,
                        literal: AggregateLiteral, env: Env, rule: Rule) -> int:
+        range_count = compiled.range_counts.get(plan_index)
+        if range_count is not None:
+            count = self._count_range(range_count, env, rule)
+            if count is not None:
+                return count
         plan = compiled.condition_plans[plan_index]
         agg = literal.aggregate
         elements: dict[tuple[Constant, ...], None] = {}
@@ -542,11 +674,18 @@ def query(model: Model, predicate: str) -> list[Fact]:
 
 def explain(graph: DerivationGraph, atom: Fact) -> DerivationNode:
     """Unfold an atom's first recorded derivation into a tree whose leaves
-    are input facts."""
-    entry = graph.entries.get(atom)
-    if entry is None:
-        if atom in graph.fact_atoms:
-            return DerivationNode(atom, None, (), [])
-        raise NotDerivedError(atom)
-    children = [explain(graph, support) for support in entry.supports]
-    return DerivationNode(atom, entry.rule, entry.checks, children)
+    are input facts. Iterative, so a derivation of any depth unfolds."""
+    roots: list[DerivationNode] = []
+    pending: list[tuple[list[DerivationNode], Fact]] = [(roots, atom)]
+    while pending:  # depth first, supports left to right
+        siblings, atom = pending.pop()
+        entry = graph.entries.get(atom)
+        if entry is None:
+            if atom not in graph.fact_atoms:
+                raise NotDerivedError(atom)
+            siblings.append(DerivationNode(atom, None, (), []))
+            continue
+        node = DerivationNode(atom, entry.rule, entry.checks, [])
+        siblings.append(node)
+        pending.extend((node.children, support) for support in reversed(entry.supports))
+    return roots[0]

@@ -197,8 +197,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
         self.pos = 0
         self.consts: dict[str, int] = {}
         self.rules: list[Rule] = []
@@ -458,7 +458,7 @@ def _resolve_consts(program: Program) -> Program:
 
 def parse_program(text: str) -> Program:
     """Parse program text into an AST with ``#const`` references resolved."""
-    return _Parser(text).parse()
+    return _Parser(_tokenize(text)).parse()
 
 
 def parse_facts(text: str) -> list[Fact]:
@@ -479,6 +479,30 @@ def override_consts(text: str, overrides: Mapping[str, int]) -> str:
 
     Raises ValueError for a name the text defines no ``#const`` for.
     """
+    return _override(text, overrides)[0]
+
+
+def _override(text: str, overrides: Mapping[str, int]) -> tuple[str, list[_Token]]:
+    """:func:`override_consts`, also returning the tokens of the new text:
+    the old tokens with the values replaced and the positions after each
+    replacement moved, so the new text is never lexed again."""
+    tokens = _tokenize(text)
+    edits: dict[int, tuple[int, int]] = {}  # first value token -> (last one, value)
+    for i, token in enumerate(tokens):
+        if token.kind != "CONST" or tokens[i + 1].kind != "IDENT" \
+                or tokens[i + 2].kind != "ASSIGN" or tokens[i + 1].value not in overrides:
+            continue
+        first = tokens[i + 3]  # an EOF token always follows ASSIGN and MINUS
+        last = i + 4 if first.kind == "MINUS" else i + 3
+        if tokens[last].kind != "INT":
+            continue  # malformed; parse_program reports it
+        edits[i + 3] = (last, overrides[tokens[i + 1].value])
+    missing = sorted(set(overrides) - {tokens[i - 2].value for i in edits})
+    if missing:
+        raise ValueError(f"rule file defines no #const {missing[0]}")
+    if not edits:
+        return text, tokens
+
     line_starts = [0]
     while (newline := text.find("\n", line_starts[-1])) >= 0:
         line_starts.append(newline + 1)
@@ -486,24 +510,30 @@ def override_consts(text: str, overrides: Mapping[str, int]) -> str:
     def offset(token: _Token) -> int:
         return line_starts[token.line - 1] + token.column - 1
 
-    tokens = _tokenize(text)
     pieces: list[str] = []
-    done = 0
-    found: set[str] = set()
-    for i, token in enumerate(tokens):
-        if [t.kind for t in tokens[i:i + 3]] != ["CONST", "IDENT", "ASSIGN"] \
-                or tokens[i + 1].value not in overrides:
+    moved: list[_Token] = []
+    done = lines_removed = i = 0
+    edit_line = shift = 0  # old line of the last replacement's end; column shift after it
+    while i < len(tokens):
+        token = tokens[i]
+        line = token.line - lines_removed
+        column = token.column + shift if token.line == edit_line else token.column
+        if i not in edits:
+            moved.append(token if (line, column) == (token.line, token.column)
+                         else _Token(token.kind, token.value, line, column))
+            i += 1
             continue
-        first = tokens[i + 3]  # an EOF token always follows ASSIGN and MINUS
-        last = tokens[i + 4] if first.kind == "MINUS" else first
-        if last.kind != "INT":
-            continue  # malformed; parse_program reports it
-        name = tokens[i + 1].value
-        found.add(name)
-        pieces += [text[done:offset(first)], str(overrides[name])]
+        last_index, value = edits[i]
+        last = tokens[last_index]
+        new = str(value)
+        if value < 0:
+            moved += [_Token("MINUS", "-", line, column), _Token("INT", new[1:], line, column + 1)]
+        else:
+            moved.append(_Token("INT", new, line, column))
+        pieces += [text[done:offset(token)], new]
         done = offset(last) + len(last.value)
-    missing = sorted(set(overrides) - found)
-    if missing:
-        raise ValueError(f"rule file defines no #const {missing[0]}")
+        lines_removed += last.line - token.line
+        edit_line, shift = last.line, column + len(new) - last.column - len(last.value)
+        i = last_index + 1
     pieces.append(text[done:])
-    return "".join(pieces)
+    return "".join(pieces), moved

@@ -13,7 +13,7 @@ a violated constraint is not an error but a distinguished result
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone, tzinfo
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -47,8 +47,8 @@ from .ingest import (
     read_syslog_entries,
 )
 from .lang import Program
-from .parser import override_consts, parse_facts, parse_program
-from .rules import ANOMALY_CATALOG, Thresholds, default_program
+from .parser import _override, _Parser, parse_facts
+from .rules import ANOMALY_CATALOG, RULES_TEXT, Thresholds
 
 
 class StageError(Exception):
@@ -121,20 +121,21 @@ def load_entries(config: RunConfig) -> tuple[list[LogEntry], IngestResult]:
         raise StageError("ingest", str(exc)) from exc
 
 
-def _program_text(config: RunConfig) -> str:
+def _program_source(config: RunConfig) -> tuple[str, dict[str, int]]:
+    """The rule text and the ``#const`` values to set in it."""
     if config.rules_path is None:
-        return default_program(Thresholds().with_overrides(**config.overrides))
-    text = Path(config.rules_path).read_text(encoding="utf-8")
-    return override_consts(text, config.overrides)
+        return RULES_TEXT, asdict(Thresholds().with_overrides(**config.overrides))
+    return Path(config.rules_path).read_text(encoding="utf-8"), config.overrides
 
 
 def load_program(config: RunConfig) -> Program:
-    """Resolve and parse the rule program ("rules" stage)."""
+    """Resolve and parse the rule program ("rules" stage). The text is
+    lexed once: the parser takes the tokens the override produced."""
     try:
-        text = _program_text(config)
+        text, tokens = _override(*_program_source(config))
         if config.emit_rules:
             Path(config.emit_rules).write_text(text, encoding="utf-8")
-        return parse_program(text)
+        return _Parser(tokens).parse()
     except (OSError, ValueError) as exc:
         raise StageError("rules", str(exc)) from exc
 
@@ -232,17 +233,25 @@ def _render_check(check, node: DerivationNode) -> str:
     return str(check)
 
 
-def _render_node(node: DerivationNode, indent: int, lines: list[str]) -> None:
-    pad = "  " * indent
-    if node.is_fact:
-        lines.append(f"{pad}{node.atom}  [input fact]")
-        return
-    span = node.rule.span
-    lines.append(f"{pad}{node.atom}  [rule at {span.line}:{span.column}]")
-    for child in node.children:
-        _render_node(child, indent + 1, lines)
-    for check in node.checks:
-        lines.append(f"{pad}  {_render_check(check, node)}")
+def _render_node(root: DerivationNode, indent: int, lines: list[str]) -> None:
+    """Indented text of a derivation tree: each rule node's line, then its
+    children, then its checks. Iterative, so any depth renders."""
+    pending: list[Union[tuple[DerivationNode, int], str]] = [(root, indent)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, depth = item
+        pad = "  " * depth
+        if node.is_fact:
+            lines.append(f"{pad}{node.atom}  [input fact]")
+            continue
+        span = node.rule.span
+        lines.append(f"{pad}{node.atom}  [rule at {span.line}:{span.column}]")
+        pending.extend(f"{pad}  {_render_check(check, node)}"
+                       for check in reversed(node.checks))
+        pending.extend((child, depth + 1) for child in reversed(node.children))
 
 
 def _header(kind: str, entities: dict[str, Constant], parts: Sequence[str]) -> str:
@@ -272,13 +281,20 @@ def _json_time(ts: Optional[int]) -> Optional[dict]:
     return None if ts is None else {"unix": ts, "iso": _iso(ts)}
 
 
-def _json_explanation(node: DerivationNode) -> dict:
-    return {
-        "atom": str(node.atom),
-        "rule": None if node.is_fact else f"{node.rule.span.line}:{node.rule.span.column}",
-        "checks": [_render_check(check, node) for check in node.checks],
-        "supports": [_json_explanation(child) for child in node.children],
-    }
+def _json_explanation(root: DerivationNode) -> dict:
+    records: list[dict] = []
+    pending: list[tuple[list[dict], DerivationNode]] = [(records, root)]
+    while pending:
+        siblings, node = pending.pop()
+        record = {
+            "atom": str(node.atom),
+            "rule": None if node.is_fact else f"{node.rule.span.line}:{node.rule.span.column}",
+            "checks": [_render_check(check, node) for check in node.checks],
+            "supports": [],
+        }
+        siblings.append(record)
+        pending.extend((record["supports"], child) for child in reversed(node.children))
+    return records[0]
 
 
 _Row = Union[Alert, GroupedAlert]
@@ -295,11 +311,14 @@ def _render(rows: Sequence[_Row], output: str, kinds: Sequence[str],
     summary line counting ``kinds``.
     """
     if output == "json":
-        return "".join(
-            json.dumps({"kind": row.kind,
-                        **{role: _json_value(value) for role, value in row.entities.items()},
-                        **record(row)}) + "\n"
-            for row in rows)
+        try:
+            return "".join(
+                json.dumps({"kind": row.kind,
+                            **{role: _json_value(value) for role, value in row.entities.items()},
+                            **record(row)}) + "\n"
+                for row in rows)
+        except RecursionError:  # json.dumps recurses once per nesting level
+            raise StageError("report", "derivation too deep to encode as JSON") from None
     lines = [] if rows else ["no anomalies detected"]
     for row in rows:
         parts, body = text(row)

@@ -11,6 +11,11 @@ programs draw constants from integers only and may use +/- inside guards;
 "mixed" programs draw from all three constant kinds but never do
 arithmetic, since adding a symbol is a runtime error by design.
 
+About a third of the aggregates carry range guards on the counted
+variable (two-sided windows ``L0 >= V - k, L0 <= V`` in arith mode,
+one-sided bounds of any constant kind otherwise), the shape the engine
+answers from a sorted index instead of enumerating the group.
+
 Sizes stay small (few variables, a handful of constants) so the naive
 oracle's full grounding stays cheap; the caps match the documented limits
 (at most 8 predicates, arity 3, 30 facts, 10 rules, 1 aggregate per rule).
@@ -26,6 +31,7 @@ STR_PALETTE = ['"x"', '"y"']
 
 COMPARE_OPS = ("==", "!=", ">=", "<=", ">", "<")
 GUARD_OPS = (">=", "<=", ">", "<", "==")
+RANGE_OPS = (">=", "<=", ">", "<")
 
 
 @dataclass(frozen=True)
@@ -97,15 +103,29 @@ def generate_program(seed: int) -> str:
                 return rng.choice(bound)
             return const()
 
-        if rng.random() < 0.3:
+        if rng.random() < 0.35:
             # one aggregate per rule at most
             cond_pred = rng.choice(lower)
             local = "L0"
             cond_args = [bound_or_const() for _ in range(cond_pred.arity)]
+            if rng.random() < 0.3:
+                # local positions: projected away, or joined when repeated
+                cond_args = [rng.choice(("_", "L1", "L0")) if rng.random() < 0.6 else a
+                             for a in cond_args]
             cond_args[rng.randrange(cond_pred.arity)] = local
             condition = f"{cond_pred.name}({','.join(cond_args)})"
-            if rng.random() < 0.3:
+            roll = rng.random()
+            if roll < 0.25:
                 condition += f", {local} {rng.choice(COMPARE_OPS)} {bound_or_const()}"
+            elif roll < 0.6 and arith_mode and bound:
+                # a two-sided window ending at a bound value
+                end = rng.choice(bound)
+                condition += (f", {local} >= {end} - {rng.choice(INT_PALETTE)}"
+                              f", {local} <= {end}")
+            elif roll < 0.6:
+                # one-sided range guards; in mixed mode across all constant kinds
+                for _ in range(rng.randint(1, 2)):
+                    condition += f", {local} {rng.choice(RANGE_OPS)} {bound_or_const()}"
             if bound and rng.random() < 0.3:
                 elements = f"{local},{rng.choice(bound)}"
             else:

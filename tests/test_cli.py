@@ -151,6 +151,37 @@ class TestFlags:
         assert 'network_anomaly: ip="218.188.2.4"' in out
 
 
+class TestDeepDerivation:
+    """A derivation deeper than the interpreter's recursion limit."""
+
+    @pytest.fixture
+    def deep_rules(self, tmp_path):
+        edges = " ".join(f"edge({i}, {i + 1})." for i in range(3000))
+        path = tmp_path / "deep.lp"
+        path.write_text("reach(0).\nreach(Y) :- reach(X), edge(X, Y).\n" + edges
+                        + "\nsystem_issue(deep, Y) :- reach(Y), Y == 3000.\n")
+        return path
+
+    def test_text_report_renders_every_step(self, capsys, sample_path, deep_rules):
+        code, out, err = run_main(
+            capsys, ["detect", str(sample_path), "--rules", str(deep_rules)] + BASE)
+        assert code == EXIT_OK, err
+        lines = out.splitlines()
+        assert lines[0] == "system_issue: issue=deep at 3000 (1970-01-01T00:50:00+00:00)"
+        assert lines[1] == "  system_issue(deep,3000)  [rule at 4:1]"
+        assert lines[2] == "    reach(3000)  [rule at 2:1]"
+        assert lines.count("  " * 3002 + "reach(0)  [input fact]") == 1
+        assert lines[-1] == "total: 1 (system_issue: 1)"
+
+    def test_json_report_fails_in_the_report_stage(self, capsys, sample_path, deep_rules):
+        code, out, err = run_main(
+            capsys, ["detect", str(sample_path), "--rules", str(deep_rules),
+                     "--output", "json"] + BASE)
+        assert code == EXIT_ERROR
+        assert err == "error in report stage: derivation too deep to encode as JSON\n"
+        assert out == ""
+
+
 class TestEnvironmentFallbacks:
     def test_output_from_env(self, capsys, sample_path):
         code, out, _ = run_main(

@@ -4,15 +4,20 @@ import pytest
 from stratalog.engine import (
     EvaluationError,
     Inconsistent,
+    Model,
     NafCheck,
     NotDerivedError,
     SafetyError,
+    _compile_rule,
     evaluate,
     explain,
     query,
 )
 from stratalog.facts import Fact, Symbol, fact
+from stratalog.lang import AggregateLiteral
+from stratalog.oracle import OracleEvaluationError, naive_oracle
 from stratalog.parser import parse_program
+from stratalog.rules import RULES_TEXT
 
 WINDOW_TEXT = """\
 #const window = 600.
@@ -208,6 +213,18 @@ class TestExplain:
         assert [str(c) for c in node.checks] == ["count 3 >= threshold 3"]
 
 
+    def test_deep_derivation_unfolds(self):
+        edges = " ".join(f"edge({i}, {i + 1})." for i in range(3000))
+        _, graph = evaluate(parse_program(
+            "reach(0). reach(Y) :- reach(X), edge(X, Y)." + edges))
+        node, depth = explain(graph, fact("reach", 3000)), 0
+        while not node.is_fact:
+            reach, edge = node.children
+            assert edge.atom == fact("edge", 2999 - depth, 3000 - depth) and edge.is_fact
+            node, depth = reach, depth + 1
+        assert (node.atom, depth) == (fact("reach", 0), 3000)
+
+
 class TestDeterminismAndSemantics:
     def test_two_runs_identical(self, bundled_program):
         extra = [fact("login_attempt", "9.9.9.9", t, Symbol("failed"), "root")
@@ -234,3 +251,106 @@ class TestDeterminismAndSemantics:
             "reach(0). reach(Y) :- reach(X), edge(X, Y)." + edges)
         model, _ = evaluate(program)
         assert sorted(model.atoms("reach")) == [(i,) for i in range(31)]
+
+
+def agrees_with_oracle(text, facts=()):
+    """Evaluate with the engine and the naive oracle; return the engine's
+    model after checking both computed the same atoms."""
+    program = parse_program(text)
+    model, _ = evaluate(program, list(facts))
+    assert set(model) == set(naive_oracle(program, list(facts)))
+    return model
+
+
+def range_counted(text):
+    """For each rule with an aggregate: whether it compiled to a range count."""
+    return [bool(_compile_rule(rule).range_counts) for rule in parse_program(text).rules
+            if any(isinstance(lit, AggregateLiteral) for lit in rule.body)]
+
+
+class TestRangeCounts:
+    """Counts of one range-guarded variable are answered from a sorted
+    index; every other shape takes the general path. Both must agree with
+    the oracle."""
+
+    @pytest.mark.parametrize("text", [
+        WINDOW_TEXT,
+        "c(I, N) :- a(I, _), N = #count{T : a(I, T), T > 1, T < 5}.",
+        "c(I, N) :- a(I, U), N = #count{T : a(I, T), U - 2 <= T}.",
+        "c(N) :- a(_, _), N = #count{T : a(_, T)}.",
+        'c(I) :- a(I, _), #count{T : b(I, T, tag, _)} >= 2.',
+    ])
+    def test_fitting_shapes_use_the_range_index(self, text):
+        assert range_counted(text) == [True]
+
+    @pytest.mark.parametrize("text", [
+        "c(I, N) :- a(I, U), N = #count{T : a(I, T), T == U}.",
+        "c(I, N) :- a(I, U), N = #count{T : a(I, T), T != U}.",
+        "c(I, N) :- a(I, _), N = #count{T : a(I, T), b(I, T, _, _)}.",
+        "c(I, N) :- a(I, _), N = #count{T : b(T, I, X, X)}.",
+        "c(I, N) :- a(I, _), N = #count{T, X : b(I, T, X, _)}.",
+        "c(I, N) :- a(I, _), N = #count{T : a(I, T), T >= T - 1}.",
+    ])
+    def test_other_shapes_stay_on_the_general_path(self, text):
+        assert range_counted(text) == [False]
+        facts = "a(1, 1). a(1, 2). a(1, 4). a(2, 2). b(1, 1, 1, 1). b(1, 2, 3, 4)." \
+                " b(2, 1, 1, 1). b(4, 1, 2, 2). b(2, 1, tag, 0). b(2, 3, tag, 1)."
+        agrees_with_oracle(text + facts)
+
+    @pytest.mark.parametrize("gap, expected", [(600, 2), (601, 1)])
+    def test_window_edges(self, gap, expected):
+        model = agrees_with_oracle(WINDOW_TEXT, attempts("ip", [1000, 1000 + gap]))
+        assert fact("failed_count", "ip", 1000 + gap, expected) in model
+
+    def test_duplicates_and_other_groups_are_not_counted(self):
+        model = agrees_with_oracle(
+            "c(I, N) :- a(I, _, _), N = #count{T : a(I, T, _)}."
+            " a(1, 5, x). a(1, 5, y). a(1, 6, x). a(2, 5, x).")
+        assert set(model.atoms("c")) == {(1, 2), (2, 1)}
+
+    @pytest.mark.parametrize("guards", [
+        "T > 3", "T < b", 'T >= "x"', "T <= a", "T > b, T < \"y\"", "3 < T",
+    ])
+    def test_mixed_kind_values_under_one_sided_bounds(self, guards):
+        values = ' '.join(f"v(g, {v})." for v in ('1', '5', 'a', 'b', 'c', '"x"', '"y"'))
+        text = f"c(G, N) :- k(G), N = #count{{T : v(G, T), {guards}}}. k(g). k(h). {values}"
+        assert range_counted(text) == [True]
+        agrees_with_oracle(text)
+
+    def test_symbol_arithmetic_in_a_guard_raises_as_before(self):
+        text = ("c(I, N) :- s(I, V), N = #count{T : p(I, T), T >= V - 1}.\n"
+                "s(a, b). p(a, 1).")
+        assert range_counted(text) == [True]
+        with pytest.raises(EvaluationError) as raised:
+            evaluate(parse_program(text))
+        assert str(raised.value) == "1:1: arithmetic on non-integer constant (b - 1)"
+        with pytest.raises(OracleEvaluationError):
+            naive_oracle(parse_program(text))
+
+    def test_symbol_arithmetic_over_an_empty_group_is_not_evaluated(self):
+        model = agrees_with_oracle(
+            "c(I, N) :- s(I, V), N = #count{T : p(I, T), T >= V - 1}."
+            " s(a, b). s(c, 3). p(c, 1). p(c, 2).")
+        assert set(model.atoms("c")) == {(Symbol("a"), 0), (Symbol("c"), 1)}
+
+    def test_every_bundled_count_uses_the_range_index(self):
+        flags = range_counted(RULES_TEXT)
+        assert len(flags) == 4 and all(flags)
+
+    def test_atoms_of_another_arity_never_match(self):
+        model = agrees_with_oracle(
+            "q(X) :- p(X). r(N) :- s(_), N = #count{T : p(T)}. p(1, 2). p(3). s(0).")
+        assert model.atoms("q") == [(3,)]
+        assert model.atoms("r") == [(1,)]
+
+
+class TestCandidates:
+    def test_narrowest_bound_position_in_insertion_order(self):
+        model = Model()
+        for args in [(1, 1), (1, 2), (2, 2), (1, 3), (3, 2), (1, 4)]:
+            model.add(Fact("e", args))
+        assert model.candidates("e", [1, None]) == [(1, 1), (1, 2), (1, 3), (1, 4)]
+        assert model.candidates("e", [1, 2]) == [(1, 2), (2, 2), (3, 2)]
+        assert model.candidates("e", [None, 4]) == [(1, 4)]
+        assert model.candidates("e", [9, 2]) == []
+        assert model.candidates("e", [None, None]) == model.atoms("e")

@@ -80,7 +80,7 @@ class TestCapacityGuard:
 
 
 class TestRandomizedAgreement:
-    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("seed", range(200))
     def test_generated_program_agreement(self, seed):
         program = parse_program(generate_program(seed))
         engine_result = engine_atoms(evaluate(program))

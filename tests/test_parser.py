@@ -10,7 +10,14 @@ from stratalog.lang import (
     Variable,
     format_program,
 )
-from stratalog.parser import ParseError, override_consts, parse_facts, parse_program
+from stratalog.parser import (
+    ParseError,
+    _override,
+    _tokenize,
+    override_consts,
+    parse_facts,
+    parse_program,
+)
 
 from progen import generate_program
 
@@ -114,6 +121,23 @@ class TestOverrideConsts:
             override_consts(self.TEXT, {"limit": 4, "nope": 1})
         with pytest.raises(ValueError, match="no #const tune"):
             override_consts(self.TEXT, {"tune": 1})  # named only in a comment
+
+    @pytest.mark.parametrize("text", [
+        TEXT,
+        "#const a = 1. #const b = -22. p(X) :- q(X), X > a, X < b.\n#const c = 3. r(c).",
+        "#const a = -\n  4. p(a). #const b = - % a comment\n\n 5. q(b).\n",
+        "#const a=1.#const b=2.#const c=3.x(a,b,c).",
+    ])
+    @pytest.mark.parametrize("values", [
+        {"a": 1000, "b": -1, "c": 0, "limit": 12345, "off": -100},
+        {"a": -7, "b": 3, "c": -4444, "limit": -1, "off": 0},
+    ])
+    def test_tokens_equal_those_of_the_new_text(self, text, values):
+        names = {t.value for t in _tokenize(text) if t.kind == "IDENT"}
+        overrides = {name: value for name, value in values.items() if name in names}
+        new_text, tokens = _override(text, overrides)
+        assert new_text == override_consts(text, overrides)
+        assert tokens == _tokenize(new_text)
 
 
 class TestAggregates:
