@@ -2,8 +2,8 @@
 
 Both readers produce the same LogEntry records: a component name, an
 optional PID, the free-text message, and a UTC epoch timestamp.  Syslog
-timestamps carry no year, so the reader pins one (base_year) and can
-optionally infer a rollover when the month sequence wraps around.
+timestamps carry no year, so the reader pins one (base_year) for every
+line.
 """
 from io import StringIO
 from pathlib import Path

@@ -1,17 +1,27 @@
 """Bottom-up evaluation of safe, stratified programs.
 
 The unique stable model is computed stratum by stratum: within a stratum,
-positive rules run semi-naively (each round re-joins only against atoms new
-in the previous round); negation and aggregates only ever consult strata
-that are already complete, which stratification guarantees. Grounding is
-on-the-fly: rule bodies are joined left to right in a statically computed
-order, binding variables from indexed fact lookups instead of enumerating
-the Herbrand universe.
+every rule fires once over the model, then recursive rules run semi-naive
+rounds. A round re-joins each recursive rule once per body atom of the
+stratum, scanning there only the atoms new in the previous round; every
+scan visits only the rows present when it starts, so a round never joins
+its own output. Negation and aggregates only ever consult strata that are
+already complete, which stratification guarantees.
+
+Grounding is on-the-fly: each rule is compiled once into join plans, the
+static one (the first literal as written whose inputs are bound, again and
+again) and, per recursive body atom, one that scans the delta atom first and
+orders the rest the same way. A plan is a chain of closures over a list
+environment with one slot per variable; each step knows at compile time
+which positions bind a slot, which check a bound slot or a repeat within
+the atom, and which hold constants or arithmetic.
 
 Each body atom is looked up through the narrowest per-argument index among
-its bound positions. A ``#count`` of one range-guarded variable is answered
-by bisecting a sorted index of that variable's values per group, built once
-per evaluation; every other aggregate enumerates its matches.
+its bound positions; an index is built on the first lookup that binds its
+position and kept current from then on. A ``#count`` of one range-guarded
+variable is answered by bisecting a sorted index of that variable's values
+per group, built once per evaluation; every other aggregate enumerates its
+matches.
 
 Every derived atom records the rule and ground supports that first produced
 it, so any alert can be unfolded into a full derivation tree. Iteration
@@ -22,7 +32,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .analysis import SafetyError, check_safety, stratify
 from .facts import Constant, Fact, constant_key, format_constant
@@ -58,53 +70,89 @@ class NotDerivedError(LookupError):
         super().__init__(f"atom not in model: {atom}")
 
 
-class Model:
-    """Insertion-ordered set of ground atoms with per-argument hash indexes.
+class _Relation:
+    """One predicate's atoms: argument tuples in insertion order, the atom
+    of each tuple, and the position indexes built so far."""
 
-    Holds the model and, during evaluation, each semi-naive round's delta."""
-
-    __slots__ = ("_atoms", "_by_pred", "_index")
+    __slots__ = ("rows", "atoms", "indexes")
 
     def __init__(self) -> None:
-        self._atoms: dict[Fact, None] = {}
-        self._by_pred: dict[str, list[tuple[Constant, ...]]] = {}
-        self._index: dict[tuple[str, int, Constant], list[tuple[Constant, ...]]] = {}
+        self.rows: list[tuple[Constant, ...]] = []
+        self.atoms: dict[tuple[Constant, ...], Fact] = {}
+        self.indexes: dict[int, dict[Constant, list[tuple[Constant, ...]]]] = {}
 
-    def add(self, atom: Fact) -> bool:
-        if atom in self._atoms:
-            return False
-        self._atoms[atom] = None
-        self._by_pred.setdefault(atom.predicate, []).append(atom.args)
-        for position, value in enumerate(atom.args):
-            self._index.setdefault((atom.predicate, position, value), []).append(atom.args)
-        return True
+    def index(self, position: int) -> dict[Constant, list[tuple[Constant, ...]]]:
+        """Rows by their value at ``position``, built from the rows on first
+        use and kept current by :meth:`Model.add` from then on."""
+        index = self.indexes.get(position)
+        if index is None:
+            index = self.indexes[position] = {}
+            for args in self.rows:
+                if position < len(args):
+                    index.setdefault(args[position], []).append(args)
+        return index
 
-    def __contains__(self, atom: Fact) -> bool:
-        return atom in self._atoms
-
-    def __len__(self) -> int:
-        return len(self._atoms)
-
-    def __iter__(self) -> Iterator[Fact]:
-        return iter(self._atoms)
-
-    def atoms(self, predicate: str) -> list[tuple[Constant, ...]]:
-        return self._by_pred.get(predicate, [])
-
-    def candidates(self, predicate: str,
-                   pattern: Sequence[Optional[Constant]]) -> list[tuple[Constant, ...]]:
+    def candidates(self, pattern: Sequence[Optional[Constant]]) -> list[tuple[Constant, ...]]:
         """Arg tuples possibly matching the pattern (None = free position):
         the shortest index list among the bound positions, which the caller
-        filters while binding. Every list keeps insertion order."""
+        filters. Every list is live and in insertion order, so a caller that
+        adds atoms while it scans takes its length first."""
         narrowest = None
         for position, value in enumerate(pattern):
             if value is not None:
-                found = self._index.get((predicate, position, value))
+                found = self.index(position).get(value)
                 if found is None:
                     return []
                 if narrowest is None or len(found) < len(narrowest):
                     narrowest = found
-        return self._by_pred.get(predicate, []) if narrowest is None else narrowest
+        return self.rows if narrowest is None else narrowest
+
+
+class Model:
+    """Insertion-ordered set of ground atoms with per-argument hash indexes,
+    each built on the first lookup that binds its position.
+
+    Holds the model and, during evaluation, each semi-naive round's delta."""
+
+    __slots__ = ("_order", "_relations")
+
+    def __init__(self) -> None:
+        self._order: list[Fact] = []
+        self._relations: dict[str, _Relation] = {}
+
+    def add(self, atom: Fact) -> bool:
+        relation = self._relations.get(atom.predicate) or self.relation(atom.predicate)
+        args = atom.args
+        if args in relation.atoms:
+            return False
+        relation.atoms[args] = atom
+        relation.rows.append(args)
+        self._order.append(atom)
+        for position, index in relation.indexes.items():
+            if position < len(args):
+                index.setdefault(args[position], []).append(args)
+        return True
+
+    def relation(self, predicate: str) -> _Relation:
+        """The predicate's live relation, empty until an atom is added."""
+        relation = self._relations.get(predicate)
+        if relation is None:
+            relation = self._relations[predicate] = _Relation()
+        return relation
+
+    def __contains__(self, atom: Fact) -> bool:
+        relation = self._relations.get(atom.predicate)
+        return relation is not None and atom.args in relation.atoms
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __iter__(self) -> Iterator[Fact]:
+        return iter(self._order)
+
+    def atoms(self, predicate: str) -> list[tuple[Constant, ...]]:
+        relation = self._relations.get(predicate)
+        return [] if relation is None else relation.rows
 
 
 # -- derivation bookkeeping --------------------------------------------------
@@ -227,12 +275,13 @@ def _aggregate_required(literal: AggregateLiteral, global_vars: set[Variable]) -
     return required
 
 
-def _order_body(rule: Rule) -> tuple[BodyLiteral, ...]:
-    """Deterministic evaluation order: scan the body as written, taking the
-    first literal whose inputs are bound. Safe rules always complete."""
+def _order_body(rule: Rule, first: Optional[int] = None) -> tuple[int, ...]:
+    """Deterministic evaluation order, as body indexes: the literal at
+    ``first`` if given, then repeatedly the first literal as written whose
+    inputs are bound. Safe rules always complete."""
     global_vars = rule_global_variables(rule)
-    remaining = list(rule.body)
-    plan: list[BodyLiteral] = []
+    remaining = list(range(len(rule.body)))
+    plan: list[int] = []
     bound: set[Variable] = set()
 
     def ready(literal: BodyLiteral) -> bool:
@@ -251,16 +300,22 @@ def _order_body(rule: Rule) -> tuple[BodyLiteral, ...]:
             return vars_needed <= bound
         return _aggregate_required(literal, global_vars) <= bound
 
+    def take(index: int) -> None:
+        literal = rule.body[index]
+        plan.append(index)
+        remaining.remove(index)
+        if isinstance(literal, Atom):
+            bound.update(t for t in literal.terms if isinstance(t, Variable))
+        elif isinstance(literal, AggregateLiteral) and literal.is_assignment:
+            assert isinstance(literal.bound, Variable)
+            bound.add(literal.bound)
+
+    if first is not None:
+        take(first)
     while remaining:
-        for i, literal in enumerate(remaining):
-            if ready(literal):
-                plan.append(literal)
-                del remaining[i]
-                if isinstance(literal, Atom):
-                    bound.update(t for t in literal.terms if isinstance(t, Variable))
-                elif isinstance(literal, AggregateLiteral) and literal.is_assignment:
-                    assert isinstance(literal.bound, Variable)
-                    bound.add(literal.bound)
+        for index in remaining:
+            if ready(rule.body[index]):
+                take(index)
                 break
         else:
             raise EvaluationError("cannot order body literals for evaluation", rule)
@@ -358,82 +413,334 @@ def _range_count_plan(literal: AggregateLiteral, rule: Rule) -> Optional[_RangeC
 
 @dataclass
 class _CompiledRule:
+    """A rule's static join order (body indexes) and what each step needs.
+
+    Every variable has a slot in a list environment. Supports are recorded
+    in the static order of the positive atoms, checks in the static order
+    of the other literals, whatever order a plan joins them in."""
+
     rule: Rule
-    plan: tuple[BodyLiteral, ...]
+    order: tuple[int, ...]
+    slots: dict[Variable, int]
     condition_plans: dict[int, tuple[ConditionLiteral, ...]]
     range_counts: dict[int, _RangeCount]
-    recursive_positions: tuple[int, ...] = ()
+    records: dict[int, int]  # body index -> support or check index
+    support_predicates: tuple[str, ...]
+    check_count: int
 
 
 def _compile_rule(rule: Rule) -> _CompiledRule:
-    plan = _order_body(rule)
-    condition_plans = {
-        i: _order_condition(lit.aggregate.condition, rule)
-        for i, lit in enumerate(plan) if isinstance(lit, AggregateLiteral)
-    }
-    range_counts = {i: count for i, lit in enumerate(plan)
-                    if isinstance(lit, AggregateLiteral)
-                    and (count := _range_count_plan(lit, rule)) is not None}
-    return _CompiledRule(rule, plan, condition_plans, range_counts)
+    order = _order_body(rule)
+    slots: dict[Variable, int] = {}
+    for literal in rule.body:
+        for var in literal_variables(literal):
+            slots.setdefault(var, len(slots))
+    for term in rule.head.terms if rule.head is not None else ():
+        for var in term_variables(term):
+            slots.setdefault(var, len(slots))
+    atoms = [i for i in order if isinstance(rule.body[i], Atom)]
+    others = [i for i in order if not isinstance(rule.body[i], Atom)]
+    aggregates = [i for i in order if isinstance(rule.body[i], AggregateLiteral)]
+    return _CompiledRule(
+        rule, order, slots,
+        condition_plans={i: _order_condition(rule.body[i].aggregate.condition, rule)
+                         for i in aggregates},
+        range_counts={i: count for i in aggregates
+                      if (count := _range_count_plan(rule.body[i], rule)) is not None},
+        records={**{i: k for k, i in enumerate(atoms)},
+                 **{i: k for k, i in enumerate(others)}},
+        support_predicates=tuple(rule.body[i].predicate for i in atoms),
+        check_count=len(others))
 
 
-# -- the evaluator -------------------------------------------------------------
+def _delta_order(rule: Rule, order: tuple[int, ...], position: int) -> tuple[int, ...]:
+    """The join order for a round whose delta sits at body index
+    ``position``: the delta atom first, unless an arithmetic term needs
+    variables bound before it, in which case the static order."""
+    if any(isinstance(t, ArithTerm) for t in rule.body[position].terms):
+        return order
+    return _order_body(rule, first=position)
 
-Env = dict[Variable, Constant]
+
+# -- slot-compiled matchers ------------------------------------------------------
+
+Env = list  # slot -> bound constant
+Step = Callable[[Env], None]
+
+
+def _getter(term: Term, slots: dict[Variable, int], bound: set[int],
+            rule: Rule) -> Callable[[Env], Constant]:
+    """A term's value in an environment whose bound slots are ``bound``."""
+    if isinstance(term, Variable):
+        if slots[term] in bound:
+            return itemgetter(slots[term])
+
+        def unbound(env: Env) -> Constant:
+            raise EvaluationError(f"unbound variable {term}", rule)
+        return unbound
+    if isinstance(term, ArithTerm):
+        left = _getter(term.left, slots, bound, rule)
+        right = _getter(term.right, slots, bound, rule)
+        op = term.op
+
+        def arith(env: Env) -> Constant:
+            a, b = left(env), right(env)
+            if not isinstance(a, int) or not isinstance(b, int):
+                raise EvaluationError(
+                    "arithmetic on non-integer constant "
+                    f"({format_constant(a)} {op} {format_constant(b)})", rule)
+            return a + b if op == "+" else a - b
+        return arith
+    return lambda env: term
+
+
+def _tuple_getter(terms: Sequence[Term], slots: dict[Variable, int], bound: set[int],
+                  rule: Rule) -> Callable[[Env], tuple[Constant, ...]]:
+    """The terms' values as a tuple; a C-level item getter when all of them
+    are bound variables."""
+    if all(isinstance(t, Variable) and slots[t] in bound for t in terms):
+        if len(terms) > 1:
+            return itemgetter(*(slots[t] for t in terms))
+        if terms:
+            slot = slots[terms[0]]
+            return lambda env: (env[slot],)
+        return lambda env: ()
+    getters = [_getter(t, slots, bound, rule) for t in terms]
+    return lambda env: tuple([get(env) for get in getters])
+
+
+def _binds(literal: BodyLiteral, slots: dict[Variable, int]) -> set[int]:
+    """The slots a body literal binds: an atom's variables, or the variable
+    an aggregate assigns."""
+    if isinstance(literal, Atom):
+        return {slots[t] for t in literal.terms if isinstance(t, Variable)}
+    if isinstance(literal, AggregateLiteral) and literal.is_assignment:
+        assert isinstance(literal.bound, Variable)
+        return {slots[literal.bound]}
+    return set()
+
+
+class _Found(Exception):
+    """Stops a join at its first solution."""
+
+
+@dataclass
+class _Frame:
+    """A rule being matched, and the support rows and checks of the binding
+    under construction, each at its record index."""
+
+    compiled: _CompiledRule
+    supports: list
+    checks: list
+
+    @classmethod
+    def of(cls, compiled: _CompiledRule) -> "_Frame":
+        return cls(compiled, [None] * len(compiled.support_predicates),
+                   [None] * compiled.check_count)
 
 
 class _Evaluator:
     def __init__(self, model: Model, graph: DerivationGraph):
         self.model = model
         self.graph = graph
+        # the current round's delta, and the model receiving its new atoms
+        self.delta = Model()
+        self.derived = Model()
         # sorted range indexes, built on first use: group key -> sorted keys
         self.ranges: dict[tuple, dict[tuple[Constant, ...], list[tuple]]] = {}
 
-    # term / literal evaluation
+    # plan compilation
 
-    def eval_term(self, term: Term, env: Env, rule: Rule) -> Constant:
-        if isinstance(term, Variable):
-            try:
-                return env[term]
-            except KeyError:
-                raise EvaluationError(f"unbound variable {term}", rule) from None
-        if isinstance(term, ArithTerm):
-            left = self.eval_term(term.left, env, rule)
-            right = self.eval_term(term.right, env, rule)
-            if not isinstance(left, int) or not isinstance(right, int):
-                raise EvaluationError(
-                    "arithmetic on non-integer constant "
-                    f"({format_constant(left)} {term.op} {format_constant(right)})", rule)
-            return left + right if term.op == "+" else left - right
-        return term
-
-    def _bind(self, atom: Atom, args: tuple[Constant, ...], env: Env,
-              undo: list[Variable], rule: Rule) -> bool:
-        """Extend env by matching atom terms against ground args."""
-        if len(args) != len(atom.terms):
-            return False
-        for term, value in zip(atom.terms, args):
-            if isinstance(term, Variable):
-                current = env.get(term)
-                if current is None:
-                    env[term] = value
-                    undo.append(term)
-                elif current != value:
-                    return False
+    def _chain(self, frame: _Frame, steps: Sequence[tuple[BodyLiteral, Optional[int]]],
+               bound: set[int], finish: Callable[[set[int]], Step],
+               delta_index: Optional[int] = None) -> Step:
+        """Compile steps, each a literal and its body index (None inside an
+        aggregate), into closures over a slot environment. Each step calls
+        the next one per match; the last calls ``finish(slots bound then)``."""
+        slots, rule = frame.compiled.slots, frame.compiled.rule
+        before: list[set[int]] = []
+        for literal, _ in steps:
+            before.append(bound)
+            bound = bound | _binds(literal, slots)
+        step = finish(bound)
+        for (literal, index), known in zip(reversed(steps), reversed(before)):
+            record = None if index is None else frame.compiled.records[index]
+            if isinstance(literal, Atom):
+                step = self._scan(frame, literal, known, record, step,
+                                  index is not None and index == delta_index)
+            elif isinstance(literal, NafLiteral):
+                step = self._naf(frame, literal, known, record, step)
+            elif isinstance(literal, Comparison):
+                step = self._compare(frame, literal, known, record, step)
+            elif isinstance(literal, AggregateLiteral) and index is not None:
+                step = self._aggregate(frame, literal, index, known, record, step)
             else:
-                if self.eval_term(term, env, rule) != value:
-                    return False
-        return True
+                raise EvaluationError(f"unsupported body literal {literal!r}", rule)
+        return step
 
-    def _atom_candidates(self, atom: Atom, env: Env, rule: Rule,
-                         source: Model) -> list[tuple[Constant, ...]]:
-        pattern: list[Optional[Constant]] = []
-        for term in atom.terms:
-            if isinstance(term, Variable):
-                pattern.append(env.get(term))
+    def _plan(self, frame: _Frame, order: Sequence[int],
+              finish: Callable[[set[int]], Step], delta_index: Optional[int] = None) -> Step:
+        body = frame.compiled.rule.body
+        return self._chain(frame, [(body[i], i) for i in order], set(), finish, delta_index)
+
+    def _scan(self, frame: _Frame, atom: Atom, bound: set[int], record: Optional[int],
+              step: Step, from_delta: bool) -> Step:
+        """Join one positive atom: look up rows by its bound positions, then
+        per row check repeats within the atom and bind its new slots. Only
+        the rows present when the scan starts are visited."""
+        slots, rule = frame.compiled.slots, frame.compiled.rule
+        predicate, arity = atom.predicate, len(atom.terms)
+        keys: list[tuple[int, Callable[[Env], Constant]]] = []
+        binds: list[tuple[int, int]] = []
+        first_at: dict[int, int] = {}
+        repeats: list[tuple[int, int]] = []
+        for position, term in enumerate(atom.terms):
+            slot = slots[term] if isinstance(term, Variable) else None
+            if slot is None or slot in bound:
+                keys.append((position, _getter(term, slots, bound, rule)))
+            elif slot in first_at:
+                repeats.append((first_at[slot], position))
             else:
-                pattern.append(self.eval_term(term, env, rule))
-        return source.candidates(atom.predicate, pattern)
+                first_at[slot] = position
+                binds.append((position, slot))
+        # one bound position: its index list holds exactly the matching rows;
+        # several: the narrowest list is only known at run time, so each row
+        # is checked against all of them
+        key_position, key_value = keys[0] if len(keys) == 1 else (None, None)
+        key_check = itemgetter(*(p for p, _ in keys)) if len(keys) > 1 else None
+        repeat_check = (itemgetter(*(p for p, _ in repeats)),
+                        itemgetter(*(q for _, q in repeats))) if repeats else None
+        relation = None if from_delta else self.model.relation(predicate)
+        supports = frame.supports
+
+        def scan(env: Env) -> None:
+            source = relation or self.delta.relation(predicate)
+            if key_value is not None:
+                rows = source.index(key_position).get(key_value(env), ())
+            elif keys:
+                pattern: list[Optional[Constant]] = [None] * arity
+                for position, get in keys:
+                    pattern[position] = get(env)
+                rows = source.candidates(pattern)
+                expected = key_check(pattern)
+            else:
+                rows = source.rows
+            for args in islice(rows, len(rows)):
+                if len(args) != arity \
+                        or (key_check is not None and key_check(args) != expected) \
+                        or (repeat_check is not None
+                            and repeat_check[0](args) != repeat_check[1](args)):
+                    continue
+                for position, slot in binds:
+                    env[slot] = args[position]
+                if record is not None:
+                    supports[record] = args
+                step(env)
+        return scan
+
+    def _naf(self, frame: _Frame, literal: NafLiteral, bound: set[int], record: int,
+             step: Step) -> Step:
+        predicate = literal.atom.predicate
+        ground = _tuple_getter(literal.atom.terms, frame.compiled.slots, bound,
+                               frame.compiled.rule)
+        known, checks = self.model.relation(predicate).atoms, frame.checks
+
+        def naf(env: Env) -> None:
+            args = ground(env)
+            if args not in known:
+                checks[record] = NafCheck(Fact(predicate, args))
+                step(env)
+        return naf
+
+    def _compare(self, frame: _Frame, literal: Comparison, bound: set[int],
+                 record: Optional[int], step: Step) -> Step:
+        slots, rule = frame.compiled.slots, frame.compiled.rule
+        left, right = _getter(literal.left, slots, bound, rule), \
+            _getter(literal.right, slots, bound, rule)
+        op, checks = literal.op, frame.checks
+
+        def compare(env: Env) -> None:
+            a, b = left(env), right(env)
+            if compare_constants(a, op, b):
+                if record is not None:
+                    checks[record] = ComparisonCheck(a, op, b)
+                step(env)
+        return compare
+
+    def _aggregate(self, frame: _Frame, literal: AggregateLiteral, index: int,
+                   bound: set[int], record: int, step: Step) -> Step:
+        count = self._counter(frame, literal, index, bound)
+        op, checks = literal.op, frame.checks
+        if literal.is_assignment:
+            assert isinstance(literal.bound, Variable)
+            slot = frame.compiled.slots[literal.bound]
+            assigns = slot not in bound
+
+            def assign(env: Env) -> None:
+                n = count(env)
+                if assigns:
+                    env[slot] = n
+                elif env[slot] != n:
+                    return
+                checks[record] = AggregateCheck(n, "=", n)
+                step(env)
+            return assign
+        threshold = _getter(literal.bound, frame.compiled.slots, bound, frame.compiled.rule)
+
+        def guard(env: Env) -> None:
+            n = count(env)
+            value = threshold(env)
+            if isinstance(value, int) and compare_constants(n, op, value):
+                checks[record] = AggregateCheck(n, op, value)
+                step(env)
+        return guard
+
+    def _counter(self, frame: _Frame, literal: AggregateLiteral, index: int,
+                 bound: set[int]) -> Callable[[Env], int]:
+        """The aggregate's count: by bisection when it has a range plan,
+        else by joining its condition and collecting distinct elements."""
+        compiled = frame.compiled
+        slots, rule = compiled.slots, compiled.rule
+        elements: set[tuple[Constant, ...]] = set()
+
+        def finish(inner: set[int]) -> Step:
+            element = _tuple_getter(literal.aggregate.elements, slots, inner, rule)
+            return lambda env: elements.add(element(env))
+
+        condition = self._chain(
+            frame, [(cond, None) for cond in compiled.condition_plans[index]], bound, finish)
+
+        def enumerate_count(env: Env) -> int:
+            elements.clear()
+            condition(env)
+            return len(elements)
+
+        plan = compiled.range_counts.get(index)
+        if plan is None:
+            return enumerate_count
+        group = _tuple_getter(plan.key_vars, slots, bound, rule)
+        guards = [(op, _getter(term, slots, bound, rule)) for op, term in plan.guards]
+
+        def range_count(env: Env) -> int:
+            keys = self._range_index(plan.index).get(group(env))
+            if keys is None:
+                return 0  # guards are never evaluated over an empty group
+            low, high = 0, len(keys)
+            for op, get in guards:
+                try:
+                    value = constant_key(get(env))
+                except EvaluationError:
+                    return enumerate_count(env)  # raises the general path's error
+                if op == ">=":
+                    low = max(low, bisect_left(keys, value))
+                elif op == ">":
+                    low = max(low, bisect_right(keys, value))
+                elif op == "<=":
+                    high = min(high, bisect_right(keys, value))
+                else:
+                    high = min(high, bisect_left(keys, value))
+            return max(0, high - low)
+        return range_count
 
     def _range_index(self, index: tuple) -> dict[tuple[Constant, ...], list[tuple]]:
         """Sorted distinct keys of the counted position per group key. The
@@ -451,172 +758,73 @@ class _Evaluator:
                                            for group, values in keys.items()}
         return groups
 
-    def _count_range(self, count: _RangeCount, env: Env, rule: Rule) -> Optional[int]:
-        """The count by bisection, or None when a guard fails to evaluate
-        (the general path then raises the same error)."""
-        keys = self._range_index(count.index).get(tuple(env[v] for v in count.key_vars))
-        if keys is None:
-            return 0  # guards are never evaluated over an empty group
-        low, high = 0, len(keys)
-        for op, term in count.guards:
-            try:
-                bound = constant_key(self.eval_term(term, env, rule))
-            except EvaluationError:
-                return None
-            if op == ">=":
-                low = max(low, bisect_left(keys, bound))
-            elif op == ">":
-                low = max(low, bisect_right(keys, bound))
-            elif op == "<=":
-                high = min(high, bisect_right(keys, bound))
-            else:
-                high = min(high, bisect_left(keys, bound))
-        return max(0, high - low)
-
-    def eval_aggregate(self, compiled: _CompiledRule, plan_index: int,
-                       literal: AggregateLiteral, env: Env, rule: Rule) -> int:
-        range_count = compiled.range_counts.get(plan_index)
-        if range_count is not None:
-            count = self._count_range(range_count, env, rule)
-            if count is not None:
-                return count
-        plan = compiled.condition_plans[plan_index]
-        agg = literal.aggregate
-        elements: dict[tuple[Constant, ...], None] = {}
-        local_env: Env = dict(env)
-
-        def recurse(i: int) -> None:
-            if i == len(plan):
-                key = tuple(self.eval_term(t, local_env, rule) for t in agg.elements)
-                elements.setdefault(key)
-                return
-            cond = plan[i]
-            if isinstance(cond, Atom):
-                for args in self._atom_candidates(cond, local_env, rule, self.model):
-                    undo: list[Variable] = []
-                    if self._bind(cond, args, local_env, undo, rule):
-                        recurse(i + 1)
-                    for var in undo:
-                        del local_env[var]
-            else:
-                left = self.eval_term(cond.left, local_env, rule)
-                right = self.eval_term(cond.right, local_env, rule)
-                if compare_constants(left, cond.op, right):
-                    recurse(i + 1)
-
-        recurse(0)
-        return len(elements)
-
-    def solutions(self, compiled: _CompiledRule, env: Env,
-                  supports: list[Fact], checks: list[Check],
-                  delta_position: Optional[int] = None,
-                  delta: Optional[Model] = None,
-                  start: int = 0) -> Iterator[None]:
-        """Yield once per satisfying assignment of the rule body; at each
-        yield, env/supports/checks describe a complete match."""
-        plan = compiled.plan
-        rule = compiled.rule
-        if start == len(plan):
-            yield None
-            return
-        literal = plan[start]
-        if isinstance(literal, Atom):
-            source = delta if start == delta_position else self.model
-            for args in self._atom_candidates(literal, env, rule, source):
-                undo: list[Variable] = []
-                if self._bind(literal, args, env, undo, rule):
-                    supports.append(Fact(literal.predicate, args))
-                    yield from self.solutions(compiled, env, supports, checks,
-                                              delta_position, delta, start + 1)
-                    supports.pop()
-                for var in undo:
-                    del env[var]
-        elif isinstance(literal, NafLiteral):
-            ground = Fact(literal.atom.predicate,
-                          tuple(self.eval_term(t, env, rule) for t in literal.atom.terms))
-            if ground not in self.model:
-                checks.append(NafCheck(ground))
-                yield from self.solutions(compiled, env, supports, checks,
-                                          delta_position, delta, start + 1)
-                checks.pop()
-        elif isinstance(literal, Comparison):
-            left = self.eval_term(literal.left, env, rule)
-            right = self.eval_term(literal.right, env, rule)
-            if compare_constants(left, literal.op, right):
-                checks.append(ComparisonCheck(left, literal.op, right))
-                yield from self.solutions(compiled, env, supports, checks,
-                                          delta_position, delta, start + 1)
-                checks.pop()
-        elif isinstance(literal, AggregateLiteral):
-            count = self.eval_aggregate(compiled, start, literal, env, rule)
-            if literal.is_assignment:
-                assert isinstance(literal.bound, Variable)
-                existing = env.get(literal.bound)
-                if existing is None:
-                    env[literal.bound] = count
-                    checks.append(AggregateCheck(count, "=", count))
-                    yield from self.solutions(compiled, env, supports, checks,
-                                              delta_position, delta, start + 1)
-                    checks.pop()
-                    del env[literal.bound]
-                elif existing == count:
-                    checks.append(AggregateCheck(count, "=", count))
-                    yield from self.solutions(compiled, env, supports, checks,
-                                              delta_position, delta, start + 1)
-                    checks.pop()
-            else:
-                bound_value = self.eval_term(literal.bound, env, rule)
-                if isinstance(bound_value, int) and compare_constants(
-                        count, literal.op, bound_value):
-                    checks.append(AggregateCheck(count, literal.op, bound_value))
-                    yield from self.solutions(compiled, env, supports, checks,
-                                              delta_position, delta, start + 1)
-                    checks.pop()
-        else:
-            raise EvaluationError(f"unsupported body literal {literal!r}", rule)
-
     # stratum evaluation
 
-    def _fire(self, compiled: _CompiledRule, derived: Model,
-              delta_position: Optional[int] = None,
-              delta: Optional[Model] = None) -> None:
-        """Run the rule once; atoms new to the model also go to ``derived``."""
+    def _emitter(self, frame: _Frame) -> Callable[[set[int]], Step]:
+        """The last step of a rule's plans: add the head atom if it is new,
+        with the binding's supports and checks as its derivation."""
+        compiled = frame.compiled
         rule = compiled.rule
         head = rule.head
         assert head is not None
-        env: Env = {}
-        supports: list[Fact] = []
-        checks: list[Check] = []
-        for _ in self.solutions(compiled, env, supports, checks, delta_position, delta):
-            atom = Fact(head.predicate,
-                        tuple(self.eval_term(t, env, rule) for t in head.terms))
-            if self.model.add(atom):
-                derived.add(atom)
-                self.graph.entries[atom] = Derivation(rule, tuple(supports), tuple(checks))
+        model, entries, predicate = self.model, self.graph.entries, head.predicate
+        known = model.relation(predicate).atoms
+        support_atoms = [model.relation(p).atoms for p in compiled.support_predicates]
+        supports, checks = frame.supports, frame.checks
+
+        def finish(bound: set[int]) -> Step:
+            head_args = _tuple_getter(head.terms, compiled.slots, bound, rule)
+
+            def emit(env: Env) -> None:
+                args = head_args(env)
+                if args in known:
+                    return
+                atom = Fact(predicate, args)
+                model.add(atom)
+                self.derived.add(atom)
+                entries[atom] = Derivation(
+                    rule, tuple(map(dict.__getitem__, support_atoms, supports)), tuple(checks))
+            return emit
+        return finish
 
     def run_stratum(self, compiled_rules: list[_CompiledRule],
                     stratum_predicates: set[str]) -> None:
+        """Fire every rule once over the model, then run semi-naive rounds:
+        each recursive rule re-joins once per body atom of the stratum,
+        scanning there only the last round's new atoms, until a round
+        derives none."""
+        firsts: list[tuple[Step, int]] = []
+        rounds: list[tuple[Step, int]] = []
         for compiled in compiled_rules:
-            compiled.recursive_positions = tuple(
-                i for i, lit in enumerate(compiled.plan)
-                if isinstance(lit, Atom) and lit.predicate in stratum_predicates)
-        delta = Model()
-        for compiled in compiled_rules:
-            self._fire(compiled, delta)
-        recursive = [c for c in compiled_rules if c.recursive_positions]
-        while delta:
-            new = Model()
-            for compiled in recursive:
-                for position in compiled.recursive_positions:
-                    self._fire(compiled, new, position, delta)
-            delta = new
+            frame, rule, width = _Frame.of(compiled), compiled.rule, len(compiled.slots)
+            finish = self._emitter(frame)
+            firsts.append((self._plan(frame, compiled.order, finish), width))
+            for i in compiled.order:
+                literal = rule.body[i]
+                if isinstance(literal, Atom) and literal.predicate in stratum_predicates:
+                    order = _delta_order(rule, compiled.order, i)
+                    rounds.append((self._plan(frame, order, finish, i), width))
+        self.derived = Model()
+        for plan, width in firsts:
+            plan([None] * width)
+        while self.derived and rounds:
+            self.delta, self.derived = self.derived, Model()
+            for plan, width in rounds:
+                plan([None] * width)
 
     def find_witness(self, compiled: _CompiledRule) -> Optional[dict[str, Constant]]:
-        env: Env = {}
-        for _ in self.solutions(compiled, env, [], []):
-            return {str(var): value for var, value in sorted(
-                env.items(), key=lambda item: item[0].name)
-                if not var.is_anonymous}
+        def finish(bound: set[int]) -> Step:
+            named = sorted((var.name, slot) for var, slot in compiled.slots.items()
+                           if slot in bound and not var.is_anonymous)
+
+            def found(env: Env) -> None:
+                raise _Found({name: env[slot] for name, slot in named})
+            return found
+
+        try:
+            self._plan(_Frame.of(compiled), compiled.order, finish)([None] * len(compiled.slots))
+        except _Found as witness:
+            return witness.args[0]
         return None
 
 

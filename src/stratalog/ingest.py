@@ -87,10 +87,6 @@ class LogEntry:
 class IngestOptions:
     base_year: int = DEFAULT_BASE_YEAR
     zone: tzinfo = timezone.utc
-    # Year rollover inference: bump the year whenever the month sequence
-    # decreases (Dec -> Jan). Off by default; single-year conversion is the
-    # documented baseline behavior.
-    infer_year_rollover: bool = False
 
 
 @dataclass
@@ -215,18 +211,13 @@ def to_timestamp(record: RawLogRecord, base_year: int, zone: tzinfo = timezone.u
 
 def entries_from_records(result: IngestResult,
                          options: IngestOptions | None = None) -> list[LogEntry]:
-    """Attach timestamps to the result's records, optionally inferring year
-    rollovers. A record whose date does not exist in its year (Feb 30, or
-    Feb 29 outside a leap year) moves from ``records`` to ``skipped``."""
+    """Attach timestamps to the result's records, all in the base year. A
+    record whose date does not exist in that year (Feb 30, or Feb 29 outside
+    a leap year) moves from ``records`` to ``skipped``."""
     opts = options or IngestOptions()
     entries: list[LogEntry] = []
     year = opts.base_year
-    prev_month = None
     for record in result.records:
-        if opts.infer_year_rollover and prev_month is not None \
-                and record.month_number < prev_month:
-            year += 1
-        prev_month = record.month_number
         try:
             entries.append(LogEntry(record, to_timestamp(record, year, opts.zone)))
         except ValueError:

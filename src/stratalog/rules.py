@@ -152,7 +152,3 @@ ANOMALY_CATALOG: tuple[CatalogEntry, ...] = (
                  ("issue", "timestamp")),
 )
 
-
-def list_anomaly_predicates() -> list[str]:
-    """Names of the seven anomaly output predicates, in bundled-package order."""
-    return [entry.predicate for entry in ANOMALY_CATALOG]

@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stratalog
 from stratalog.cli import EXIT_ERROR, EXIT_INCONSISTENT, EXIT_OK, main
 
 
@@ -218,7 +220,9 @@ class TestEnvironmentFallbacks:
 
 class TestSubprocess:
     def cli(self, argv, hashseed):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        # the child runs the copy of the package this process imported
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=str(Path(stratalog.__file__).resolve().parent.parent))
         return subprocess.run(
             [sys.executable, "-m", "stratalog.cli"] + argv,
             capture_output=True, text=True, env=env)

@@ -1,4 +1,6 @@
 """Evaluator behavior: models, recursion, aggregates, explanations, errors."""
+import random
+
 import pytest
 
 from stratalog.engine import (
@@ -9,6 +11,7 @@ from stratalog.engine import (
     NotDerivedError,
     SafetyError,
     _compile_rule,
+    _delta_order,
     evaluate,
     explain,
     query,
@@ -18,6 +21,8 @@ from stratalog.lang import AggregateLiteral
 from stratalog.oracle import OracleEvaluationError, naive_oracle
 from stratalog.parser import parse_program
 from stratalog.rules import RULES_TEXT
+
+from derivations import check_derivations
 
 WINDOW_TEXT = """\
 #const window = 600.
@@ -349,8 +354,110 @@ class TestCandidates:
         model = Model()
         for args in [(1, 1), (1, 2), (2, 2), (1, 3), (3, 2), (1, 4)]:
             model.add(Fact("e", args))
-        assert model.candidates("e", [1, None]) == [(1, 1), (1, 2), (1, 3), (1, 4)]
-        assert model.candidates("e", [1, 2]) == [(1, 2), (2, 2), (3, 2)]
-        assert model.candidates("e", [None, 4]) == [(1, 4)]
-        assert model.candidates("e", [9, 2]) == []
-        assert model.candidates("e", [None, None]) == model.atoms("e")
+        assert model.relation("e").candidates([1, None]) == [(1, 1), (1, 2), (1, 3), (1, 4)]
+        assert model.relation("e").candidates([1, 2]) == [(1, 2), (2, 2), (3, 2)]
+        assert model.relation("e").candidates([None, 4]) == [(1, 4)]
+        assert model.relation("e").candidates([9, 2]) == []
+        assert model.relation("e").candidates([None, None]) == model.atoms("e")
+
+    def test_index_built_after_the_atoms_keeps_insertion_order(self):
+        model = Model()
+        for args in [(2, 1), (1, 1), (2, 2), (1, 2)]:
+            model.add(Fact("e", args))
+        assert model.relation("e").candidates([None, 1]) == [(2, 1), (1, 1)]
+        model.add(Fact("e", (3, 1)))
+        assert model.relation("e").candidates([None, 1]) == [(2, 1), (1, 1), (3, 1)]
+        assert model.relation("e").candidates([2, None]) == [(2, 1), (2, 2)]
+
+
+def shuffled_chain(n, seed):
+    """A path over n + 1 random node labels and its edges as facts, shuffled."""
+    rng = random.Random(seed)
+    path = rng.sample(range(10 * (n + 1)), n + 1)
+    edges = [f"edge({a}, {b})." for a, b in zip(path, path[1:])]
+    rng.shuffle(edges)
+    return path, " ".join(edges)
+
+
+CLOSURES = {
+    "non-linear": "reach(X, Z) :- reach(X, Y), reach(Y, Z).",
+    "delta-inner": "reach(X, Z) :- edge(X, Y), reach(Y, Z).",
+    "delta-first": "reach(X, Z) :- reach(X, Y), edge(Y, Z).",
+}
+
+
+class TestRecursivePlans:
+    """Recursive rules run semi-naive rounds on plans that scan the delta
+    atom first. Each program must agree with the oracle and with a closed
+    form, and every recorded derivation must re-check."""
+
+    @staticmethod
+    def run(text):
+        model = agrees_with_oracle(text)
+        check_derivations(*evaluate(parse_program(text)))
+        return model
+
+    @pytest.mark.parametrize("rule", CLOSURES.values(), ids=CLOSURES)
+    def test_closure_of_a_chain(self, rule):
+        _, edges = shuffled_chain(12, seed=1)
+        model = self.run(f"reach(X, Y) :- edge(X, Y). {rule} {edges}")
+        assert len(model.atoms("reach")) == 12 * 13 // 2
+
+    @pytest.mark.parametrize("rule", CLOSURES.values(), ids=CLOSURES)
+    def test_explanation_rests_on_the_chain_edges_in_order(self, rule):
+        path, edges = shuffled_chain(40, seed=3)
+        _, graph = evaluate(parse_program(f"reach(X, Y) :- edge(X, Y). {rule} {edges}"))
+        leaves, pending = [], [explain(graph, fact("reach", path[0], path[-1]))]
+        while pending:  # depth first, children left to right
+            node = pending.pop()
+            if node.is_fact:
+                leaves.append(node.atom.args)
+            else:
+                assert [child.atom.predicate for child in node.children] == \
+                    [literal.predicate for literal in node.rule.body]
+                pending.extend(reversed(node.children))
+        assert leaves == list(zip(path, path[1:]))
+
+    def test_mutual_recursion(self):
+        _, edges = shuffled_chain(12, seed=2)
+        model = self.run("odd(X, Y) :- edge(X, Y). odd(X, Z) :- even(X, Y), edge(Y, Z)."
+                         " even(X, Z) :- odd(X, Y), edge(Y, Z). " + edges)
+        # paths of length L in a chain of 12 edges: 13 - L
+        assert len(model.atoms("odd")) == sum(13 - n for n in range(1, 13, 2))
+        assert len(model.atoms("even")) == sum(13 - n for n in range(2, 13, 2))
+
+    def test_join_waits_for_its_second_atom(self):
+        # c(N) needs b(N), which arrives a round after a(N): only the round
+        # that scans the delta at b(X) can derive it
+        model = self.run("c(X) :- a(X), b(X). a(Y) :- c(X), next(X, Y). b(X) :- a(X)."
+                         " a(X) :- start(X). start(0). "
+                         + " ".join(f"next({i}, {i + 1})." for i in range(8)))
+        assert sorted(model.atoms("c")) == [(i,) for i in range(9)]
+
+    def test_repeated_variable_in_the_recursive_atom(self):
+        path, edges = shuffled_chain(12, seed=4)
+        model = self.run(f"start({path[0]}). loop(X, X) :- start(X). loop(X, Y) :- edge(X, Y)."
+                         " loop(Y, Y) :- loop(X, X), edge(X, Y). " + edges)
+        assert {args for args in model.atoms("loop") if args[0] == args[1]} == \
+            {(node, node) for node in path}
+        assert len(model.atoms("loop")) == 13 + 12
+
+    def test_constant_in_the_recursive_atom(self):
+        path, edges = shuffled_chain(12, seed=5)
+        model = self.run(f"r(X, Y) :- edge(X, Y). r({path[0]}, Z) :- r({path[0]}, Y), edge(Y, Z). "
+                         + edges)
+        assert {args for args in model.atoms("r") if args[0] == path[0]} == \
+            {(path[0], node) for node in path[1:]}
+        assert len(model.atoms("r")) == 12 + 11
+
+    def test_arithmetic_in_the_recursive_atom_keeps_the_static_order(self):
+        text = "count(0). count(X) :- count(X - 1), limit(X). " + \
+            " ".join(f"limit({i})." for i in range(1, 13))
+        rule = parse_program(text).rules[0]
+        compiled = _compile_rule(rule)
+        assert _delta_order(rule, compiled.order, 0) == compiled.order == (1, 0)
+        model, graph = evaluate(parse_program(text))
+        assert set(model) == set(naive_oracle(parse_program(text)))
+        assert sorted(model.atoms("count")) == [(i,) for i in range(13)]
+        node = explain(graph, fact("count", 12))
+        assert [child.atom for child in node.children] == [fact("limit", 12), fact("count", 11)]

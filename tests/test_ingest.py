@@ -182,12 +182,6 @@ class TestYearHandling:
         assert entries[0].timestamp == calendar.timegm((2005, 12, 31, 23, 59, 59))
         assert entries[1].timestamp == calendar.timegm((2005, 1, 1, 0, 0, 1))
 
-    def test_optional_rollover_inference(self):
-        records = [record("Dec", 31, "23:59:59"), record("Jan", 1, "00:00:01")]
-        entries = entries_from_records(
-            IngestResult(records), IngestOptions(base_year=2005, infer_year_rollover=True))
-        assert entries[1].timestamp == calendar.timegm((2006, 1, 1, 0, 0, 1))
-
 
 class TestOneBadLineIsSkipped:
     """An undecodable byte or a date that does not exist costs one line, not

@@ -12,6 +12,7 @@ from stratalog.facts import fact
 from stratalog.oracle import OracleCapacityError, naive_oracle
 from stratalog.parser import parse_program
 
+from derivations import check_derivations
 from progen import generate_program
 
 
@@ -89,3 +90,14 @@ class TestRandomizedAgreement:
             assert isinstance(oracle_result, Inconsistent)
         else:
             assert engine_result == oracle_result
+
+
+class TestDerivationValidity:
+    """Models alone do not show that each atom's recorded derivation is one
+    the rule really allows: this re-checks every entry of the graph."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_every_recorded_derivation_rechecks(self, seed):
+        result = evaluate(parse_program(generate_program(seed)))
+        if not isinstance(result, Inconsistent):
+            check_derivations(*result)

@@ -10,7 +10,6 @@ from stratalog.rules import (
     RULES_TEXT,
     Thresholds,
     default_program,
-    list_anomaly_predicates,
 )
 
 FAILED = Symbol("failed")
@@ -212,9 +211,6 @@ class TestCatalog:
         assert arities["network_anomaly"] == 1
         assert arities["account_anomaly"] == 3
 
-    def test_list_anomaly_predicates(self):
-        assert list_anomaly_predicates() == [e.predicate for e in ANOMALY_CATALOG]
-
     def test_catalog_matches_rule_heads(self):
         program = parse_program(RULES_TEXT)
         heads = {r.head.predicate: len(r.head.terms)
@@ -225,7 +221,7 @@ class TestCatalog:
     def test_catalog_predicates_are_terminal(self):
         # anomaly outputs feed reports, not other rules
         program = parse_program(RULES_TEXT)
-        outputs = set(list_anomaly_predicates())
+        outputs = {entry.predicate for entry in ANOMALY_CATALOG}
         for rule in program.rules:
             for literal in rule.body:
                 body_atom = getattr(literal, "atom", literal)
