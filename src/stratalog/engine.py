@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -873,11 +873,21 @@ def evaluate(program: Program,
 
 
 def query(model: Model, predicate: str) -> list[Fact]:
-    """All atoms of a predicate, sorted by arguments; unknown predicates
-    yield an empty list."""
-    atoms = [Fact(predicate, args) for args in model.atoms(predicate)]
-    atoms.sort(key=lambda a: tuple(constant_key(v) for v in a.args))
-    return atoms
+    """The model's atoms of a predicate, sorted by arguments in
+    ``constant_key`` order; unknown predicates yield an empty list.
+
+    When every argument is a plain ``int``, or every argument a plain
+    ``str``, the values order as their keys do, so the argument tuples sort
+    directly and no key is built."""
+    relation = model._relations.get(predicate)
+    if relation is None:
+        return []
+    kinds = set(map(type, chain.from_iterable(relation.rows)))
+    if kinds <= {int} or kinds <= {str}:
+        ordered = sorted(relation.rows)
+    else:
+        ordered = sorted(relation.rows, key=lambda args: tuple(map(constant_key, args)))
+    return [relation.atoms[args] for args in ordered]
 
 
 def explain(graph: DerivationGraph, atom: Fact) -> DerivationNode:

@@ -9,15 +9,20 @@ values fall back to the "unknown" sentinel so one unparsable line cannot
 drop an otherwise meaningful event.
 
 The default table covers the Linux syslog vocabulary the bundled detection
-rules consume. Tables are plain data and can be loaded from JSON so new log
-sources do not require code changes.
+rules consume. A table is a tuple of :class:`MappingRule` rows, so a new log
+source needs a new table, not new code.
+
+Entries repeat a few component names many times, so a call compiles the
+table once per distinct component: the rows whose prefix it passes, in
+table order. Each entry then tests only those rows' substrings against its
+content, with the outcome of trying every row through
+:meth:`MappingRule.matches` in turn.
 """
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .facts import Fact, Symbol
 from .ingest import LogEntry
@@ -139,35 +144,16 @@ DEFAULT_TABLE: MappingTable = (
                 content_contains="Connection reset", case_insensitive=True),
 )
 
-_ROW_FIELDS = {f.name for f in fields(MappingRule)}
+
+class _Statuses(dict):
+    """Status symbols by name, each built on its first use in a call."""
+
+    def __missing__(self, status: str) -> Symbol:
+        symbol = self[status] = Symbol(status)
+        return symbol
 
 
-def load_mapping_table(source: Union[str, Sequence[dict]]) -> MappingTable:
-    """Build a table from a JSON array of row objects (or already-parsed
-    dicts); row order is match order."""
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise MappingError(f"mapping table is not valid JSON: {exc}") from exc
-    else:
-        data = list(source)
-    if not isinstance(data, list):
-        raise MappingError("mapping table must be a JSON array of row objects")
-    rows = []
-    for i, raw in enumerate(data):
-        if not isinstance(raw, dict):
-            raise MappingError(f"row {i}: expected an object")
-        unknown = set(raw) - _ROW_FIELDS
-        if unknown:
-            raise MappingError(f"row {i}: unknown keys {sorted(unknown)}")
-        if "name" not in raw or "predicate" not in raw:
-            raise MappingError(f"row {i}: 'name' and 'predicate' are required")
-        rows.append(MappingRule(**raw))
-    return tuple(rows)
-
-
-def _build_fact(row: MappingRule, entry: LogEntry) -> Optional[Fact]:
+def _build_fact(row: MappingRule, entry: LogEntry, statuses: _Statuses) -> Optional[Fact]:
     content = entry.record.content
     timestamp = entry.timestamp
     ip = extract_ip(content)
@@ -176,12 +162,12 @@ def _build_fact(row: MappingRule, entry: LogEntry) -> Optional[Fact]:
     predicate = row.predicate
     if predicate == "login_attempt":
         user = extract_username(content) or UNKNOWN
-        return Fact(predicate, (ip or UNKNOWN, timestamp, Symbol(row.status), user))
+        return Fact(predicate, (ip or UNKNOWN, timestamp, statuses[row.status], user))
     if predicate == "session":
         user = extract_username(content) or UNKNOWN
         uid = extract_uid(content)
         return Fact(predicate, (user, -1 if uid is None else uid,
-                                Symbol(row.status), timestamp))
+                                statuses[row.status], timestamp))
     if predicate == "network_connection":
         return Fact(predicate, (ip or UNKNOWN, timestamp))
     if predicate == "klogind_auth_failure":
@@ -190,22 +176,50 @@ def _build_fact(row: MappingRule, entry: LogEntry) -> Optional[Fact]:
     return Fact(predicate, (timestamp,))
 
 
+def _rows_passing(table: MappingTable, component: str) -> list[tuple[MappingRule, str]]:
+    """The rows whose prefix the component passes, in table order, each with
+    the needle to look for: lowercased when the row ignores case."""
+    lowered = component.lower()
+    rows = []
+    for row in table:
+        if row.case_insensitive:
+            if lowered.startswith(row.component_prefix.lower()):
+                rows.append((row, row.content_contains.lower()))
+        elif component.startswith(row.component_prefix):
+            rows.append((row, row.content_contains))
+    return rows
+
+
 def entry_to_facts(entry: LogEntry, table: MappingTable = DEFAULT_TABLE) -> list[Fact]:
     """Facts for one entry under the first matching table row; unmapped
     entries yield an empty list."""
-    component = entry.record.component
-    content = entry.record.content
-    for row in table:
-        if row.matches(component, content):
-            built = _build_fact(row, entry)
-            return [built] if built is not None else []
-    return []
+    return entries_to_facts((entry,), table)
 
 
 def entries_to_facts(entries: Sequence[LogEntry],
                      table: MappingTable = DEFAULT_TABLE) -> list[Fact]:
-    """Facts for many entries, in entry order, duplicates preserved."""
+    """Facts for many entries, in entry order, duplicates preserved; each
+    entry's come from the first table row that matches it."""
+    rows_for: dict[str, list[tuple[MappingRule, str]]] = {}
+    statuses = _Statuses()
     out: list[Fact] = []
     for entry in entries:
-        out.extend(entry_to_facts(entry, table))
+        record = entry.record
+        rows = rows_for.get(record.component)
+        if rows is None:
+            rows = rows_for[record.component] = _rows_passing(table, record.component)
+        content = record.content
+        lowered = None
+        for row, needle in rows:
+            if row.case_insensitive:
+                if lowered is None:
+                    lowered = content.lower()
+                if needle not in lowered:
+                    continue
+            elif needle not in content:
+                continue
+            built = _build_fact(row, entry, statuses)
+            if built is not None:
+                out.append(built)
+            break
     return out

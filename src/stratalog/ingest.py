@@ -10,14 +10,22 @@ reason, in :class:`IngestResult`; every other line is kept. That covers
 malformed fields, text holding U+FFFD (what an undecodable byte becomes
 when the input is decoded with ``errors="replace"``) and dates that do not
 exist in their year, such as Feb 30.
+
+Reading and timestamping are one pass each. The CSV reader looks columns
+up by their header position and checks and builds each record as it reads
+the row; it reads exactly what :class:`csv.DictReader` would. Timestamps in a
+fixed-offset zone (a :class:`datetime.timezone`) are each day's midnight,
+computed once per day, plus the time of day; any other ``tzinfo`` goes
+through :func:`to_timestamp` for every record, since only a full
+``datetime`` knows where its offset changes.
 """
 from __future__ import annotations
 
 import csv
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone, tzinfo
-from typing import IO, Iterable, Optional
+from datetime import datetime, timedelta, timezone, tzinfo
+from typing import IO, Callable, Iterable, Optional
 
 MONTHS = {
     "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
@@ -33,6 +41,9 @@ REQUIRED_COLUMNS = (
 )
 
 _TIME_RE = re.compile(r"(\d{2}):(\d{2}):(\d{2})\Z")
+# The common case, checked without converting: ASCII digits, in range.
+# ``\d`` also takes other scripts' digits, which ``int`` reads.
+_PLAIN_TIME_RE = re.compile(r"(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]\Z")
 
 _UNDECODABLE = "\ufffd"
 
@@ -101,12 +112,12 @@ def _check_record_fields(month: str, day: int, time_of_day: str, content: str) -
         return f"bad month {month!r}"
     if not 1 <= day <= 31:
         return f"day {day} out of range"
-    m = _TIME_RE.match(time_of_day)
-    if not m:
-        return f"bad time {time_of_day!r}"
-    hh, mm, ss = (int(g) for g in m.groups())
-    if hh > 23 or mm > 59 or ss > 59:
-        return f"time {time_of_day!r} out of range"
+    if not _PLAIN_TIME_RE.match(time_of_day):
+        m = _TIME_RE.match(time_of_day)
+        if not m:
+            return f"bad time {time_of_day!r}"
+        if int(m[1]) > 23 or int(m[2]) > 59 or int(m[3]) > 59:
+            return f"time {time_of_day!r} out of range"
     if not content:
         return "empty content"
     return None
@@ -117,33 +128,46 @@ def parse_structured_csv(stream: IO[str]) -> IngestResult:
 
     Rows failing type checks, or whose kept text holds U+FFFD, are skipped
     and counted rather than aborting the run; a missing required column
-    raises :class:`MissingColumnError`.
+    raises :class:`MissingColumnError`. Rows read as :class:`csv.DictReader`
+    reads them: blank rows are dropped and not numbered, a short row's
+    missing cells are ``None``, and a header name that occurs twice names
+    its last column.
     """
-    reader = csv.DictReader(stream)
-    header = reader.fieldnames or []
+    rows = csv.reader(stream)
+    header = next(rows, [])
     for column in REQUIRED_COLUMNS:
         if column not in header:
             raise MissingColumnError(column)
-    has_level = "Level" in header
+    position = {name: i for i, name in enumerate(header)}
+    (line_id_at, month_at, day_at, time_at, component_at, pid_at, content_at,
+     event_id_at, template_at) = (position[column] for column in REQUIRED_COLUMNS)
+    level_at = position.get("Level")
+    width = len(header)
 
     result = IngestResult()
-    for row_number, row in enumerate(reader, start=2):
+    records, errors = result.records, result.errors
+    row_number = 1
+    for row in rows:
+        if not row:
+            continue
+        row_number += 1
+        if len(row) < width:
+            row += [None] * (width - len(row))
         try:
-            line_id = int(row["LineId"])
-            day = int(row["Date"])
-            pid_text = (row["PID"] or "").strip()
+            line_id = int(row[line_id_at])
+            day = int(row[day_at])
+            pid_text = (row[pid_at] or "").strip()
             pid = int(pid_text) if pid_text else None
         except (TypeError, ValueError) as exc:
-            result.skipped += 1
-            result.errors.append(f"row {row_number}: {exc}")
+            errors.append(f"row {row_number}: {exc}")
             continue
-        month = (row["Month"] or "").strip()
-        time_of_day = (row["Time"] or "").strip()
-        content = (row["Content"] or "").strip()
-        level = row["Level"] if has_level else None
-        component = (row["Component"] or "").strip()
-        event_id = (row["EventId"] or "").strip()
-        event_template = (row["EventTemplate"] or "").strip()
+        month = (row[month_at] or "").strip()
+        time_of_day = (row[time_at] or "").strip()
+        content = (row[content_at] or "").strip()
+        level = None if level_at is None else row[level_at]
+        component = (row[component_at] or "").strip()
+        event_id = (row[event_id_at] or "").strip()
+        event_template = (row[template_at] or "").strip()
         problem = _check_record_fields(month, day, time_of_day, content)
         if problem is None and line_id < 1:
             problem = f"line id {line_id} not positive"
@@ -151,21 +175,11 @@ def parse_structured_csv(stream: IO[str]) -> IngestResult:
                 f"{level or ''}{component}{content}{event_id}{event_template}":
             problem = "undecodable bytes"
         if problem is not None:
-            result.skipped += 1
-            result.errors.append(f"row {row_number}: {problem}")
+            errors.append(f"row {row_number}: {problem}")
             continue
-        result.records.append(RawLogRecord(
-            line_id=line_id,
-            month=month,
-            day=day,
-            time_of_day=time_of_day,
-            level=level,
-            component=component,
-            pid=pid,
-            content=content,
-            event_id=event_id,
-            event_template=event_template,
-        ))
+        records.append(RawLogRecord(line_id, month, day, time_of_day, level, component,
+                                    pid, content, event_id, event_template))
+    result.skipped = len(errors)
     return result
 
 
@@ -209,6 +223,38 @@ def to_timestamp(record: RawLogRecord, base_year: int, zone: tzinfo = timezone.u
     return int(moment.timestamp())
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _timestamper(base_year: int, zone: tzinfo) -> Callable[[RawLogRecord], int]:
+    """``to_timestamp`` for one year and zone, equal to it on every record.
+
+    In a fixed-offset zone an instant is its day's midnight plus the time of
+    day, so each (month, day) costs one ``datetime`` and each record only
+    arithmetic: the microseconds since the epoch, divided as
+    ``datetime.timestamp`` divides them. It raises what ``to_timestamp``
+    raises: the time is read first, as there; a time out of range is handed
+    to ``to_timestamp``; a bad date fails in the ``datetime`` of its
+    midnight."""
+    if not isinstance(zone, timezone):
+        return lambda record: to_timestamp(record, base_year, zone)
+    midnights: dict[tuple[str, int], int] = {}
+
+    def timestamp(record: RawLogRecord) -> int:
+        hh, mm, ss = map(int, record.time_of_day.split(":"))
+        if not (0 <= hh <= 23 and 0 <= mm <= 59 and 0 <= ss <= 59):
+            return to_timestamp(record, base_year, zone)
+        key = (record.month, record.day)
+        midnight = midnights.get(key)
+        if midnight is None:
+            moment = datetime(base_year, record.month_number, record.day, tzinfo=zone)
+            midnight = midnights[key] = (moment - _EPOCH) // _MICROSECOND
+        return int((midnight + (hh * 3600 + mm * 60 + ss) * 1_000_000) / 1_000_000)
+
+    return timestamp
+
+
 def entries_from_records(result: IngestResult,
                          options: IngestOptions | None = None) -> list[LogEntry]:
     """Attach timestamps to the result's records, all in the base year. A
@@ -217,9 +263,10 @@ def entries_from_records(result: IngestResult,
     opts = options or IngestOptions()
     entries: list[LogEntry] = []
     year = opts.base_year
+    timestamp = _timestamper(year, opts.zone)
     for record in result.records:
         try:
-            entries.append(LogEntry(record, to_timestamp(record, year, opts.zone)))
+            entries.append(LogEntry(record, timestamp(record)))
         except ValueError:
             if record.day <= 28:
                 raise  # every month has this day, so the year is out of range

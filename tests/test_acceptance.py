@@ -8,6 +8,7 @@ claim is structural.
 """
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -230,8 +231,13 @@ def test_criterion_7_pipeline_determinism(tmp_path, syslog_sample):
 
     # The child gets a minimal environment so that no STRATALOG_* setting of
     # the caller leaks in; PYTHONPATH points at the directory holding the
-    # package this process imported, so the child runs the same code.
+    # package this process imported, so the child runs the same code, and
+    # PYTHONDONTWRITEBYTECODE carries over, so it writes no __pycache__
+    # when the caller asked for none.
     package_root = str(Path(stratalog.__file__).resolve().parent.parent)
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
 
     def run(hashseed):
         outputs = []
@@ -241,8 +247,7 @@ def test_criterion_7_pipeline_determinism(tmp_path, syslog_sample):
                  str(input_path), "--format", input_format,
                  "--year", "2005", "--output", output],
                 capture_output=True, text=True,
-                env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": hashseed,
-                     "PYTHONPATH": package_root},
+                env={**env, "PYTHONHASHSEED": hashseed},
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)

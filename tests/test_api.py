@@ -1,4 +1,5 @@
 """The public surface: the package's exported names and the demos using them."""
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,9 +27,13 @@ PACKAGE_ROOT = str(Path(stratalog.__file__).resolve().parent.parent)
 
 
 def run_python(*args):
+    # PYTHONDONTWRITEBYTECODE carries over, so the child leaves no
+    # __pycache__ in the source tree when the caller asked for none.
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT},
-                          timeout=120)
+                          env=env, timeout=120)
 
 
 def test_exported_names_are_pinned_and_resolve():

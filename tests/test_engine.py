@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratalog.engine import (
     EvaluationError,
@@ -85,6 +87,26 @@ class TestQuery:
     def test_unknown_predicate_empty(self, birds_program):
         model, _ = evaluate(birds_program)
         assert query(model, "no_such_predicate") == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([
+        st.integers(-5, 5),
+        st.text("ab", max_size=2),
+        st.one_of(st.integers(-5, 5), st.text("ab", max_size=2)),
+        st.one_of(st.integers(-5, 5), st.text("ab", max_size=2),
+                  st.sampled_from([Symbol("a"), Symbol("b")])),
+    ]).flatmap(lambda constants: st.lists(st.lists(constants, max_size=3).map(tuple),
+                                          max_size=12)))
+    def test_sorted_by_constant_key_and_the_models_own(self, rows):
+        """Plain-int and plain-str relations sort without keys, any other
+        mix by ``constant_key``; arities may differ within a predicate."""
+        model = Model()
+        for args in rows:
+            model.add(Fact("p", args))
+        found = query(model, "p")
+        assert found == sorted(set(model), key=Fact.sort_key)
+        own = {id(atom) for atom in model}
+        assert all(id(atom) in own for atom in found)
 
 
 class TestAggregateWindows:

@@ -1,12 +1,14 @@
 """Content extraction regexes and the entry-to-fact mapping table."""
-import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratalog.extract import (
     DEFAULT_TABLE,
     IPV4_PATTERN,
+    LOG_SOURCED,
     MappingError,
     MappingRule,
     SCHEMAS,
@@ -17,10 +19,15 @@ from stratalog.extract import (
     extract_ip,
     extract_uid,
     extract_username,
-    load_mapping_table,
 )
 from stratalog.facts import Fact, Symbol
-from stratalog.ingest import LogEntry, parse_raw_syslog_line
+from stratalog.ingest import LogEntry, RawLogRecord, parse_raw_syslog_line
+
+
+def record(component: str, content: str) -> RawLogRecord:
+    return RawLogRecord(line_id=1, month="Jun", day=14, time_of_day="15:16:01",
+                        level=None, component=component, pid=None, content=content,
+                        event_id="raw", event_template="")
 
 
 def entry(component: str, content: str, ts: int = 1000, pid: int = 1) -> LogEntry:
@@ -125,6 +132,8 @@ class TestDefaultTable:
         assert entry_to_facts(e) == [Fact("xinetd_connection_reset", (1000,))]
         e2 = entry("xinetd", "warning: CONNECTION RESET by peer")
         assert entry_to_facts(e2) == [Fact("xinetd_connection_reset", (1000,))]
+        e3 = entry("XINETD", "warning: Connection reset by peer")  # the prefix too
+        assert entry_to_facts(e3) == [Fact("xinetd_connection_reset", (1000,))]
 
     def test_unmapped_entry_yields_nothing(self):
         assert entry_to_facts(entry("kernel", "klogd startup succeeded")) == []
@@ -168,41 +177,17 @@ class TestDefaultTable:
 
 
 class TestTableLoading:
-    def test_loads_json_rows_in_order(self):
-        table = load_mapping_table(json.dumps([
-            {"name": "x", "predicate": "gdm_auth_failure", "content_contains": "x"},
-            {"name": "y", "predicate": "named_soa_error", "content_contains": "y"},
-        ]))
-        assert [r.name for r in table] == ["x", "y"]
-
-    def test_rejects_unknown_keys(self):
-        with pytest.raises(MappingError, match="unknown keys"):
-            load_mapping_table([{"name": "x", "predicate": "named_soa_error",
-                                 "regex": "boom"}])
-
     def test_rejects_unknown_schema(self):
         with pytest.raises(MappingError, match="unknown fact schema"):
-            load_mapping_table([{"name": "x", "predicate": "nonsense"}])
+            MappingRule("x", "nonsense")
 
     def test_rejects_supplemental_only_schemas(self):
         with pytest.raises(MappingError, match="supplemental facts file"):
             MappingRule("x", "account_action")
 
-    def test_rejects_non_array_document(self):
-        with pytest.raises(MappingError):
-            load_mapping_table("{}")
-        with pytest.raises(MappingError):
-            load_mapping_table("not json")
-
-    def test_requires_name_and_predicate(self):
-        with pytest.raises(MappingError, match="required"):
-            load_mapping_table([{"name": "x"}])
-
     def test_custom_table_replaces_default(self):
-        table = load_mapping_table([
-            {"name": "any_reset", "predicate": "xinetd_connection_reset",
-             "content_contains": "reset"},
-        ])
+        table = (MappingRule("any_reset", "xinetd_connection_reset",
+                             content_contains="reset"),)
         e = entry("whatever", "link reset detected")
         assert entry_to_facts(e, table) == [Fact("xinetd_connection_reset", (1000,))]
         assert entry_to_facts(e, DEFAULT_TABLE) == []
@@ -210,3 +195,52 @@ class TestTableLoading:
     def test_patterns_compile(self):
         assert IPV4_PATTERN.pattern == r"(\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3})"
         assert USERNAME_PATTERN.pattern == r"(?:user=|for user |by user )(\w+)"
+
+
+# Pieces that make a row's prefix or needle hit, miss or differ only in case.
+_WORDS = ["", "sshd", "SSHD", "ftpd", "xinetd", "Xi", "gdm", "(pam_unix)", "Reset",
+          "reset", "connection from", "Authentication failed", "SOA", "user=root",
+          "for user fred", "(uid=0)", "1.2.3.4", "ß", "İ", " "]
+_joined = st.lists(st.sampled_from(_WORDS), max_size=4).map("".join)
+_text = st.one_of(_joined, _joined.map(str.upper), _joined.map(str.swapcase))
+_prefixes = st.sampled_from([row.component_prefix for row in DEFAULT_TABLE])
+_needles = st.sampled_from([row.content_contains for row in DEFAULT_TABLE])
+_component = st.one_of(_prefixes, _prefixes.map(str.upper), _text, st.text(max_size=8))
+_content = st.one_of(_needles, _needles.map(str.swapcase), _text, st.text(max_size=12))
+
+
+@st.composite
+def _rule(draw):
+    predicate = draw(st.sampled_from(sorted(LOG_SOURCED)))
+    return MappingRule(f"r{draw(st.integers(0, 99))}", predicate,
+                       component_prefix=draw(_text), content_contains=draw(_text),
+                       case_insensitive=draw(st.booleans()), require_ip=draw(st.booleans()),
+                       status=draw(st.sampled_from(["failed", "opened", "x9"])))
+
+
+_table = st.one_of(st.just(DEFAULT_TABLE), st.lists(_rule(), max_size=6).map(tuple))
+
+
+class TestCompiledTable:
+    """The table compiled per component selects rows exactly as trying every
+    row through ``MappingRule.matches`` in table order does."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_table, st.lists(st.tuples(_component, _content), min_size=1, max_size=8))
+    def test_first_matching_row_decides(self, table, pairs):
+        entries = [LogEntry(record(component, content), 1000 + i)
+                   for i, (component, content) in enumerate(pairs)]
+        expected = []
+        for e in entries:
+            component, content = e.record.component, e.record.content
+            for row in table:
+                alone = entries_to_facts([e], (row,))
+                if not row.matches(component, content):
+                    assert alone == []
+                    continue
+                if not row.require_ip or extract_ip(content) is not None:
+                    assert len(alone) == 1
+                expected += alone
+                break
+        assert entries_to_facts(entries, table) == expected
+        assert [f for e in entries for f in entry_to_facts(e, table)] == expected

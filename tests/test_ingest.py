@@ -1,12 +1,17 @@
 """Log ingestion: CSV exports, raw syslog, timestamp conversion."""
 import calendar
+import csv
 import io
 import random
 from datetime import timedelta, timezone
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stratalog.ingest import (
+    REQUIRED_COLUMNS,
     IngestOptions,
     IngestResult,
     MissingColumnError,
@@ -21,6 +26,7 @@ from stratalog.ingest import (
 )
 from stratalog.report import RunConfig, load_entries
 from conftest import SYSLOG_SAMPLE, make_csv_sample
+import reference_ingest as reference
 
 MONTH_NAMES = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
@@ -224,3 +230,177 @@ class TestOneBadLineIsSkipped:
     def test_year_out_of_range_still_fails(self):
         with pytest.raises(ValueError, match="year 0 is out of range"):
             read_syslog_entries(io.StringIO(SYSLOG_SAMPLE), IngestOptions(base_year=0))
+
+
+# -- the fast readers against the reference readers --------------------------
+
+try:
+    NEW_YORK = ZoneInfo("America/New_York")  # from the system's zone database
+except ZoneInfoNotFoundError:
+    NEW_YORK = None
+
+PLUS_TWO = timezone(timedelta(hours=2))
+ZONES = [timezone.utc, PLUS_TWO] + ([NEW_YORK] if NEW_YORK is not None else [])
+COLUMNS = list(REQUIRED_COLUMNS) + ["Level", "Extra"]
+
+# Month/day pairs around month ends, leap days and the US DST changes of
+# 2005 (Apr 3, Oct 30) and 2007 (Mar 11, Nov 4).
+_DATES = [("Jun", "14"), ("Jan", "1"), ("Dec", "31"), ("Feb", "28"), ("Feb", "29"),
+          ("Feb", "30"), ("Apr", "30"), ("Apr", "31"), ("Apr", "3"), ("Oct", "30"),
+          ("Mar", "11"), ("Nov", "4")]
+_TIMES = ["00:00:00", "01:30:00", "02:30:00", "15:16:02", "23:59:59", "24:00:00",
+          "12:60:00", "12:00:60", "1:00:00", "١٥:16:02", " 03:04:05 ", ""]
+
+
+def _mostly(valid, odd):
+    """About seven draws in eight from ``valid``, so that many rows become
+    records."""
+    return st.sampled_from(valid * -(-7 * len(odd) // len(valid)) + odd)
+
+
+def _rarely():
+    return _mostly([False], [True])
+
+
+_FIELD = {
+    "LineId": _mostly(["1", "7", "42"], ["0", "-3", " 9 ", "1_0", "+5", "١٢", "x", "", "9" * 30]),
+    "Date": _mostly(["1", "14", "28"], ["0", "32", " 9 ", "١٤", "x", ""]),
+    "PID": _mostly(["", "123"], [" 9 ", "-1", "١", "x"]),
+    "Time": _mostly(_TIMES[:5], _TIMES[5:]),
+    "Month": _mostly(["Jun", "Feb", "Apr"], ["Jux", "", " Dec "]),
+}
+_TEXT = _mostly(["sshd(pam_unix)", "authentication failure; rhost=1.2.3.4", "E1"],
+                ["", " ", "a,b", 'say "hi"', "two\nlines", "\ufffd", "x\ufffdy", "É"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text in the export's shape with every oddity the readers must
+    agree on: column order, a missing Level, duplicated names (sometimes a
+    missing required column), extra columns, blank and short rows, bad
+    integers, U+FFFD, non-ASCII digits and impossible dates."""
+    header = draw(st.permutations(COLUMNS))
+    if draw(st.booleans()):
+        header.remove("Level")
+    header += draw(st.lists(st.sampled_from(COLUMNS), max_size=2))
+    if draw(_rarely()):
+        header.remove(draw(st.sampled_from(REQUIRED_COLUMNS)))
+    sink = io.StringIO()
+    writer = csv.writer(sink)
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(_rarely()):
+            writer.writerow([])
+            continue
+        month, day = draw(st.sampled_from(_DATES))
+        row = []
+        for name in header:
+            if name == "Month" and draw(st.booleans()):
+                row.append(month)
+            elif name == "Date" and draw(st.booleans()):
+                row.append(day)
+            else:
+                row.append(draw(_FIELD.get(name, _TEXT)))
+        width = len(row) + draw(_mostly([0], [-3, -1, 1, 2]))
+        writer.writerow((row + ["extra", "more"])[:max(width, 1)])
+    return sink.getvalue()
+
+
+def _outcome(read, text, options):
+    """Entries and result of one read, or the exception it ended in."""
+    try:
+        entries, result = read(io.StringIO(text, newline=""), options)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return entries, result.records, result.skipped, result.errors
+
+
+_options = st.builds(IngestOptions, base_year=st.sampled_from([2004, 2005, 2007]),
+                     zone=st.sampled_from(ZONES))
+
+
+class TestReadersAgreeWithReference:
+    """The one-pass CSV reader and the per-day timestamps give what the
+    ``DictReader`` and ``datetime`` readers of ``reference_ingest`` give:
+    the same entries, records, skip count and error strings, or the same
+    exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(csv_texts(), _options)
+    @example(  # a duplicated name, a blank row, a short row, a padded Level
+        "Month,Date,Time,Component,PID,Content,EventId,EventTemplate,Level,Content,LineId\n"
+        "Jun,14,15:16:02,c,1,first,E1,t, info ,last,1\n"
+        "\n"
+        "Jun,14,15:16:02,c,1,x,E1,t\n"
+        "Feb,29,15:16:02,c,1,x,E1,t,,x,3\n", IngestOptions())
+    def test_csv(self, text, options):
+        assert _outcome(read_csv_entries, text, options) == \
+            _outcome(reference.read_csv_entries, text, options)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_DATES), st.sampled_from(_TIMES)), max_size=8),
+           _options)
+    def test_syslog(self, stamps, options):
+        text = "".join(f"{month} {day} {time_of_day} combo sshd[1]: line {i}\n"
+                       for i, ((month, day), time_of_day) in enumerate(stamps))
+        assert _outcome(read_syslog_entries, text, options) == \
+            _outcome(reference.read_syslog_entries, text, options)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.builds(
+        record,
+        month=st.sampled_from(MONTH_NAMES + ["Jux"]),
+        day=st.one_of(st.integers(-1, 32), st.just(10 ** 20)),
+        time_of_day=st.one_of(st.sampled_from(_TIMES + ["1:2:3", "1:2", "1:2:3:4", "-0:0:0",
+                                                        "0:0:99999999999999999999"]),
+                              st.builds("{}:{}:{}".format, st.integers(-1, 61),
+                                        st.integers(-1, 61), st.integers(-1, 61)))),
+        max_size=4),
+        st.integers(0, 10000),
+        st.one_of(st.sampled_from(ZONES),
+                  st.builds(lambda us: timezone(timedelta(microseconds=us)),
+                            st.integers(-86_399_999_999, 86_399_999_999))))
+    # before 1970 with a sub-second offset, truncating differs from flooring
+    @example([record()], 1960, timezone(timedelta(microseconds=1)))
+    def test_hand_built_records(self, records, year, zone):
+        def outcome(entries_from):
+            result = IngestResult(list(records))
+            try:
+                entries = entries_from(result, IngestOptions(base_year=year, zone=zone))
+            except Exception as exc:
+                return type(exc), str(exc)
+            return entries, result.records, result.skipped, result.errors
+        assert outcome(entries_from_records) == outcome(reference.entries_from_records)
+
+    @pytest.mark.skipif(NEW_YORK is None, reason="no America/New_York in the zone database")
+    def test_non_fixed_zone_across_a_dst_day(self):
+        # 2005-04-03: 02:00 EST jumps to 03:00 EDT, so 01:30 and 03:30 are
+        # one hour apart, and the day's midnight offset is wrong after 02:00.
+        text = "Apr 3 01:30:00 combo x: a\nApr 3 03:30:00 combo x: b\n"
+        entries, _ = read_syslog_entries(io.StringIO(text),
+                                         IngestOptions(base_year=2005, zone=NEW_YORK))
+        assert [e.timestamp for e in entries] == [1112509800, 1112513400]
+
+
+class TestAnyTextIsReadOrSkipped:
+    """Whatever the text, each reader ends with entries and counted skips,
+    one for every non-blank line or row, and raises nothing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(), _options)
+    def test_syslog(self, text, options):
+        entries, result = read_syslog_entries(io.StringIO(text, newline=""), options)
+        lines = [line for line in io.StringIO(text, newline="") if line.strip()]
+        assert len(entries) == len(result.records)
+        assert len(entries) + result.skipped == len(lines) == \
+            len(entries) + len(result.errors)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(), _options)
+    def test_csv(self, text, options):
+        text = ",".join(COLUMNS) + "\n" + text
+        entries, result = read_csv_entries(io.StringIO(text, newline=""), options)
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row][1:]
+        assert len(entries) == len(result.records)
+        assert len(entries) + result.skipped == len(rows) == \
+            len(entries) + len(result.errors)
