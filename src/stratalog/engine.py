@@ -34,10 +34,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .analysis import SafetyError, check_safety, stratify
-from .facts import Constant, Fact, constant_key, format_constant
+from .facts import Constant, Fact, constant_key, format_constant, new_tuple
 from .lang import (
     AggregateLiteral,
     ArithTerm,
@@ -191,8 +191,10 @@ class AggregateCheck:
 Check = Union[NafCheck, ComparisonCheck, AggregateCheck]
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
+    """The rule and ground supports that first derived an atom, and the
+    checks its binding passed. A named tuple, as :class:`Fact` is."""
+
     rule: Rule
     supports: tuple[Fact, ...]
     checks: tuple[Check, ...]
@@ -779,11 +781,11 @@ class _Evaluator:
                 args = head_args(env)
                 if args in known:
                     return
-                atom = Fact(predicate, args)
+                atom = new_tuple(Fact, (predicate, args))
                 model.add(atom)
                 self.derived.add(atom)
-                entries[atom] = Derivation(
-                    rule, tuple(map(dict.__getitem__, support_atoms, supports)), tuple(checks))
+                entries[atom] = new_tuple(Derivation, (
+                    rule, tuple(map(dict.__getitem__, support_atoms, supports)), tuple(checks)))
             return emit
         return finish
 

@@ -4,12 +4,19 @@ A fact is a predicate name applied to constants. Constants come in three
 kinds: integers, symbols (bare lowercase identifiers such as ``failed`` or
 ``opened``) and strings (quoted, used for IPs and usernames). The same
 representation serves as the ground-atom currency of the rule engine.
+
+A :class:`Fact` is a named tuple ``(predicate, args)``: hashing and
+comparing one runs in C, and so does building one with :data:`new_tuple`,
+as the engine does for each atom it derives. It hashes as the tuple of its
+fields and equals the plain tuple of its fields:
+``Fact("p", (1,)) == ("p", (1,))``. A :class:`Symbol` stays a class of its
+own, since it validates its name and must not equal ``("name",)``.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, NamedTuple, Union
 
 _SYMBOL_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -63,8 +70,13 @@ def format_constant(value: Constant) -> str:
     raise TypeError(f"not a constant: {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Fact:
+#: ``new_tuple(Cls, fields)`` builds a named tuple in C; the class's own
+#: ``__new__`` is a Python function. The hot loops that make values use it
+#: and pass exactly one item per field, since nothing is checked.
+new_tuple = tuple.__new__
+
+
+class Fact(NamedTuple):
     """A ground atom: predicate name plus constant arguments."""
 
     predicate: str

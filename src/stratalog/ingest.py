@@ -5,18 +5,28 @@ its integer Unix timestamp yields a :class:`LogEntry`. Log lines carry no
 year, so the caller pins a base year (and optionally a fixed-offset zone)
 to keep conversions deterministic across runs and machines.
 
+Both are named tuples. The CSV reader builds them with
+:data:`stratalog.facts.new_tuple`, a C call with no per-field Python work.
+They hash as the tuple of their fields and equal the plain tuple of their
+fields.
+
 A line or row that cannot become an entry is skipped and counted, with its
 reason, in :class:`IngestResult`; every other line is kept. That covers
-malformed fields, text holding U+FFFD (what an undecodable byte becomes
-when the input is decoded with ``errors="replace"``) and dates that do not
-exist in their year, such as Feb 30.
+malformed fields, a CSV field over :func:`csv.field_size_limit`, text
+holding U+FFFD (what an undecodable byte becomes when the input is decoded
+with ``errors="replace"``) and dates that do not exist in their year, such
+as Feb 30. A date skip is listed after every field skip. A CSV row that
+:mod:`csv` cannot read, such as one with an oversized field, is skipped
+whole: its remaining lines, up to the line where it ends outside quotes,
+are read past, so no text inside one of its fields is read as a row.
 
-Reading and timestamping are one pass each. The CSV reader looks columns
-up by their header position and checks and builds each record as it reads
-the row; it reads exactly what :class:`csv.DictReader` would. Timestamps in a
-fixed-offset zone (a :class:`datetime.timezone`) are each day's midnight,
-computed once per day, plus the time of day; any other ``tzinfo`` goes
-through :func:`to_timestamp` for every record, since only a full
+The CSV reader makes entries in one pass: it looks columns up by their
+header position, reads exactly what :class:`csv.DictReader` would, and
+checks, builds and timestamps each row as it reads it, taking the time of
+day from the check. Timestamps in a fixed-offset zone (a
+:class:`datetime.timezone`) are each day's midnight, computed once per day,
+plus the time of day; any other ``tzinfo``, and any time that is not plain
+ASCII ``hh:mm:ss``, goes through :func:`to_timestamp`, since only a full
 ``datetime`` knows where its offset changes.
 """
 from __future__ import annotations
@@ -25,7 +35,9 @@ import csv
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone, tzinfo
-from typing import IO, Callable, Iterable, Optional
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional
+
+from .facts import new_tuple
 
 MONTHS = {
     "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
@@ -40,10 +52,13 @@ REQUIRED_COLUMNS = (
     "Component", "PID", "Content", "EventId", "EventTemplate",
 )
 
+# Any hh:mm:ss; ``\d`` also takes other scripts' digits, which ``int`` reads.
 _TIME_RE = re.compile(r"(\d{2}):(\d{2}):(\d{2})\Z")
-# The common case, checked without converting: ASCII digits, in range.
-# ``\d`` also takes other scripts' digits, which ``int`` reads.
-_PLAIN_TIME_RE = re.compile(r"(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]\Z")
+# The seconds that each part of a plain time, ASCII ``hh:mm:ss`` in range,
+# stands for: "hh:", "mm:" and "ss".
+_HOURS = {f"{n:02d}:": n * 3600 for n in range(24)}
+_MINUTES = {f"{n:02d}:": n * 60 for n in range(60)}
+_SECONDS = {f"{n:02d}": n for n in range(60)}
 
 _UNDECODABLE = "\ufffd"
 
@@ -70,8 +85,7 @@ class SyslogFormatError(ValueError):
         super().__init__(f"unparseable syslog line: {line!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class RawLogRecord:
+class RawLogRecord(NamedTuple):
     line_id: int
     month: str
     day: int
@@ -88,8 +102,7 @@ class RawLogRecord:
         return MONTHS[self.month]
 
 
-@dataclass(frozen=True, slots=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     record: RawLogRecord
     timestamp: int
 
@@ -107,80 +120,37 @@ class IngestResult:
     errors: list[str] = field(default_factory=list)
 
 
-def _check_record_fields(month: str, day: int, time_of_day: str, content: str) -> Optional[str]:
+def _plain_seconds(time_of_day: str) -> Optional[int]:
+    """Seconds since midnight of a plain time, ASCII ``hh:mm:ss`` in range;
+    None for any other text, which is checked and converted the slow way."""
+    if len(time_of_day) != 8:
+        return None
+    hours = _HOURS.get(time_of_day[:3])
+    minutes = _MINUTES.get(time_of_day[3:6])
+    seconds = _SECONDS.get(time_of_day[6:])
+    if hours is None or minutes is None or seconds is None:
+        return None
+    return hours + minutes + seconds
+
+
+def _check_record_fields(month: str, day: int, time_of_day: str,
+                         content: str) -> tuple[Optional[str], Optional[int]]:
+    """The first problem with a record's fields, or None, and
+    ``_plain_seconds`` of its time; a plain time needs no further check."""
     if month not in MONTHS:
-        return f"bad month {month!r}"
+        return f"bad month {month!r}", None
     if not 1 <= day <= 31:
-        return f"day {day} out of range"
-    if not _PLAIN_TIME_RE.match(time_of_day):
+        return f"day {day} out of range", None
+    seconds = _plain_seconds(time_of_day)
+    if seconds is None:
         m = _TIME_RE.match(time_of_day)
         if not m:
-            return f"bad time {time_of_day!r}"
+            return f"bad time {time_of_day!r}", None
         if int(m[1]) > 23 or int(m[2]) > 59 or int(m[3]) > 59:
-            return f"time {time_of_day!r} out of range"
+            return f"time {time_of_day!r} out of range", None
     if not content:
-        return "empty content"
-    return None
-
-
-def parse_structured_csv(stream: IO[str]) -> IngestResult:
-    """Parse a structured log export (CSV with header) into raw records.
-
-    Rows failing type checks, or whose kept text holds U+FFFD, are skipped
-    and counted rather than aborting the run; a missing required column
-    raises :class:`MissingColumnError`. Rows read as :class:`csv.DictReader`
-    reads them: blank rows are dropped and not numbered, a short row's
-    missing cells are ``None``, and a header name that occurs twice names
-    its last column.
-    """
-    rows = csv.reader(stream)
-    header = next(rows, [])
-    for column in REQUIRED_COLUMNS:
-        if column not in header:
-            raise MissingColumnError(column)
-    position = {name: i for i, name in enumerate(header)}
-    (line_id_at, month_at, day_at, time_at, component_at, pid_at, content_at,
-     event_id_at, template_at) = (position[column] for column in REQUIRED_COLUMNS)
-    level_at = position.get("Level")
-    width = len(header)
-
-    result = IngestResult()
-    records, errors = result.records, result.errors
-    row_number = 1
-    for row in rows:
-        if not row:
-            continue
-        row_number += 1
-        if len(row) < width:
-            row += [None] * (width - len(row))
-        try:
-            line_id = int(row[line_id_at])
-            day = int(row[day_at])
-            pid_text = (row[pid_at] or "").strip()
-            pid = int(pid_text) if pid_text else None
-        except (TypeError, ValueError) as exc:
-            errors.append(f"row {row_number}: {exc}")
-            continue
-        month = (row[month_at] or "").strip()
-        time_of_day = (row[time_at] or "").strip()
-        content = (row[content_at] or "").strip()
-        level = None if level_at is None else row[level_at]
-        component = (row[component_at] or "").strip()
-        event_id = (row[event_id_at] or "").strip()
-        event_template = (row[template_at] or "").strip()
-        problem = _check_record_fields(month, day, time_of_day, content)
-        if problem is None and line_id < 1:
-            problem = f"line id {line_id} not positive"
-        if problem is None and _UNDECODABLE in \
-                f"{level or ''}{component}{content}{event_id}{event_template}":
-            problem = "undecodable bytes"
-        if problem is not None:
-            errors.append(f"row {row_number}: {problem}")
-            continue
-        records.append(RawLogRecord(line_id, month, day, time_of_day, level, component,
-                                    pid, content, event_id, event_template))
-    result.skipped = len(errors)
-    return result
+        return "empty content", seconds
+    return None, seconds
 
 
 def parse_raw_syslog_line(line: str, line_id: int = 1) -> RawLogRecord:
@@ -194,16 +164,16 @@ def parse_raw_syslog_line(line: str, line_id: int = 1) -> RawLogRecord:
         raise SyslogFormatError(line)
     month = m.group("month")
     day = int(m.group("day"))
+    time_of_day = m.group("time")
     content = m.group("content").strip()
-    problem = _check_record_fields(month, day, m.group("time"), content)
-    if problem is not None:
+    if _check_record_fields(month, day, time_of_day, content)[0] is not None:
         raise SyslogFormatError(line)
     pid = m.group("pid")
     return RawLogRecord(
         line_id=line_id,
         month=month,
         day=day,
-        time_of_day=m.group("time"),
+        time_of_day=time_of_day,
         level=None,
         component=m.group("component").strip(),
         pid=int(pid) if pid is not None else None,
@@ -227,32 +197,43 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 
-def _timestamper(base_year: int, zone: tzinfo) -> Callable[[RawLogRecord], int]:
-    """``to_timestamp`` for one year and zone, equal to it on every record.
+def _timestamper(base_year: int,
+                 zone: tzinfo) -> Callable[[RawLogRecord, Optional[int]], Optional[int]]:
+    """``to_timestamp`` for one year and zone, equal to it on every record
+    whose date the year has, and None on any other (Feb 30, or Feb 29
+    outside a leap year). A year out of range raises ``ValueError``.
 
-    In a fixed-offset zone an instant is its day's midnight plus the time of
-    day, so each (month, day) costs one ``datetime`` and each record only
-    arithmetic: the microseconds since the epoch, divided as
-    ``datetime.timestamp`` divides them. It raises what ``to_timestamp``
-    raises: the time is read first, as there; a time out of range is handed
-    to ``to_timestamp``; a bad date fails in the ``datetime`` of its
-    midnight."""
-    if not isinstance(zone, timezone):
-        return lambda record: to_timestamp(record, base_year, zone)
+    The function takes a record and ``_plain_seconds`` of its time. In a
+    fixed-offset zone, an instant with a plain time is its day's midnight
+    plus those seconds, so each (month, day) costs one ``datetime`` and each
+    record only arithmetic: the microseconds since the epoch, divided as
+    ``datetime.timestamp`` divides them. A bad date fails in the
+    ``datetime`` of its midnight. Any other zone or time goes through
+    ``to_timestamp``."""
+    fixed = isinstance(zone, timezone)
     midnights: dict[tuple[str, int], int] = {}
 
-    def timestamp(record: RawLogRecord) -> int:
-        hh, mm, ss = map(int, record.time_of_day.split(":"))
-        if not (0 <= hh <= 23 and 0 <= mm <= 59 and 0 <= ss <= 59):
-            return to_timestamp(record, base_year, zone)
-        key = (record.month, record.day)
-        midnight = midnights.get(key)
-        if midnight is None:
-            moment = datetime(base_year, record.month_number, record.day, tzinfo=zone)
-            midnight = midnights[key] = (moment - _EPOCH) // _MICROSECOND
-        return int((midnight + (hh * 3600 + mm * 60 + ss) * 1_000_000) / 1_000_000)
+    def timestamp(record: RawLogRecord, seconds: Optional[int]) -> Optional[int]:
+        try:
+            if seconds is None or not fixed:
+                return to_timestamp(record, base_year, zone)
+            key = (record.month, record.day)
+            midnight = midnights.get(key)
+            if midnight is None:
+                moment = datetime(base_year, record.month_number, record.day, tzinfo=zone)
+                midnight = midnights[key] = (moment - _EPOCH) // _MICROSECOND
+            return int((midnight + seconds * 1_000_000) / 1_000_000)
+        except ValueError:
+            if record.day <= 28:
+                raise  # every month has this day, so the year is out of range
+            return None
 
     return timestamp
+
+
+def _no_such_date(record: RawLogRecord, year: int) -> str:
+    """The skip reason of a record whose date its year lacks."""
+    return f"line {record.line_id}: no {record.month} {record.day} in {year}"
 
 
 def entries_from_records(result: IngestResult,
@@ -265,22 +246,146 @@ def entries_from_records(result: IngestResult,
     year = opts.base_year
     timestamp = _timestamper(year, opts.zone)
     for record in result.records:
-        try:
-            entries.append(LogEntry(record, timestamp(record)))
-        except ValueError:
-            if record.day <= 28:
-                raise  # every month has this day, so the year is out of range
+        stamp = timestamp(record, _plain_seconds(record.time_of_day))
+        if stamp is None:
             result.skipped += 1
-            result.errors.append(
-                f"line {record.line_id}: no {record.month} {record.day} in {year}")
+            result.errors.append(_no_such_date(record, year))
+        else:
+            entries.append(LogEntry(record, stamp))
     result.records = [entry.record for entry in entries]
     return entries
 
 
+# Where the excel dialect is in a CSV record: at a field's start, in an
+# unquoted field, in a quoted one, or just past a quote inside a quoted one.
+_FIELD_START, _IN_FIELD, _IN_QUOTES, _QUOTE_IN_QUOTES = range(4)
+
+
+def _remembering(lines: Iterable[str], last: list[str]) -> Iterator[str]:
+    """The given lines, each kept in ``last[0]`` as it is read."""
+    for line in lines:
+        last[0] = line
+        yield line
+
+
+def _read_past_record(line: str, quoted: bool, lines: Iterator[str]) -> None:
+    """Read past the rest of a CSV record that :mod:`csv` gave up on.
+
+    ``line`` is the line it failed in and ``quoted`` whether that line
+    starts inside a quoted field. :class:`csv.reader` goes on at the next
+    line, which is still inside the record when the failed line ends inside
+    quotes; so lines are taken from ``lines`` until one ends outside them,
+    by the quote rules of the excel dialect."""
+    state = _IN_QUOTES if quoted else _FIELD_START
+    while True:
+        for char in line:
+            if state == _IN_QUOTES:
+                if char == '"':
+                    state = _QUOTE_IN_QUOTES
+            elif char == '"' and state != _IN_FIELD:
+                state = _IN_QUOTES
+            elif char in "\r\n":
+                return  # the record ends here
+            elif char == ",":
+                state = _FIELD_START
+            else:
+                state = _IN_FIELD
+        if state != _IN_QUOTES:
+            return
+        line = next(lines, None)
+        if line is None:
+            return
+
+
 def read_csv_entries(stream: IO[str],
                      options: IngestOptions | None = None) -> tuple[list[LogEntry], IngestResult]:
-    result = parse_structured_csv(stream)
-    return entries_from_records(result, options), result
+    """Read a structured log export (CSV with header) into timestamped entries.
+
+    Each row is checked, built and timestamped in one pass. A row failing a
+    type check, whose kept text holds U+FFFD or that :mod:`csv` cannot read,
+    such as one holding a field over :func:`csv.field_size_limit`, is
+    skipped and counted, as is a record whose date its year lacks; those
+    date skips are listed after every other. A missing required column
+    raises :class:`MissingColumnError`. Rows read as :class:`csv.DictReader`
+    reads them: blank rows are dropped and not numbered, a short row's
+    missing cells are ``None``, and a header name that occurs twice names
+    its last column.
+    """
+    opts = options or IngestOptions()
+    last_line = [""]
+    lines = _remembering(stream, last_line)
+    rows = csv.reader(lines)
+    try:
+        header = next(rows, [])
+    except csv.Error as exc:
+        raise ValueError(f"CSV header: {exc}") from exc
+    for column in REQUIRED_COLUMNS:
+        if column not in header:
+            raise MissingColumnError(column)
+    position = {name: i for i, name in enumerate(header)}
+    (line_id_at, month_at, day_at, time_at, component_at, pid_at, content_at,
+     event_id_at, template_at) = (position[column] for column in REQUIRED_COLUMNS)
+    level_at = position.get("Level")
+    width = len(header)
+
+    year = opts.base_year
+    timestamp = _timestamper(year, opts.zone)
+    result = IngestResult()
+    records, errors = result.records, result.errors
+    entries: list[LogEntry] = []
+    date_errors: list[str] = []
+    row_number = 1
+    while True:
+        first_line = rows.line_num
+        try:
+            row = next(rows, None)
+        except csv.Error as exc:
+            row_number += 1
+            errors.append(f"row {row_number}: {exc}")
+            _read_past_record(last_line[0], rows.line_num - first_line > 1, lines)
+            continue
+        if row is None:
+            break
+        if not row:
+            continue
+        row_number += 1
+        if len(row) < width:
+            row += [None] * (width - len(row))
+        try:
+            line_id = int(row[line_id_at])
+            day = int(row[day_at])
+            pid_text = (row[pid_at] or "").strip()
+            pid = int(pid_text) if pid_text else None
+        except (TypeError, ValueError) as exc:
+            errors.append(f"row {row_number}: {exc}")
+            continue
+        month = (row[month_at] or "").strip()
+        time_of_day = (row[time_at] or "").strip()
+        content = (row[content_at] or "").strip()
+        level = None if level_at is None else row[level_at]
+        component = (row[component_at] or "").strip()
+        event_id = (row[event_id_at] or "").strip()
+        event_template = (row[template_at] or "").strip()
+        problem, seconds = _check_record_fields(month, day, time_of_day, content)
+        if problem is None and line_id < 1:
+            problem = f"line id {line_id} not positive"
+        if problem is None and _UNDECODABLE in \
+                f"{level or ''}{component}{content}{event_id}{event_template}":
+            problem = "undecodable bytes"
+        if problem is not None:
+            errors.append(f"row {row_number}: {problem}")
+            continue
+        record = new_tuple(RawLogRecord, (line_id, month, day, time_of_day, level, component,
+                                          pid, content, event_id, event_template))
+        stamp = timestamp(record, seconds)
+        if stamp is None:
+            date_errors.append(_no_such_date(record, year))
+            continue
+        records.append(record)
+        entries.append(new_tuple(LogEntry, (record, stamp)))
+    errors += date_errors
+    result.skipped = len(errors)
+    return entries, result
 
 
 def read_syslog_entries(lines: Iterable[str],

@@ -1,4 +1,5 @@
 """Evaluator behavior: models, recursion, aggregates, explanations, errors."""
+import pickle
 import random
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratalog.engine import (
+    ComparisonCheck,
+    Derivation,
     EvaluationError,
     Inconsistent,
     Model,
@@ -250,6 +253,60 @@ class TestExplain:
             assert edge.atom == fact("edge", 2999 - depth, 3000 - depth) and edge.is_fact
             node, depth = reach, depth + 1
         assert (node.atom, depth) == (fact("reach", 0), 3000)
+
+
+class TestDerivationValue:
+    """A derivation is a named tuple ``(rule, supports, checks)``: immutable,
+    hashed and compared as that tuple, and printed and pickled as before."""
+
+    TEXT = "e(1,2). r(X,Y) :- e(X,Y), not q(X), X < Y."
+    RULE_REPR = (
+        "Rule(head=Atom(predicate='r', terms=(Variable(name='X'), Variable(name='Y'))), "
+        "body=(Atom(predicate='e', terms=(Variable(name='X'), Variable(name='Y'))), "
+        "NafLiteral(atom=Atom(predicate='q', terms=(Variable(name='X'),))), "
+        "Comparison(left=Variable(name='X'), op='<', right=Variable(name='Y'))), "
+        "span=Span(line=1, column=9))")
+
+    def derivation(self):
+        _, graph = evaluate(parse_program(self.TEXT))
+        (atom, derivation), = graph.entries.items()
+        assert atom == fact("r", 1, 2) and type(atom) is Fact
+        return derivation
+
+    def test_the_engine_records_one(self):
+        derivation = self.derivation()
+        assert type(derivation) is Derivation
+        assert derivation.supports == (fact("e", 1, 2),)
+        assert derivation.checks == (NafCheck(fact("q", 1)), ComparisonCheck(1, "<", 2))
+
+    def test_repr(self):
+        assert repr(self.derivation()) == (
+            f"Derivation(rule={self.RULE_REPR}, supports=(Fact(predicate='e', args=(1, 2)),), "
+            "checks=(NafCheck(atom=Fact(predicate='q', args=(1,))), "
+            "ComparisonCheck(left=1, op='<', right=2)))")
+
+    def test_immutable(self):
+        derivation = self.derivation()
+        with pytest.raises(AttributeError):
+            derivation.rule = None
+        with pytest.raises(AttributeError):
+            derivation.extra = 1
+
+    def test_hash_and_equality_are_the_field_tuple(self):
+        derivation = self.derivation()
+        fields = (derivation.rule, derivation.supports, derivation.checks)
+        assert hash(derivation) == hash(tuple(derivation)) == hash(fields)
+        assert derivation == fields
+
+    def test_keywords(self):
+        derivation = self.derivation()
+        assert Derivation(checks=derivation.checks, rule=derivation.rule,
+                          supports=derivation.supports) == derivation
+
+    def test_pickle_round_trip(self):
+        derivation = self.derivation()
+        again = pickle.loads(pickle.dumps(derivation))
+        assert again == derivation and type(again) is Derivation
 
 
 class TestDeterminismAndSemantics:

@@ -1,5 +1,6 @@
 """Constants, ground facts, and their serialized form."""
 import io
+import pickle
 
 import pytest
 from hypothesis import given
@@ -86,6 +87,46 @@ class TestSortKey:
         facts = [fact("b", 1), fact("a", 2), fact("a", 1), fact("a", Symbol("z"))]
         ordered = sorted(facts, key=Fact.sort_key)
         assert [str(f) for f in ordered] == ["a(1)", "a(2)", "a(z)", "b(1)"]
+
+
+
+class TestFactValue:
+    """A fact is a named tuple ``(predicate, args)``: immutable, hashed and
+    compared as that tuple, and printed and pickled as before."""
+
+    ATOM = Fact("login_attempt", ("1.2.3.4", 5, Symbol("failed"), "root"))
+
+    def test_repr(self):
+        assert repr(self.ATOM) == ("Fact(predicate='login_attempt', "
+                                   "args=('1.2.3.4', 5, Symbol('failed'), 'root'))")
+        assert repr(Fact("p")) == "Fact(predicate='p', args=())"
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.ATOM.predicate = "other"
+        with pytest.raises(AttributeError):
+            self.ATOM.extra = 1
+
+    def test_hash_and_equality_are_the_field_tuple(self):
+        atom = self.ATOM
+        assert hash(atom) == hash(tuple(atom)) == hash((atom.predicate, atom.args))
+        assert atom == ("login_attempt", ("1.2.3.4", 5, Symbol("failed"), "root"))
+        assert {atom: 1}[tuple(atom)] == 1
+        assert atom != Fact("login_attempt", ("1.2.3.4", 6, Symbol("failed"), "root"))
+
+    def test_keywords_and_default(self):
+        assert Fact(predicate="p", args=(1,)) == Fact("p", (1,)) == fact("p", 1)
+        assert Fact("p").args == ()
+        assert str(Fact("p")) == "p"
+
+    def test_pickle_round_trip(self):
+        again = pickle.loads(pickle.dumps(self.ATOM))
+        assert again == self.ATOM and type(again) is Fact
+        assert str(again) == 'login_attempt("1.2.3.4",5,failed,"root")'
+
+    def test_symbol_is_no_tuple(self):
+        assert Symbol("root") != ("root",)
+        assert not isinstance(Symbol("root"), tuple)
 
 
 _symbols = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).map(Symbol)

@@ -2,6 +2,7 @@
 import calendar
 import csv
 import io
+import pickle
 import random
 from datetime import timedelta, timezone
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -10,16 +11,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stratalog.cli import EXIT_OK, main
 from stratalog.ingest import (
     REQUIRED_COLUMNS,
     IngestOptions,
     IngestResult,
+    LogEntry,
     MissingColumnError,
     RawLogRecord,
     SyslogFormatError,
     entries_from_records,
     parse_raw_syslog_line,
-    parse_structured_csv,
     read_csv_entries,
     read_syslog_entries,
     to_timestamp,
@@ -89,7 +91,7 @@ class TestTimestampConversion:
 
 class TestStructuredCsv:
     def test_parses_all_well_formed_rows(self):
-        result = parse_structured_csv(io.StringIO(make_csv_sample()))
+        result = read_csv_entries(io.StringIO(make_csv_sample()))[1]
         assert len(result.records) == 9
         assert result.skipped == 0
         first = result.records[0]
@@ -100,7 +102,7 @@ class TestStructuredCsv:
 
     def test_field_values_survive_reserialization(self):
         text = make_csv_sample()
-        result = parse_structured_csv(io.StringIO(text))
+        result = read_csv_entries(io.StringIO(text))[1]
         rows = [{
             "LineId": str(r.line_id), "Month": r.month, "Date": str(r.day),
             "Time": r.time_of_day, "Component": r.component,
@@ -108,13 +110,13 @@ class TestStructuredCsv:
             "Content": r.content, "EventId": r.event_id,
             "EventTemplate": r.event_template,
         } for r in result.records]
-        again = parse_structured_csv(io.StringIO(make_csv_sample(rows)))
+        again = read_csv_entries(io.StringIO(make_csv_sample(rows)))[1]
         assert again.records == result.records
 
     def test_missing_required_column(self):
         bad = make_csv_sample().replace("EventId", "EventCode")
         with pytest.raises(MissingColumnError) as err:
-            parse_structured_csv(io.StringIO(bad))
+            read_csv_entries(io.StringIO(bad))[1]
         assert err.value.column == "EventId"
 
     def test_bad_rows_skipped_and_counted(self):
@@ -138,7 +140,7 @@ class TestStructuredCsv:
              "Component": "c", "PID": "", "Content": "", "EventId": "E1",
              "EventTemplate": ""},
         ]
-        result = parse_structured_csv(io.StringIO(make_csv_sample(rows)))
+        result = read_csv_entries(io.StringIO(make_csv_sample(rows)))[1]
         assert len(result.records) == 1
         assert result.skipped == 5
         assert len(result.errors) == 5
@@ -232,6 +234,115 @@ class TestOneBadLineIsSkipped:
             read_syslog_entries(io.StringIO(SYSLOG_SAMPLE), IngestOptions(base_year=0))
 
 
+def _csv_row(line_id: int, content: str) -> dict:
+    return {"LineId": str(line_id), "Month": "Jun", "Date": "14", "Time": f"15:16:0{line_id}",
+            "Component": "sshd", "PID": "", "Content": content, "EventId": "E1",
+            "EventTemplate": ""}
+
+
+class TestOversizedField:
+    """A field over ``csv.field_size_limit()`` costs its row, not the run."""
+
+    TEXT = make_csv_sample([_csv_row(1, "first"), _csv_row(2, "x" * 200_000),
+                            _csv_row(3, "third")])
+
+    def test_row_is_skipped_and_the_next_is_read(self):
+        entries, result = read_csv_entries(io.StringIO(self.TEXT, newline=""))
+        assert [e.record.content for e in entries] == ["first", "third"]
+        assert result.skipped == 1
+        assert result.errors == [
+            f"row 3: field larger than field limit ({csv.field_size_limit()})"]
+
+    def test_cli_reports_the_skip(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(self.TEXT, encoding="utf-8")
+        code = main(["detect", str(path), "--format", "csv"], env={})
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == "note: skipped 1 unparseable line(s)\n"
+
+    # A good row of its own, which csv.writer writes as is inside a quoted field.
+    FORGED = make_csv_sample([_csv_row(7, "Failed password for root from 6.6.6.6 port 22 ssh2")]
+                             ).splitlines()[1]
+    BIG = "x" * 200_000
+
+    @pytest.mark.parametrize("newline", ["", None])
+    @pytest.mark.parametrize("content", [
+        f"{BIG}\n{FORGED}\n{FORGED}",
+        f"short\n{BIG}\n{FORGED}\n{FORGED}",
+        f'a "quoted, text"\n{BIG}"\n{FORGED}\n"{FORGED}',
+        "\n".join([BIG[:70_000]] * 3),
+    ], ids=["fails-in-first-line", "fails-in-later-line", "doubled-quotes", "three-lines"])
+    def test_field_over_lines_is_skipped_whole(self, content, newline):
+        text = make_csv_sample([_csv_row(1, "first"), _csv_row(2, content),
+                                _csv_row(3, "third")])
+        assert (self.FORGED in content) == (f"\n{self.FORGED}\n" in text)
+        entries, result = read_csv_entries(io.StringIO(text, newline=newline))
+        assert [e.record.line_id for e in entries] == [1, 3]
+        assert result.records == [e.record for e in entries]
+        assert result.errors == [
+            f"row 3: field larger than field limit ({csv.field_size_limit()})"]
+
+    def test_in_the_header_is_a_value_error(self):
+        text = self.TEXT.replace("EventTemplate", "x" * 200_000, 1)
+        with pytest.raises(ValueError, match="CSV header: field larger than field limit"):
+            read_csv_entries(io.StringIO(text, newline=""))
+
+
+class TestValueTypes:
+    """Records and entries are named tuples: immutable, hashed and compared
+    as the tuple of their fields, and printed and pickled as before."""
+
+    RECORD_REPR = ("RawLogRecord(line_id=1, month='Jun', day=14, time_of_day='15:16:02', "
+                   "level=None, component='sshd(pam_unix)', pid=123, content='x', "
+                   "event_id='E1', event_template='')")
+
+    def test_repr(self):
+        assert repr(record()) == self.RECORD_REPR
+        assert repr(LogEntry(record(), 1118762162)) == \
+            f"LogEntry(record={self.RECORD_REPR}, timestamp=1118762162)"
+
+    @pytest.mark.parametrize("value", [record(), LogEntry(record(), 5)])
+    def test_immutable(self, value):
+        with pytest.raises(AttributeError):
+            value.month = "Jul"
+        with pytest.raises(AttributeError):
+            value.timestamp = 6
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_hash_and_equality_are_the_field_tuples(self):
+        rec = record()
+        fields = (1, "Jun", 14, "15:16:02", None, "sshd(pam_unix)", 123, "x", "E1", "")
+        assert hash(rec) == hash(tuple(rec)) == hash(fields)
+        assert rec == fields and rec != record(day=15)
+        entry = LogEntry(rec, 5)
+        assert hash(entry) == hash(tuple(entry)) == hash((rec, 5))
+        assert entry == (rec, 5)
+
+    def test_keywords_and_month_number(self):
+        rec = record()
+        assert RawLogRecord(*rec) == rec
+        assert LogEntry(timestamp=5, record=rec) == LogEntry(rec, 5)
+        assert rec.month_number == 6
+        assert record("Dec").month_number == 12
+
+    def test_pickle_round_trip(self):
+        entry = LogEntry(record(), 5)
+        again = pickle.loads(pickle.dumps(entry))
+        assert again == entry and type(again) is LogEntry
+        assert type(again.record) is RawLogRecord
+
+    @pytest.mark.parametrize("input_format", ["syslog", "csv"])
+    def test_readers_build_the_named_types(self, input_format):
+        if input_format == "syslog":
+            entries, result = read_syslog_entries(io.StringIO(SYSLOG_SAMPLE))
+        else:
+            entries, result = read_csv_entries(io.StringIO(make_csv_sample()))
+        assert {type(e) for e in entries} == {LogEntry}
+        assert {type(e.record) for e in entries} == {type(r) for r in result.records} == \
+            {RawLogRecord}
+
+
 # -- the fast readers against the reference readers --------------------------
 
 try:
@@ -249,7 +360,8 @@ _DATES = [("Jun", "14"), ("Jan", "1"), ("Dec", "31"), ("Feb", "28"), ("Feb", "29
           ("Feb", "30"), ("Apr", "30"), ("Apr", "31"), ("Apr", "3"), ("Oct", "30"),
           ("Mar", "11"), ("Nov", "4")]
 _TIMES = ["00:00:00", "01:30:00", "02:30:00", "15:16:02", "23:59:59", "24:00:00",
-          "12:60:00", "12:00:60", "1:00:00", "١٥:16:02", " 03:04:05 ", ""]
+          "12:60:00", "12:00:60", "1:00:00", "١٥:16:02", " 03:04:05 ", "", "12.30:00",
+          "12:30.00"]
 
 
 def _mostly(valid, odd):
@@ -317,6 +429,14 @@ def _outcome(read, text, options):
 
 _options = st.builds(IngestOptions, base_year=st.sampled_from([2004, 2005, 2007]),
                      zone=st.sampled_from(ZONES))
+# What the readers' own timestamps must match the reference on: years before
+# 1970, the first and last years a datetime holds, year 0 (which the
+# reference rejects) and fixed offsets down to the microsecond.
+_SUB_SECOND_ZONES = st.builds(lambda us: timezone(timedelta(microseconds=us)),
+                              st.integers(-86_399_999_999, 86_399_999_999))
+_reference_options = st.builds(
+    IngestOptions, base_year=st.sampled_from([2004, 2005, 2007, 1960, 1, 9999, 0]),
+    zone=st.one_of(st.sampled_from(ZONES), _SUB_SECOND_ZONES))
 
 
 class TestReadersAgreeWithReference:
@@ -326,20 +446,31 @@ class TestReadersAgreeWithReference:
     exception."""
 
     @settings(max_examples=150, deadline=None)
-    @given(csv_texts(), _options)
+    @given(csv_texts(), _reference_options)
     @example(  # a duplicated name, a blank row, a short row, a padded Level
         "Month,Date,Time,Component,PID,Content,EventId,EventTemplate,Level,Content,LineId\n"
         "Jun,14,15:16:02,c,1,first,E1,t, info ,last,1\n"
         "\n"
         "Jun,14,15:16:02,c,1,x,E1,t\n"
         "Feb,29,15:16:02,c,1,x,E1,t,,x,3\n", IngestOptions())
+    @example(make_csv_sample(), IngestOptions(base_year=1960,
+                                              zone=timezone(timedelta(microseconds=1))))
     def test_csv(self, text, options):
         assert _outcome(read_csv_entries, text, options) == \
             _outcome(reference.read_csv_entries, text, options)
 
+    @pytest.mark.parametrize("read, reference_read", [
+        (read_csv_entries, reference.read_csv_entries),
+        (read_syslog_entries, reference.read_syslog_entries)])
+    def test_year_zero_raises_the_references_error(self, read, reference_read):
+        text = make_csv_sample() if read is read_csv_entries else SYSLOG_SAMPLE
+        options = IngestOptions(base_year=0)
+        assert _outcome(read, text, options) == _outcome(reference_read, text, options) == \
+            (ValueError, "year 0 is out of range")
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_DATES), st.sampled_from(_TIMES)), max_size=8),
-           _options)
+           _reference_options)
     def test_syslog(self, stamps, options):
         text = "".join(f"{month} {day} {time_of_day} combo sshd[1]: line {i}\n"
                        for i, ((month, day), time_of_day) in enumerate(stamps))
@@ -357,9 +488,7 @@ class TestReadersAgreeWithReference:
                                         st.integers(-1, 61), st.integers(-1, 61)))),
         max_size=4),
         st.integers(0, 10000),
-        st.one_of(st.sampled_from(ZONES),
-                  st.builds(lambda us: timezone(timedelta(microseconds=us)),
-                            st.integers(-86_399_999_999, 86_399_999_999))))
+        st.one_of(st.sampled_from(ZONES), _SUB_SECOND_ZONES))
     # before 1970 with a sub-second offset, truncating differs from flooring
     @example([record()], 1960, timezone(timedelta(microseconds=1)))
     def test_hand_built_records(self, records, year, zone):
