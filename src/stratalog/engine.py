@@ -3,10 +3,13 @@
 The unique stable model is computed stratum by stratum: within a stratum,
 every rule fires once over the model, then recursive rules run semi-naive
 rounds. A round re-joins each recursive rule once per body atom of the
-stratum, scanning there only the atoms new in the previous round; every
-scan visits only the rows present when it starts, so a round never joins
-its own output. Negation and aggregates only ever consult strata that are
-already complete, which stratification guarantees.
+stratum, scanning there only the atoms new in the previous round. Rows
+only grow, in insertion order, so those atoms are the window of rows the
+previous round appended to the model's relation: the delta is that window,
+and each derived atom is appended once. Every scan visits only the rows
+present when it starts, so a round never joins its own output. Negation
+and aggregates only ever consult strata that are already complete, which
+stratification guarantees.
 
 Grounding is on-the-fly: each rule is compiled once into join plans, the
 static one (the first literal as written whose inputs are bound, again and
@@ -18,10 +21,12 @@ the atom, and which hold constants or arithmetic.
 
 Each body atom is looked up through the narrowest per-argument index among
 its bound positions; an index is built on the first lookup that binds its
-position and kept current from then on. A ``#count`` of one range-guarded
-variable is answered by bisecting a sorted index of that variable's values
-per group, built once per evaluation; every other aggregate enumerates its
-matches.
+position and kept current from then on, and a compiled scan keeps it. A
+delta scan keyed on a position uses an index of the window, built the
+first time a round needs it. A ``#count`` of one range-guarded variable is
+answered by bisecting a sorted index of that variable's values per group,
+built once per evaluation and kept by the compiled count; every other
+aggregate enumerates its matches.
 
 Every derived atom records the rule and ground supports that first produced
 it, so any alert can be unfolded into a full derivation tree. Iteration
@@ -72,18 +77,22 @@ class NotDerivedError(LookupError):
 
 class _Relation:
     """One predicate's atoms: argument tuples in insertion order, the atom
-    of each tuple, and the position indexes built so far."""
+    of each tuple, and the position indexes built so far.
+
+    A semi-naive delta is a relation over a copy of a window of another
+    relation's rows; its ``atoms`` stay empty, since only scans read it."""
 
     __slots__ = ("rows", "atoms", "indexes")
 
-    def __init__(self) -> None:
-        self.rows: list[tuple[Constant, ...]] = []
+    def __init__(self, rows: Optional[list[tuple[Constant, ...]]] = None) -> None:
+        self.rows: list[tuple[Constant, ...]] = [] if rows is None else rows
         self.atoms: dict[tuple[Constant, ...], Fact] = {}
         self.indexes: dict[int, dict[Constant, list[tuple[Constant, ...]]]] = {}
 
     def index(self, position: int) -> dict[Constant, list[tuple[Constant, ...]]]:
         """Rows by their value at ``position``, built from the rows on first
-        use and kept current by :meth:`Model.add` from then on."""
+        use and kept current by :meth:`Model.add` and by each rule's emit
+        step from then on."""
         index = self.indexes.get(position)
         if index is None:
             index = self.indexes[position] = {}
@@ -112,7 +121,9 @@ class Model:
     """Insertion-ordered set of ground atoms with per-argument hash indexes,
     each built on the first lookup that binds its position.
 
-    Holds the model and, during evaluation, each semi-naive round's delta."""
+    A relation's rows only grow, in insertion order, so the atoms one
+    semi-naive round derives are the window of rows it appended; the next
+    round's delta scans that window."""
 
     __slots__ = ("_order", "_relations")
 
@@ -545,9 +556,8 @@ class _Evaluator:
     def __init__(self, model: Model, graph: DerivationGraph):
         self.model = model
         self.graph = graph
-        # the current round's delta, and the model receiving its new atoms
-        self.delta = Model()
-        self.derived = Model()
+        # per stratum predicate, the rows the last semi-naive round appended
+        self.windows: dict[str, _Relation] = {}
         # sorted range indexes, built on first use: group key -> sorted keys
         self.ranges: dict[tuple, dict[tuple[Constant, ...], list[tuple]]] = {}
 
@@ -589,7 +599,9 @@ class _Evaluator:
               step: Step, from_delta: bool) -> Step:
         """Join one positive atom: look up rows by its bound positions, then
         per row check repeats within the atom and bind its new slots. Only
-        the rows present when the scan starts are visited."""
+        the rows present when the scan starts are visited. A model
+        relation's index is kept from the scan's first lookup; a delta
+        scan reads the current round's window."""
         slots, rule = frame.compiled.slots, frame.compiled.rule
         predicate, arity = atom.predicate, len(atom.terms)
         keys: list[tuple[int, Callable[[Env], Constant]]] = []
@@ -614,11 +626,15 @@ class _Evaluator:
                         itemgetter(*(q for _, q in repeats))) if repeats else None
         relation = None if from_delta else self.model.relation(predicate)
         supports = frame.supports
+        index = None
 
         def scan(env: Env) -> None:
-            source = relation or self.delta.relation(predicate)
+            nonlocal index
+            source = relation or self.windows[predicate]
             if key_value is not None:
-                rows = source.index(key_position).get(key_value(env), ())
+                if index is None or relation is None:
+                    index = source.index(key_position)
+                rows = index.get(key_value(env), ())
             elif keys:
                 pattern: list[Optional[Constant]] = [None] * arity
                 for position, get in keys:
@@ -722,9 +738,13 @@ class _Evaluator:
             return enumerate_count
         group = _tuple_getter(plan.key_vars, slots, bound, rule)
         guards = [(op, _getter(term, slots, bound, rule)) for op, term in plan.guards]
+        groups = None
 
         def range_count(env: Env) -> int:
-            keys = self._range_index(plan.index).get(group(env))
+            nonlocal groups
+            if groups is None:
+                groups = self._range_index(plan.index)
+            keys = groups.get(group(env))
             if keys is None:
                 return 0  # guards are never evaluated over an empty group
             low, high = 0, len(keys)
@@ -763,14 +783,16 @@ class _Evaluator:
     # stratum evaluation
 
     def _emitter(self, frame: _Frame) -> Callable[[set[int]], Step]:
-        """The last step of a rule's plans: add the head atom if it is new,
-        with the binding's supports and checks as its derivation."""
+        """The last step of a rule's plans: append the head atom if it is
+        new, with the binding's supports and checks as its derivation."""
         compiled = frame.compiled
         rule = compiled.rule
         head = rule.head
         assert head is not None
         model, entries, predicate = self.model, self.graph.entries, head.predicate
-        known = model.relation(predicate).atoms
+        relation = model.relation(predicate)
+        known, rows, indexes = relation.atoms, relation.rows, relation.indexes
+        order = model._order
         support_atoms = [model.relation(p).atoms for p in compiled.support_predicates]
         supports, checks = frame.supports, frame.checks
 
@@ -782,8 +804,14 @@ class _Evaluator:
                 if args in known:
                     return
                 atom = new_tuple(Fact, (predicate, args))
-                model.add(atom)
-                self.derived.add(atom)
+                # Model.add without its membership test
+                known[args] = atom
+                rows.append(args)
+                order.append(atom)
+                if indexes:
+                    for position, index in indexes.items():
+                        if position < len(args):
+                            index.setdefault(args[position], []).append(args)
                 entries[atom] = new_tuple(Derivation, (
                     rule, tuple(map(dict.__getitem__, support_atoms, supports)), tuple(checks)))
             return emit
@@ -793,8 +821,8 @@ class _Evaluator:
                     stratum_predicates: set[str]) -> None:
         """Fire every rule once over the model, then run semi-naive rounds:
         each recursive rule re-joins once per body atom of the stratum,
-        scanning there only the last round's new atoms, until a round
-        derives none."""
+        scanning there only the window of rows the last round appended,
+        until a round appends none."""
         firsts: list[tuple[Step, int]] = []
         rounds: list[tuple[Step, int]] = []
         for compiled in compiled_rules:
@@ -806,11 +834,17 @@ class _Evaluator:
                 if isinstance(literal, Atom) and literal.predicate in stratum_predicates:
                     order = _delta_order(rule, compiled.order, i)
                     rounds.append((self._plan(frame, order, finish, i), width))
-        self.derived = Model()
+        relations = {p: self.model.relation(p) for p in stratum_predicates}
+        before = {p: len(relation.rows) for p, relation in relations.items()}
         for plan, width in firsts:
             plan([None] * width)
-        while self.derived and rounds:
-            self.delta, self.derived = self.derived, Model()
+        while rounds:
+            after = {p: len(relation.rows) for p, relation in relations.items()}
+            if after == before:
+                break
+            self.windows = {p: _Relation(relation.rows[before[p]:after[p]])
+                            for p, relation in relations.items()}
+            before = after
             for plan, width in rounds:
                 plan([None] * width)
 

@@ -5,7 +5,7 @@ its integer Unix timestamp yields a :class:`LogEntry`. Log lines carry no
 year, so the caller pins a base year (and optionally a fixed-offset zone)
 to keep conversions deterministic across runs and machines.
 
-Both are named tuples. The CSV reader builds them with
+Both are named tuples. The readers build them with
 :data:`stratalog.facts.new_tuple`, a C call with no per-field Python work.
 They hash as the tuple of their fields and equal the plain tuple of their
 fields.
@@ -20,14 +20,14 @@ as Feb 30. A date skip is listed after every field skip. A CSV row that
 whole: its remaining lines, up to the line where it ends outside quotes,
 are read past, so no text inside one of its fields is read as a row.
 
-The CSV reader makes entries in one pass: it looks columns up by their
-header position, reads exactly what :class:`csv.DictReader` would, and
-checks, builds and timestamps each row as it reads it, taking the time of
-day from the check. Timestamps in a fixed-offset zone (a
-:class:`datetime.timezone`) are each day's midnight, computed once per day,
-plus the time of day; any other ``tzinfo``, and any time that is not plain
-ASCII ``hh:mm:ss``, goes through :func:`to_timestamp`, since only a full
-``datetime`` knows where its offset changes.
+Both readers make entries in one pass: each checks, builds and
+timestamps a line or row as it reads it, taking the time of day from the
+check. The CSV reader looks columns up by their header position and reads
+exactly what :class:`csv.DictReader` would. Timestamps in a fixed-offset
+zone (a :class:`datetime.timezone`) are each day's midnight, computed once
+per day, plus the time of day; any other ``tzinfo``, and any time that is
+not plain ASCII ``hh:mm:ss``, goes through :func:`to_timestamp`, since
+only a full ``datetime`` knows where its offset changes.
 """
 from __future__ import annotations
 
@@ -153,34 +153,29 @@ def _check_record_fields(month: str, day: int, time_of_day: str,
     return None, seconds
 
 
+def _syslog_record(line: str, line_id: int) -> tuple[RawLogRecord, Optional[int]]:
+    """One syslog line's record and ``_plain_seconds`` of its time."""
+    m = _SYSLOG_RE.match(line.rstrip("\n"))
+    if not m:
+        raise SyslogFormatError(line)
+    month, day_text, time_of_day, _host, component, pid, content = m.groups()
+    day = int(day_text)
+    content = content.strip()
+    problem, seconds = _check_record_fields(month, day, time_of_day, content)
+    if problem is not None:
+        raise SyslogFormatError(line)
+    return new_tuple(RawLogRecord, (
+        line_id, month, day, time_of_day, None, component.strip(),
+        None if pid is None else int(pid), content, "raw", "")), seconds
+
+
 def parse_raw_syslog_line(line: str, line_id: int = 1) -> RawLogRecord:
     """Parse one classic syslog line; the host field is parsed but not kept.
 
     The event id is set to the sentinel ``"raw"`` since unstructured input
     carries no template metadata.
     """
-    m = _SYSLOG_RE.match(line.rstrip("\n"))
-    if not m:
-        raise SyslogFormatError(line)
-    month = m.group("month")
-    day = int(m.group("day"))
-    time_of_day = m.group("time")
-    content = m.group("content").strip()
-    if _check_record_fields(month, day, time_of_day, content)[0] is not None:
-        raise SyslogFormatError(line)
-    pid = m.group("pid")
-    return RawLogRecord(
-        line_id=line_id,
-        month=month,
-        day=day,
-        time_of_day=time_of_day,
-        level=None,
-        component=m.group("component").strip(),
-        pid=int(pid) if pid is not None else None,
-        content=content,
-        event_id="raw",
-        event_template="",
-    )
+    return _syslog_record(line, line_id)[0]
 
 
 def to_timestamp(record: RawLogRecord, base_year: int, zone: tzinfo = timezone.utc) -> int:
@@ -390,21 +385,36 @@ def read_csv_entries(stream: IO[str],
 
 def read_syslog_entries(lines: Iterable[str],
                         options: IngestOptions | None = None) -> tuple[list[LogEntry], IngestResult]:
-    """Parse raw syslog text line by line; blank lines are ignored, and
-    unparseable lines and lines holding U+FFFD are skipped and counted."""
+    """Parse raw syslog text line by line into timestamped entries, checking,
+    building and timestamping each line in one pass. Blank lines are
+    ignored; unparseable lines, lines holding U+FFFD and records whose date
+    their year lacks are skipped and counted, the date skips listed last."""
+    opts = options or IngestOptions()
+    year = opts.base_year
+    timestamp = _timestamper(year, opts.zone)
     result = IngestResult()
+    records, errors = result.records, result.errors
+    entries: list[LogEntry] = []
+    date_errors: list[str] = []
     line_id = 0
     for line in lines:
         if not line.strip():
             continue
         line_id += 1
         if _UNDECODABLE in line:
-            result.skipped += 1
-            result.errors.append(f"undecodable bytes in syslog line: {line!r}")
+            errors.append(f"undecodable bytes in syslog line: {line!r}")
             continue
         try:
-            result.records.append(parse_raw_syslog_line(line, line_id=line_id))
+            record, seconds = _syslog_record(line, line_id)
         except SyslogFormatError as exc:
-            result.skipped += 1
-            result.errors.append(str(exc))
-    return entries_from_records(result, options), result
+            errors.append(str(exc))
+            continue
+        stamp = timestamp(record, seconds)
+        if stamp is None:
+            date_errors.append(_no_such_date(record, year))
+            continue
+        records.append(record)
+        entries.append(new_tuple(LogEntry, (record, stamp)))
+    errors += date_errors
+    result.skipped = len(errors)
+    return entries, result

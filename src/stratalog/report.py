@@ -233,6 +233,18 @@ def _render_check(check, node: DerivationNode) -> str:
     return str(check)
 
 
+#: The deepest level of a derivation line that is indented; a deeper line
+#: keeps this indentation and starts with its level, as ``[33] ``, so the
+#: text of a derivation grows linearly with its depth.
+MAX_INDENT = 32
+
+
+def _pad(level: int) -> str:
+    if level <= MAX_INDENT:
+        return "  " * level
+    return f"{'  ' * MAX_INDENT}[{level}] "
+
+
 def _render_node(root: DerivationNode, indent: int, lines: list[str]) -> None:
     """Indented text of a derivation tree: each rule node's line, then its
     children, then its checks. Iterative, so any depth renders."""
@@ -243,13 +255,14 @@ def _render_node(root: DerivationNode, indent: int, lines: list[str]) -> None:
             lines.append(item)
             continue
         node, depth = item
-        pad = "  " * depth
+        pad = _pad(depth)
         if node.is_fact:
             lines.append(f"{pad}{node.atom}  [input fact]")
             continue
         span = node.rule.span
         lines.append(f"{pad}{node.atom}  [rule at {span.line}:{span.column}]")
-        pending.extend(f"{pad}  {_render_check(check, node)}"
+        check_pad = _pad(depth + 1)
+        pending.extend(f"{check_pad}{_render_check(check, node)}"
                        for check in reversed(node.checks))
         pending.extend((child, depth + 1) for child in reversed(node.children))
 

@@ -19,11 +19,15 @@ answers from a sorted index instead of enumerating the group.
 Sizes stay small (few variables, a handful of constants) so the naive
 oracle's full grounding stays cheap; the caps match the documented limits
 (at most 8 predicates, arity 3, 30 facts, 10 rules, 1 aggregate per rule).
+
+:func:`programs` wraps the generator as a Hypothesis strategy over seeds.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+from hypothesis import strategies as st
 
 INT_PALETTE = ["0", "1", "2", "3"]
 SYM_PALETTE = ["a", "b"]
@@ -162,6 +166,12 @@ def generate_program(seed: int) -> str:
         lines.append(f"{pred.name}({','.join(args)}).")
 
     return "\n".join(lines) + "\n"
+
+
+def programs() -> st.SearchStrategy[str]:
+    """Generated program texts, drawn by seed: a failing example shrinks
+    towards seed 0, and Hypothesis reports the program it failed on."""
+    return st.integers(min_value=0, max_value=2**32 - 1).map(generate_program)
 
 
 if __name__ == "__main__":

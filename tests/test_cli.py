@@ -9,6 +9,7 @@ import pytest
 
 import stratalog
 from stratalog.cli import EXIT_ERROR, EXIT_INCONSISTENT, EXIT_OK, main
+from stratalog.report import MAX_INDENT
 
 
 @pytest.fixture
@@ -156,13 +157,16 @@ class TestFlags:
 class TestDeepDerivation:
     """A derivation deeper than the interpreter's recursion limit."""
 
+    @staticmethod
+    def chain_rules(path, n):
+        edges = " ".join(f"edge({i}, {i + 1})." for i in range(n))
+        path.write_text("reach(0).\nreach(Y) :- reach(X), edge(X, Y).\n" + edges
+                        + f"\nsystem_issue(deep, Y) :- reach(Y), Y == {n}.\n")
+        return path
+
     @pytest.fixture
     def deep_rules(self, tmp_path):
-        edges = " ".join(f"edge({i}, {i + 1})." for i in range(3000))
-        path = tmp_path / "deep.lp"
-        path.write_text("reach(0).\nreach(Y) :- reach(X), edge(X, Y).\n" + edges
-                        + "\nsystem_issue(deep, Y) :- reach(Y), Y == 3000.\n")
-        return path
+        return self.chain_rules(tmp_path / "deep.lp", 3000)
 
     def test_text_report_renders_every_step(self, capsys, sample_path, deep_rules):
         code, out, err = run_main(
@@ -172,8 +176,22 @@ class TestDeepDerivation:
         assert lines[0] == "system_issue: issue=deep at 3000 (1970-01-01T00:50:00+00:00)"
         assert lines[1] == "  system_issue(deep,3000)  [rule at 4:1]"
         assert lines[2] == "    reach(3000)  [rule at 2:1]"
-        assert lines.count("  " * 3002 + "reach(0)  [input fact]") == 1
+        assert lines.count("  " * MAX_INDENT + "[3002] reach(0)  [input fact]") == 1
         assert lines[-1] == "total: 1 (system_issue: 1)"
+
+    def test_text_report_grows_linearly_with_depth(self, capsys, sample_path, tmp_path):
+        sizes = []
+        for n in (1000, 2000, 3000):
+            rules = self.chain_rules(tmp_path / f"chain{n}.lp", n)
+            code, out, err = run_main(
+                capsys, ["detect", str(sample_path), "--rules", str(rules)] + BASE)
+            assert code == EXIT_OK, err
+            sizes.append(len(out.encode()))
+        # each further thousand steps adds the same bytes, give or take the
+        # widths of the numbers; quadratic growth would add 4 MB more
+        first, second = sizes[1] - sizes[0], sizes[2] - sizes[1]
+        assert abs(second - first) < 0.01 * first
+        assert sizes[2] < 3000 * 200
 
     def test_json_report_fails_in_the_report_stage(self, capsys, sample_path, deep_rules):
         code, out, err = run_main(

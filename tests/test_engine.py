@@ -1,4 +1,5 @@
 """Evaluator behavior: models, recursion, aggregates, explanations, errors."""
+import hashlib
 import pickle
 import random
 
@@ -540,3 +541,48 @@ class TestRecursivePlans:
         assert sorted(model.atoms("count")) == [(i,) for i in range(13)]
         node = explain(graph, fact("count", 12))
         assert [child.atom for child in node.children] == [fact("limit", 12), fact("count", 11)]
+
+
+def run_digest(text):
+    """SHA-256 of a program's model order and of each recorded derivation
+    (atom, rule span, supports, checks) in insertion order."""
+    model, graph = evaluate(parse_program(text))
+    lines = [str(atom) for atom in model]
+    for atom, entry in graph.entries.items():
+        lines.append(" | ".join([str(atom), str(entry.rule.span),
+                                 " ".join(map(str, entry.supports)),
+                                 " ".join(map(repr, entry.checks))]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def semi_naive_programs():
+    path, edges = shuffled_chain(30, seed=7)
+    programs = {name: f"reach(X, Y) :- edge(X, Y). {rule} {edges}"
+                for name, rule in CLOSURES.items()}
+    programs["mutual"] = ("odd(X, Y) :- edge(X, Y). odd(X, Z) :- even(X, Y), edge(Y, Z)."
+                          " even(X, Z) :- odd(X, Y), edge(Y, Z). " + edges)
+    programs["keyed-delta"] = (f"r(X, Y) :- edge(X, Y). r({path[0]}, Z) :- "
+                               f"r({path[0]}, Y), edge(Y, Z), Z != {path[-1]}. " + edges)
+    programs["two-arities"] = ("p(X, Y) :- edge(X, Y). p(X, Z) :- p(X, Y), edge(Y, Z)."
+                               f" p({path[0]}). p(Y) :- p(X), p(X, Y), not q(Y)."
+                               f" q({path[5]}). " + edges)
+    return programs
+
+
+class TestSemiNaiveDigest:
+    """The semi-naive rounds must keep every atom's order and its first
+    recorded derivation; the digests were taken before the delta became a
+    window of the model's rows."""
+
+    DIGESTS = {
+        "non-linear": "bea4d10c1ef71a2a3b58a5940f5289e4bf6ba562e3776db56d5f9b5a0c7f61c1",
+        "delta-inner": "e2267bdcf9ff301ed25967060153c168a7c48ed083eb354d2cb3173e0ef1ae21",
+        "delta-first": "3aa400b25e0ec6bf47c3d19379596b187ec8270b12e9116258b5df622d531f05",
+        "mutual": "bec562401370465a54334a4c216efd4871c0ad1a49f3903e5cc50390cf99f0ea",
+        "keyed-delta": "b0c9db426ba1c728b47312a5a74ce5ac7e64ac7bfb94ea046f41f7f277d5dac7",
+        "two-arities": "eaaaa09343de42f515da4706a18d0d0152500b515fbd46d7ce586ffdb44c9b26",
+    }
+
+    @pytest.mark.parametrize("name", DIGESTS)
+    def test_digest(self, name):
+        assert run_digest(semi_naive_programs()[name]) == self.DIGESTS[name]

@@ -469,11 +469,17 @@ class TestReadersAgreeWithReference:
             (ValueError, "year 0 is out of range")
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(_DATES), st.sampled_from(_TIMES)), max_size=8),
-           _reference_options)
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(_DATES), st.sampled_from(_TIMES)),
+        # lines skipped before any timestamp: no prefix, a bad time, an
+        # undecodable byte, no content
+        st.sampled_from(["not a log line", "Jun 14 24:00:00 combo x: y",
+                         "Jun 14 15:16:02 combo x: \ufffd", "Jun 14 15:16:02 combo x:"])),
+        max_size=8), _reference_options)
     def test_syslog(self, stamps, options):
-        text = "".join(f"{month} {day} {time_of_day} combo sshd[1]: line {i}\n"
-                       for i, ((month, day), time_of_day) in enumerate(stamps))
+        text = "".join(f"{stamp}\n" if isinstance(stamp, str) else
+                       f"{stamp[0][0]} {stamp[0][1]} {stamp[1]} combo sshd[1]: line {i}\n"
+                       for i, stamp in enumerate(stamps))
         assert _outcome(read_syslog_entries, text, options) == \
             _outcome(reference.read_syslog_entries, text, options)
 

@@ -6,14 +6,16 @@ no evaluation code with the engine, so agreement on randomly generated
 programs is strong evidence both compute the same models.
 """
 import pytest
+from hypothesis import assume, given, settings
 
 from stratalog.engine import Inconsistent, evaluate
 from stratalog.facts import fact
+from stratalog.lang import format_program
 from stratalog.oracle import OracleCapacityError, naive_oracle
 from stratalog.parser import parse_program
 
 from derivations import check_derivations
-from progen import generate_program
+from progen import generate_program, programs
 
 
 def engine_atoms(result):
@@ -101,3 +103,35 @@ class TestDerivationValidity:
         result = evaluate(parse_program(generate_program(seed)))
         if not isinstance(result, Inconsistent):
             check_derivations(*result)
+
+
+class TestGeneratedProgramProperties:
+    """The seeded checks above, over seeds Hypothesis draws: a failure
+    shrinks to a small seed and is reported with its program."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs())
+    def test_engine_agrees_with_the_oracle(self, text):
+        program = parse_program(text)
+        try:
+            oracle_result = oracle_atoms(naive_oracle(program))
+        except OracleCapacityError:
+            assume(False)
+        engine_result = engine_atoms(evaluate(program))
+        if isinstance(engine_result, Inconsistent):
+            assert isinstance(oracle_result, Inconsistent)
+        else:
+            assert engine_result == oracle_result
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs())
+    def test_every_recorded_derivation_rechecks(self, text):
+        result = evaluate(parse_program(text))
+        if not isinstance(result, Inconsistent):
+            check_derivations(*result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs())
+    def test_program_round_trips_through_its_text(self, text):
+        program = parse_program(text)
+        assert parse_program(format_program(program)) == program
