@@ -1,9 +1,9 @@
 """Reading logs: raw syslog lines and structured CSV exports.
 
-Both readers produce the same LogEntry records: a component name, an
-optional PID, the free-text message, and a UTC epoch timestamp.  Syslog
-timestamps carry no year, so the reader pins one (base_year) for every
-line.
+Both readers produce the same LogEntry values, one named tuple per line: a
+component name, an optional PID, the free-text message, and a UTC epoch
+timestamp.  Syslog timestamps carry no year, so the reader pins one
+(base_year) for every line.
 """
 from io import StringIO
 from pathlib import Path
@@ -21,10 +21,10 @@ with open(HERE / "data" / "sample.log") as handle:
 print(f"parsed {len(entries)} syslog entries ({result.skipped} skipped)")
 first = entries[0]
 print("first entry:")
-print(f"  component = {first.record.component!r}")
-print(f"  pid       = {first.record.pid!r}")
+print(f"  component = {first.component!r}")
+print(f"  pid       = {first.pid!r}")
 print(f"  timestamp = {first.timestamp}  (Unix epoch, UTC)")
-print(f"  content   = {first.record.content!r}")
+print(f"  content   = {first.content!r}")
 
 # Timestamps are plain integers, so arithmetic is ordinary arithmetic:
 span = entries[-1].timestamp - entries[0].timestamp
@@ -42,7 +42,7 @@ csv_entries, csv_result = read_csv_entries(StringIO(csv_text),
                                            IngestOptions(base_year=2005))
 print(f"\nparsed {len(csv_entries)} CSV entries")
 for entry in csv_entries:
-    print(f"  {entry.timestamp}  {entry.record.component}: {entry.record.content[:40]}...")
+    print(f"  {entry.timestamp}  {entry.component}: {entry.content[:40]}...")
 
 # The two readers agree: the first CSV row above is the same event as the
 # first syslog line, and both produce the identical timestamp.

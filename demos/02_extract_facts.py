@@ -39,10 +39,10 @@ print("\nper-entry extraction (first match wins, at most one fact each):")
 for entry in entries[:3] + entries[15:17]:
     facts = entry_to_facts(entry)
     rendered = format_fact(facts[0]) if facts else "(no match)"
-    print(f"  {entry.record.component:18s} {rendered}")
+    print(f"  {entry.component:18s} {rendered}")
 
 # The kernel noise line matches no table row and produces nothing:
-kernel = [e for e in entries if e.record.component == "kernel"][0]
+kernel = [e for e in entries if e.component == "kernel"][0]
 assert entry_to_facts(kernel) == []
 print(f"  {'kernel':18s} (no match)  <- background noise is dropped")
 

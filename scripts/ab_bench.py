@@ -9,16 +9,17 @@ quartiles of every metric, with how many pairs the change won::
         --workload spread --workload closure --seed 11 --pairs 10 --seconds 40 \\
         --trace-pairs 5 --trace-seconds 20 --out BENCH_8.json
 
-Both checkouts run with identical settings and this interpreter. Start from
-trees without a stale ``__pycache__``: a side that compiles its package on
-every set-up sample and one that does not differ in ``setup_s`` by that
-compile time. Standard library only; it reads ``BENCHMARK.json`` of the
-change checkout for each metric's better direction and imports nothing of
-the benchmark.
+Both checkouts run with identical settings and this interpreter. Before
+the first pair, each side's ``src/`` is compiled to bytecode, so that no run
+compiles the package on import, even under ``PYTHONDONTWRITEBYTECODE=1``:
+otherwise ``setup_s`` and ``peak_rss_mb`` move with the size of the source.
+Standard library only; it reads ``BENCHMARK.json`` of the change checkout
+for each metric's better direction and imports nothing of the benchmark.
 """
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -52,6 +53,12 @@ def summarize(parent: Sequence[float], change: Sequence[float], better: str) -> 
         "change_over_parent": round(statistics.median(change) / statistics.median(parent), 4),
         "parent_iqr": round(parent_side["q3"] - parent_side["q1"], 6),
     }
+
+
+def warm_bytecode(checkout: Path) -> None:
+    """Write the bytecode of every module under the checkout's ``src/``."""
+    if not compileall.compile_dir(checkout / "src", quiet=1):
+        raise RuntimeError(f"could not compile {checkout / 'src'}")
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float,
@@ -130,6 +137,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for checkout in sides.values():
+        warm_bytecode(checkout)
     declared = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     command = "python3 bench/run.py --workload W --seed {} --seconds {} --trace {}"
@@ -138,7 +147,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "parent": args.parent_label,
         "host": (f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
                  f"Python {platform.python_version()}; PYTHONDONTWRITEBYTECODE="
-                 f"{os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r}"),
+                 f"{os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r}; each side's src/ "
+                 "compiled to bytecode before the first pair"),
         "end_to_end": {
             "command": command.format(args.seed, args.seconds, 0),
             "method": (f"{args.pairs} pairs per workload, alternating which side runs "

@@ -1,9 +1,10 @@
 """Explainable anomaly detection for system logs.
 
 The pipeline: parse logs (structured CSV or raw syslog) into timestamped
-records, extract logical facts from message content, evaluate detection
-rules written in a stratified logic language with negation-as-failure and
-count aggregates, and report every alert with its full derivation chain.
+entries, one named tuple per line; extract logical facts from message
+content; evaluate detection rules written in a stratified logic language
+with negation-as-failure and count aggregates; and report every alert with
+its full derivation chain.
 
 The names below are the documented API. Everything else, such as the
 reference oracle ``stratalog.oracle.naive_oracle``, is imported from its

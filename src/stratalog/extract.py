@@ -154,7 +154,7 @@ class _Statuses(dict):
 
 
 def _build_fact(row: MappingRule, entry: LogEntry, statuses: _Statuses) -> Optional[Fact]:
-    content = entry.record.content
+    content = entry.content
     timestamp = entry.timestamp
     ip = extract_ip(content)
     if row.require_ip and ip is None:
@@ -168,9 +168,7 @@ def _build_fact(row: MappingRule, entry: LogEntry, statuses: _Statuses) -> Optio
         uid = extract_uid(content)
         return Fact(predicate, (user, -1 if uid is None else uid,
                                 statuses[row.status], timestamp))
-    if predicate == "network_connection":
-        return Fact(predicate, (ip or UNKNOWN, timestamp))
-    if predicate == "klogind_auth_failure":
+    if predicate in ("network_connection", "klogind_auth_failure"):
         return Fact(predicate, (ip or UNKNOWN, timestamp))
     # single-argument event markers
     return Fact(predicate, (timestamp,))
@@ -204,11 +202,11 @@ def entries_to_facts(entries: Sequence[LogEntry],
     statuses = _Statuses()
     out: list[Fact] = []
     for entry in entries:
-        record = entry.record
-        rows = rows_for.get(record.component)
+        component = entry.component
+        rows = rows_for.get(component)
         if rows is None:
-            rows = rows_for[record.component] = _rows_passing(table, record.component)
-        content = record.content
+            rows = rows_for[component] = _rows_passing(table, component)
+        content = entry.content
         lowered = None
         for row, needle in rows:
             if row.case_insensitive:

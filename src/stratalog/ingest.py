@@ -1,14 +1,13 @@
 """Log ingestion: structured CSV exports and classic raw syslog lines.
 
-Both input shapes normalize to :class:`RawLogRecord`; pairing a record with
-its integer Unix timestamp yields a :class:`LogEntry`. Log lines carry no
+Both input shapes normalize to :class:`LogEntry`, one named tuple per
+kept line: its fields and its integer Unix timestamp. Log lines carry no
 year, so the caller pins a base year (and optionally a fixed-offset zone)
 to keep conversions deterministic across runs and machines.
 
-Both are named tuples. The readers build them with
-:data:`stratalog.facts.new_tuple`, a C call with no per-field Python work.
-They hash as the tuple of their fields and equal the plain tuple of their
-fields.
+The readers build each entry once, with :data:`stratalog.facts.new_tuple`,
+a C call with no per-field Python work. An entry hashes as the tuple of
+its fields and equals the plain tuple of its fields.
 
 A line or row that cannot become an entry is skipped and counted, with its
 reason, in :class:`IngestResult`; every other line is kept. That covers
@@ -81,11 +80,12 @@ class SyslogFormatError(ValueError):
     """A raw line does not match the syslog prefix grammar."""
 
     def __init__(self, line: str):
-        self.line = line
         super().__init__(f"unparseable syslog line: {line!r}")
 
 
-class RawLogRecord(NamedTuple):
+class LogEntry(NamedTuple):
+    """One kept log line: its fields, then the Unix timestamp of its instant."""
+
     line_id: int
     month: str
     day: int
@@ -96,14 +96,6 @@ class RawLogRecord(NamedTuple):
     content: str
     event_id: str
     event_template: str
-
-    @property
-    def month_number(self) -> int:
-        return MONTHS[self.month]
-
-
-class LogEntry(NamedTuple):
-    record: RawLogRecord
     timestamp: int
 
 
@@ -115,7 +107,8 @@ class IngestOptions:
 
 @dataclass
 class IngestResult:
-    records: list[RawLogRecord] = field(default_factory=list)
+    #: The entries a reader kept: the very list it returns beside this result.
+    records: list[LogEntry] = field(default_factory=list)
     skipped: int = 0
     errors: list[str] = field(default_factory=list)
 
@@ -153,8 +146,10 @@ def _check_record_fields(month: str, day: int, time_of_day: str,
     return None, seconds
 
 
-def _syslog_record(line: str, line_id: int) -> tuple[RawLogRecord, Optional[int]]:
-    """One syslog line's record and ``_plain_seconds`` of its time."""
+def _syslog_record(line: str) -> tuple[str, int, str, str, Optional[int], str, Optional[int]]:
+    """One syslog line's month, day, time of day, component, pid and content
+    (the host is dropped), and ``_plain_seconds`` of its time; a line the
+    grammar or the field checks refuse raises :class:`SyslogFormatError`."""
     m = _SYSLOG_RE.match(line.rstrip("\n"))
     if not m:
         raise SyslogFormatError(line)
@@ -164,27 +159,18 @@ def _syslog_record(line: str, line_id: int) -> tuple[RawLogRecord, Optional[int]
     problem, seconds = _check_record_fields(month, day, time_of_day, content)
     if problem is not None:
         raise SyslogFormatError(line)
-    return new_tuple(RawLogRecord, (
-        line_id, month, day, time_of_day, None, component.strip(),
-        None if pid is None else int(pid), content, "raw", "")), seconds
+    return (month, day, time_of_day, component.strip(), None if pid is None else int(pid),
+            content, seconds)
 
 
-def parse_raw_syslog_line(line: str, line_id: int = 1) -> RawLogRecord:
-    """Parse one classic syslog line; the host field is parsed but not kept.
-
-    The event id is set to the sentinel ``"raw"`` since unstructured input
-    carries no template metadata.
-    """
-    return _syslog_record(line, line_id)[0]
-
-
-def to_timestamp(record: RawLogRecord, base_year: int, zone: tzinfo = timezone.utc) -> int:
-    """Unix epoch seconds of the record's calendar instant in the given zone.
+def to_timestamp(month: str, day: int, time_of_day: str, base_year: int,
+                 zone: tzinfo = timezone.utc) -> int:
+    """Unix epoch seconds of the date's calendar instant in the given zone.
 
     Raises ValueError for dates that do not exist (e.g. Feb 30).
     """
-    hh, mm, ss = (int(part) for part in record.time_of_day.split(":"))
-    moment = datetime(base_year, record.month_number, record.day, hh, mm, ss, tzinfo=zone)
+    hh, mm, ss = (int(part) for part in time_of_day.split(":"))
+    moment = datetime(base_year, MONTHS[month], day, hh, mm, ss, tzinfo=zone)
     return int(moment.timestamp())
 
 
@@ -193,62 +179,43 @@ _MICROSECOND = timedelta(microseconds=1)
 
 
 def _timestamper(base_year: int,
-                 zone: tzinfo) -> Callable[[RawLogRecord, Optional[int]], Optional[int]]:
-    """``to_timestamp`` for one year and zone, equal to it on every record
-    whose date the year has, and None on any other (Feb 30, or Feb 29
-    outside a leap year). A year out of range raises ``ValueError``.
+                 zone: tzinfo) -> Callable[[str, int, str, Optional[int]], Optional[int]]:
+    """``to_timestamp`` for one year and zone, equal to it on every date the
+    year has, and None on any other (Feb 30, or Feb 29 outside a leap
+    year). A year out of range raises ``ValueError``.
 
-    The function takes a record and ``_plain_seconds`` of its time. In a
-    fixed-offset zone, an instant with a plain time is its day's midnight
-    plus those seconds, so each (month, day) costs one ``datetime`` and each
-    record only arithmetic: the microseconds since the epoch, divided as
-    ``datetime.timestamp`` divides them. A bad date fails in the
-    ``datetime`` of its midnight. Any other zone or time goes through
-    ``to_timestamp``."""
+    The function takes a month, day and time of day, and ``_plain_seconds``
+    of that time. In a fixed-offset zone, an instant with a plain time is
+    its day's midnight plus those seconds, so each (month, day) costs one
+    ``datetime`` and each line only arithmetic: the microseconds since the
+    epoch, divided as ``datetime.timestamp`` divides them. A bad date fails
+    in the ``datetime`` of its midnight. Any other zone or time goes
+    through ``to_timestamp``."""
     fixed = isinstance(zone, timezone)
     midnights: dict[tuple[str, int], int] = {}
 
-    def timestamp(record: RawLogRecord, seconds: Optional[int]) -> Optional[int]:
+    def timestamp(month: str, day: int, time_of_day: str,
+                  seconds: Optional[int]) -> Optional[int]:
         try:
             if seconds is None or not fixed:
-                return to_timestamp(record, base_year, zone)
-            key = (record.month, record.day)
+                return to_timestamp(month, day, time_of_day, base_year, zone)
+            key = (month, day)
             midnight = midnights.get(key)
             if midnight is None:
-                moment = datetime(base_year, record.month_number, record.day, tzinfo=zone)
+                moment = datetime(base_year, MONTHS[month], day, tzinfo=zone)
                 midnight = midnights[key] = (moment - _EPOCH) // _MICROSECOND
             return int((midnight + seconds * 1_000_000) / 1_000_000)
         except ValueError:
-            if record.day <= 28:
+            if day <= 28:
                 raise  # every month has this day, so the year is out of range
             return None
 
     return timestamp
 
 
-def _no_such_date(record: RawLogRecord, year: int) -> str:
-    """The skip reason of a record whose date its year lacks."""
-    return f"line {record.line_id}: no {record.month} {record.day} in {year}"
-
-
-def entries_from_records(result: IngestResult,
-                         options: IngestOptions | None = None) -> list[LogEntry]:
-    """Attach timestamps to the result's records, all in the base year. A
-    record whose date does not exist in that year (Feb 30, or Feb 29 outside
-    a leap year) moves from ``records`` to ``skipped``."""
-    opts = options or IngestOptions()
-    entries: list[LogEntry] = []
-    year = opts.base_year
-    timestamp = _timestamper(year, opts.zone)
-    for record in result.records:
-        stamp = timestamp(record, _plain_seconds(record.time_of_day))
-        if stamp is None:
-            result.skipped += 1
-            result.errors.append(_no_such_date(record, year))
-        else:
-            entries.append(LogEntry(record, stamp))
-    result.records = [entry.record for entry in entries]
-    return entries
+def _no_such_date(line_id: int, month: str, day: int, year: int) -> str:
+    """The skip reason of a line whose date its year lacks."""
+    return f"line {line_id}: no {month} {day} in {year}"
 
 
 # Where the excel dialect is in a CSV record: at a field's start, in an
@@ -299,7 +266,7 @@ def read_csv_entries(stream: IO[str],
     Each row is checked, built and timestamped in one pass. A row failing a
     type check, whose kept text holds U+FFFD or that :mod:`csv` cannot read,
     such as one holding a field over :func:`csv.field_size_limit`, is
-    skipped and counted, as is a record whose date its year lacks; those
+    skipped and counted, as is a row whose date its year lacks; those
     date skips are listed after every other. A missing required column
     raises :class:`MissingColumnError`. Rows read as :class:`csv.DictReader`
     reads them: blank rows are dropped and not numbered, a short row's
@@ -326,8 +293,7 @@ def read_csv_entries(stream: IO[str],
     year = opts.base_year
     timestamp = _timestamper(year, opts.zone)
     result = IngestResult()
-    records, errors = result.records, result.errors
-    entries: list[LogEntry] = []
+    entries, errors = result.records, result.errors
     date_errors: list[str] = []
     row_number = 1
     while True:
@@ -370,14 +336,12 @@ def read_csv_entries(stream: IO[str],
         if problem is not None:
             errors.append(f"row {row_number}: {problem}")
             continue
-        record = new_tuple(RawLogRecord, (line_id, month, day, time_of_day, level, component,
-                                          pid, content, event_id, event_template))
-        stamp = timestamp(record, seconds)
+        stamp = timestamp(month, day, time_of_day, seconds)
         if stamp is None:
-            date_errors.append(_no_such_date(record, year))
+            date_errors.append(_no_such_date(line_id, month, day, year))
             continue
-        records.append(record)
-        entries.append(new_tuple(LogEntry, (record, stamp)))
+        entries.append(new_tuple(LogEntry, (line_id, month, day, time_of_day, level, component,
+                                            pid, content, event_id, event_template, stamp)))
     errors += date_errors
     result.skipped = len(errors)
     return entries, result
@@ -387,14 +351,13 @@ def read_syslog_entries(lines: Iterable[str],
                         options: IngestOptions | None = None) -> tuple[list[LogEntry], IngestResult]:
     """Parse raw syslog text line by line into timestamped entries, checking,
     building and timestamping each line in one pass. Blank lines are
-    ignored; unparseable lines, lines holding U+FFFD and records whose date
+    ignored; unparseable lines, lines holding U+FFFD and lines whose date
     their year lacks are skipped and counted, the date skips listed last."""
     opts = options or IngestOptions()
     year = opts.base_year
     timestamp = _timestamper(year, opts.zone)
     result = IngestResult()
-    records, errors = result.records, result.errors
-    entries: list[LogEntry] = []
+    entries, errors = result.records, result.errors
     date_errors: list[str] = []
     line_id = 0
     for line in lines:
@@ -405,16 +368,17 @@ def read_syslog_entries(lines: Iterable[str],
             errors.append(f"undecodable bytes in syslog line: {line!r}")
             continue
         try:
-            record, seconds = _syslog_record(line, line_id)
+            month, day, time_of_day, component, pid, content, seconds = _syslog_record(line)
         except SyslogFormatError as exc:
             errors.append(str(exc))
             continue
-        stamp = timestamp(record, seconds)
+        stamp = timestamp(month, day, time_of_day, seconds)
         if stamp is None:
-            date_errors.append(_no_such_date(record, year))
+            date_errors.append(_no_such_date(line_id, month, day, year))
             continue
-        records.append(record)
-        entries.append(new_tuple(LogEntry, (record, stamp)))
+        # unstructured input carries no template: the event id is "raw"
+        entries.append(new_tuple(LogEntry, (line_id, month, day, time_of_day, None, component,
+                                            pid, content, "raw", "", stamp)))
     errors += date_errors
     result.skipped = len(errors)
     return entries, result

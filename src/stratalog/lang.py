@@ -13,8 +13,6 @@ from typing import Iterator, Optional, Union
 
 from .facts import Constant, Fact, Symbol, format_constant
 
-COMPARISON_OPS = ("==", "!=", ">=", "<=", ">", "<")
-
 #: Variables created for each anonymous ``_`` occurrence use this prefix;
 #: it cannot collide with surface syntax, and they print back as ``_``.
 ANON_PREFIX = "_#"
@@ -151,9 +149,7 @@ class Program:
 
 
 def format_term(term: Term) -> str:
-    if isinstance(term, Variable):
-        return str(term)
-    if isinstance(term, ArithTerm):
+    if isinstance(term, (Variable, ArithTerm)):
         return str(term)
     return format_constant(term)
 

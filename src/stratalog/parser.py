@@ -19,7 +19,8 @@ Grammar, informally::
     primary    := VAR | "_" | INT | "-" INT | STRING | IDENT
 
 ``%`` starts a comment. ``=`` is only legal as aggregate assignment; bare
-``X = Y`` is rejected with a hint to use ``==``. Errors carry line/column.
+``X = Y`` is rejected with a hint to use ``==``. A term holds at most
+:data:`MAX_TERM_DEPTH` ``+``/``-`` operators. Errors carry line/column.
 """
 from __future__ import annotations
 
@@ -44,6 +45,12 @@ from .lang import (
     Variable,
     substitute_consts,
 )
+
+
+#: The most ``+``/``-`` operators one term may hold. The grammar has no
+#: parentheses, so this is the deepest an arithmetic term nests, and every
+#: recursive walk of a term stays far inside the interpreter's stack.
+MAX_TERM_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -376,7 +383,11 @@ class _Parser:
 
     def _parse_term(self) -> Term:
         term = self._parse_primary()
+        depth = 0
         while self.current.kind in ("PLUS", "MINUS"):
+            depth += 1
+            if depth > MAX_TERM_DEPTH:
+                raise self.fail(f"term nests deeper than {MAX_TERM_DEPTH} '+'/'-' operators")
             op = self.advance().value
             right = self._parse_primary()
             term = ArithTerm(op, term, right)
@@ -415,44 +426,40 @@ def _atom_as_fact(atom: Atom) -> Optional[Fact]:
     return Fact(atom.predicate, tuple(args))
 
 
+def _map_atom(atom: Atom, consts: dict[str, int]) -> Atom:
+    return Atom(atom.predicate, tuple(substitute_consts(t, consts) for t in atom.terms))
+
+
+def _map_literal(literal: BodyLiteral, consts: dict[str, int]) -> BodyLiteral:
+    if isinstance(literal, Atom):
+        return _map_atom(literal, consts)
+    if isinstance(literal, Comparison):
+        return Comparison(substitute_consts(literal.left, consts), literal.op,
+                          substitute_consts(literal.right, consts))
+    if isinstance(literal, NafLiteral):
+        return NafLiteral(_map_atom(literal.atom, consts))
+    if isinstance(literal, AggregateLiteral):
+        aggregate = CountAggregate(
+            tuple(substitute_consts(t, consts) for t in literal.aggregate.elements),
+            tuple(_map_literal(c, consts) for c in literal.aggregate.condition),
+        )
+        return AggregateLiteral(aggregate, literal.op, substitute_consts(literal.bound, consts))
+    raise TypeError(f"not a body literal: {literal!r}")
+
+
 def _resolve_consts(program: Program) -> Program:
     """Substitute ``#const`` values for symbol references program-wide."""
     if not program.consts:
         return program
     consts = program.consts
-
-    def map_atom(atom: Atom) -> Atom:
-        return Atom(atom.predicate,
-                    tuple(substitute_consts(t, consts) for t in atom.terms))
-
-    def map_literal(literal: BodyLiteral) -> BodyLiteral:
-        if isinstance(literal, Atom):
-            return map_atom(literal)
-        if isinstance(literal, Comparison):
-            return Comparison(substitute_consts(literal.left, consts), literal.op,
-                              substitute_consts(literal.right, consts))
-        if isinstance(literal, NafLiteral):
-            return NafLiteral(map_atom(literal.atom))
-        if isinstance(literal, AggregateLiteral):
-            aggregate = CountAggregate(
-                tuple(substitute_consts(t, consts) for t in literal.aggregate.elements),
-                tuple(map_literal(c) for c in literal.aggregate.condition),
-            )
-            return AggregateLiteral(aggregate, literal.op,
-                                    substitute_consts(literal.bound, consts))
-        raise TypeError(f"not a body literal: {literal!r}")
-
     rules = [
-        Rule(map_atom(rule.head) if rule.head is not None else None,
-             tuple(map_literal(lit) for lit in rule.body),
+        Rule(_map_atom(rule.head, consts) if rule.head is not None else None,
+             tuple(_map_literal(lit, consts) for lit in rule.body),
              rule.span)
         for rule in program.rules
     ]
-    facts = [
-        Fact(f.predicate, tuple(consts[a.name] if isinstance(a, Symbol) and a.name in consts
-                                else a for a in f.args))
-        for f in program.facts
-    ]
+    facts = [Fact(f.predicate, tuple(substitute_consts(a, consts) for a in f.args))
+             for f in program.facts]
     return Program(consts, rules, facts)
 
 

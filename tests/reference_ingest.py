@@ -1,10 +1,11 @@
 """The straightforward readers that ``stratalog.ingest`` must agree with.
 
 A test oracle, as ``stratalog.oracle`` is for the engine: the CSV reader goes
-through ``csv.DictReader`` and every timestamp through one aware
-``datetime``. It shares only the record types and the column and month
-names with the library, so a fast path there that reads a row, a field or
-an instant differently shows up as a difference here.
+through ``csv.DictReader``, the syslog reader through its own copy of the
+line grammar, and every timestamp through one aware ``datetime``. It shares
+only the entry and result types, the error types and the column and month
+names with the library, so a fast path there that reads a row, a line, a
+field or an instant differently shows up as a difference here.
 """
 from __future__ import annotations
 
@@ -20,13 +21,15 @@ from stratalog.ingest import (
     IngestResult,
     LogEntry,
     MissingColumnError,
-    RawLogRecord,
     SyslogFormatError,
-    parse_raw_syslog_line,
 )
 
 _TIME_RE = re.compile(r"(\d{2}):(\d{2}):(\d{2})\Z")
 _UNDECODABLE = "\ufffd"
+_SYSLOG_RE = re.compile(
+    r"(?P<month>[A-Z][a-z]{2})\s+(?P<day>\d{1,2})\s+(?P<time>\d{2}:\d{2}:\d{2})\s+"
+    r"(?P<host>\S+)\s+(?P<component>[^\[\]:]+?)(?:\[(?P<pid>\d+)\])?:\s?(?P<content>.*)\Z"
+)
 
 
 def check_record_fields(month: str, day: int, time_of_day: str, content: str) -> Optional[str]:
@@ -45,7 +48,24 @@ def check_record_fields(month: str, day: int, time_of_day: str, content: str) ->
     return None
 
 
-def parse_structured_csv(stream: IO[str]) -> IngestResult:
+def parse_syslog_line(line: str, line_id: int) -> dict:
+    """The fields of one syslog line, the host dropped and the event id
+    ``"raw"``."""
+    m = _SYSLOG_RE.match(line.rstrip("\n"))
+    if not m:
+        raise SyslogFormatError(line)
+    day = int(m["day"])
+    content = m["content"].strip()
+    if check_record_fields(m["month"], day, m["time"], content) is not None:
+        raise SyslogFormatError(line)
+    return dict(line_id=line_id, month=m["month"], day=day, time_of_day=m["time"], level=None,
+                component=m["component"].strip(),
+                pid=None if m["pid"] is None else int(m["pid"]), content=content,
+                event_id="raw", event_template="")
+
+
+def parse_structured_csv(stream: IO[str]) -> tuple[list[dict], IngestResult]:
+    """The fields of each row that passes the checks, and the skips."""
     reader = csv.DictReader(stream)
     header = reader.fieldnames or []
     for column in REQUIRED_COLUMNS:
@@ -54,6 +74,7 @@ def parse_structured_csv(stream: IO[str]) -> IngestResult:
     has_level = "Level" in header
 
     result = IngestResult()
+    rows: list[dict] = []
     for row_number, row in enumerate(reader, start=2):
         try:
             line_id = int(row["LineId"])
@@ -81,48 +102,50 @@ def parse_structured_csv(stream: IO[str]) -> IngestResult:
             result.skipped += 1
             result.errors.append(f"row {row_number}: {problem}")
             continue
-        result.records.append(RawLogRecord(
+        rows.append(dict(
             line_id=line_id, month=month, day=day, time_of_day=time_of_day,
             level=level, component=component, pid=pid, content=content,
             event_id=event_id, event_template=event_template,
         ))
-    return result
+    return rows, result
 
 
-def to_timestamp(record: RawLogRecord, base_year: int, zone: tzinfo = timezone.utc) -> int:
-    hh, mm, ss = (int(part) for part in record.time_of_day.split(":"))
-    moment = datetime(base_year, record.month_number, record.day, hh, mm, ss, tzinfo=zone)
+def to_timestamp(month: str, day: int, time_of_day: str, base_year: int,
+                 zone: tzinfo = timezone.utc) -> int:
+    hh, mm, ss = (int(part) for part in time_of_day.split(":"))
+    moment = datetime(base_year, MONTHS[month], day, hh, mm, ss, tzinfo=zone)
     return int(moment.timestamp())
 
 
-def entries_from_records(result: IngestResult,
-                         options: IngestOptions | None = None) -> list[LogEntry]:
+def timestamp_rows(rows: list[dict], result: IngestResult,
+                   options: IngestOptions | None = None) -> list[LogEntry]:
+    """An entry for each row whose date exists in the base year, kept as
+    ``result.records``; each other row is counted as skipped."""
     opts = options or IngestOptions()
-    entries: list[LogEntry] = []
     year = opts.base_year
-    for record in result.records:
+    for row in rows:
         try:
-            entries.append(LogEntry(record, to_timestamp(record, year, opts.zone)))
+            stamp = to_timestamp(row["month"], row["day"], row["time_of_day"], year, opts.zone)
         except ValueError:
-            if record.day <= 28:
+            if row["day"] <= 28:
                 raise
             result.skipped += 1
-            result.errors.append(
-                f"line {record.line_id}: no {record.month} {record.day} in {year}")
-    result.records = [entry.record for entry in entries]
-    return entries
+            result.errors.append(f"line {row['line_id']}: no {row['month']} {row['day']} in {year}")
+            continue
+        result.records.append(LogEntry(**row, timestamp=stamp))
+    return result.records
 
 
 def read_csv_entries(stream: IO[str],
                      options: IngestOptions | None = None) -> tuple[list[LogEntry], IngestResult]:
-    result = parse_structured_csv(stream)
-    return entries_from_records(result, options), result
+    rows, result = parse_structured_csv(stream)
+    return timestamp_rows(rows, result, options), result
 
 
 def read_syslog_entries(lines: Iterable[str],
                         options: IngestOptions | None = None) -> tuple[list[LogEntry], IngestResult]:
-    """The library's line parser, with the reference timestamps."""
     result = IngestResult()
+    rows: list[dict] = []
     line_id = 0
     for line in lines:
         if not line.strip():
@@ -133,8 +156,8 @@ def read_syslog_entries(lines: Iterable[str],
             result.errors.append(f"undecodable bytes in syslog line: {line!r}")
             continue
         try:
-            result.records.append(parse_raw_syslog_line(line, line_id=line_id))
+            rows.append(parse_syslog_line(line, line_id))
         except SyslogFormatError as exc:
             result.skipped += 1
             result.errors.append(str(exc))
-    return entries_from_records(result, options), result
+    return timestamp_rows(rows, result, options), result

@@ -1,5 +1,6 @@
 """The A/B summary of ``scripts/ab_bench.py``, on fixed numbers; no benchmark runs."""
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,23 @@ def test_end_to_end_summary():
     assert summary["run_s"]["change_wins"] == 8
     assert summary["items_per_s"]["change_wins"] == 8
     assert summary["setup_s"]["change_wins"] == 0
+
+
+def test_warm_bytecode_writes_every_module(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    modules = [tmp_path / "src" / "pkg" / "__init__.py", tmp_path / "src" / "pkg" / "mod.py"]
+    for module in modules:
+        module.parent.mkdir(parents=True, exist_ok=True)
+        module.write_text("VALUE = 1\n", encoding="utf-8")
+    (tmp_path / "bench.py").write_text("VALUE = 2\n", encoding="utf-8")
+    ab_bench.warm_bytecode(tmp_path)
+    for module in modules:
+        assert Path(importlib.util.cache_from_source(str(module))).is_file()
+    assert not (tmp_path / "__pycache__").exists()
+
+
+def test_warm_bytecode_refuses_a_broken_module(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "bad.py").write_text("def (:\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="could not compile"):
+        ab_bench.warm_bytecode(tmp_path)

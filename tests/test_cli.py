@@ -9,6 +9,8 @@ import pytest
 
 import stratalog
 from stratalog.cli import EXIT_ERROR, EXIT_INCONSISTENT, EXIT_OK, main
+from stratalog.lang import format_program
+from stratalog.parser import MAX_TERM_DEPTH, parse_program
 from stratalog.report import MAX_INDENT
 
 
@@ -200,6 +202,59 @@ class TestDeepDerivation:
         assert code == EXIT_ERROR
         assert err == "error in report stage: derivation too deep to encode as JSON\n"
         assert out == ""
+
+
+def _sum(ones: int) -> str:
+    return "+".join(["1"] * ones)
+
+
+class TestDeepTerm:
+    """A term nested past ``MAX_TERM_DEPTH`` ends in a named stage error; one
+    at the limit runs like any other."""
+
+    @pytest.mark.parametrize("ones", [1000, MAX_TERM_DEPTH + 2])
+    def test_rules_file(self, capsys, sample_path, tmp_path, ones):
+        rules = tmp_path / "deep.lp"
+        rules.write_text(f"p({_sum(ones)}).\n")
+        code, out, err = run_main(capsys, ["detect", str(sample_path), "--rules", str(rules)]
+                                  + BASE)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error in rules stage: ")
+        assert f"deeper than {MAX_TERM_DEPTH} '+'/'-' operators" in err
+
+    def test_facts_file(self, capsys, sample_path, tmp_path):
+        facts = tmp_path / "deep.facts"
+        facts.write_text(f"p({_sum(1000)}).\n")
+        code, out, err = run_main(
+            capsys, ["detect", str(sample_path), "--extra-facts", str(facts)] + BASE)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error in facts stage: ")
+        assert f"deeper than {MAX_TERM_DEPTH} '+'/'-' operators" in err
+
+    def test_at_the_limit(self, capsys, sample_path, tmp_path):
+        text = (f"base(1).\np(X + {_sum(MAX_TERM_DEPTH)}) :- base(X).\n"
+                f"q({_sum(MAX_TERM_DEPTH + 1)}).\n"
+                "system_issue(deep, Y) :- p(Y), q(Y).\n")
+        program = parse_program(text)
+        assert parse_program(format_program(program)) == program
+        rules = tmp_path / "limit.lp"
+        rules.write_text(text)
+        code, out, err = run_main(capsys, ["detect", str(sample_path), "--rules", str(rules)]
+                                  + BASE)
+        assert code == EXIT_OK, err
+        value = MAX_TERM_DEPTH + 1
+        lines = out.splitlines()
+        assert lines[0].startswith(f"system_issue: issue=deep at {value} ")
+        assert lines[1:] == [f"  system_issue(deep,{value})  [rule at 4:1]",
+                             f"    p({value})  [rule at 2:1]",
+                             "      base(1)  [input fact]",
+                             f"    q({value})  [rule at 3:1]",
+                             "",
+                             "total: 1 (system_issue: 1)"]
 
 
 class TestEnvironmentFallbacks:

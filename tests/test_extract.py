@@ -21,18 +21,13 @@ from stratalog.extract import (
     extract_username,
 )
 from stratalog.facts import Fact, Symbol
-from stratalog.ingest import LogEntry, RawLogRecord, parse_raw_syslog_line
+from stratalog.ingest import LogEntry
 
 
-def record(component: str, content: str) -> RawLogRecord:
-    return RawLogRecord(line_id=1, month="Jun", day=14, time_of_day="15:16:01",
-                        level=None, component=component, pid=None, content=content,
-                        event_id="raw", event_template="")
-
-
-def entry(component: str, content: str, ts: int = 1000, pid: int = 1) -> LogEntry:
-    line = f"Jun 14 15:16:01 combo {component}[{pid}]: {content}"
-    return LogEntry(parse_raw_syslog_line(line), ts)
+def entry(component: str, content: str, ts: int = 1000, pid: int | None = 1) -> LogEntry:
+    return LogEntry(line_id=1, month="Jun", day=14, time_of_day="15:16:01", level=None,
+                    component=component, pid=pid, content=content, event_id="raw",
+                    event_template="", timestamp=ts)
 
 
 class TestRegexExtraction:
@@ -228,11 +223,11 @@ class TestCompiledTable:
     @settings(max_examples=120, deadline=None)
     @given(_table, st.lists(st.tuples(_component, _content), min_size=1, max_size=8))
     def test_first_matching_row_decides(self, table, pairs):
-        entries = [LogEntry(record(component, content), 1000 + i)
+        entries = [entry(component, content, 1000 + i, pid=None)
                    for i, (component, content) in enumerate(pairs)]
         expected = []
         for e in entries:
-            component, content = e.record.component, e.record.content
+            component, content = e.component, e.content
             for row in table:
                 alone = entries_to_facts([e], (row,))
                 if not row.matches(component, content):

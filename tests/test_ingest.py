@@ -12,16 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stratalog.cli import EXIT_OK, main
+from stratalog.extract import DEFAULT_TABLE, entries_to_facts
 from stratalog.ingest import (
     REQUIRED_COLUMNS,
     IngestOptions,
-    IngestResult,
     LogEntry,
     MissingColumnError,
-    RawLogRecord,
     SyslogFormatError,
-    entries_from_records,
-    parse_raw_syslog_line,
+    _plain_seconds,
+    _syslog_record,
+    _timestamper,
     read_csv_entries,
     read_syslog_entries,
     to_timestamp,
@@ -34,25 +34,25 @@ MONTH_NAMES = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
 
 
-def record(month="Jun", day=14, time_of_day="15:16:02", **kw) -> RawLogRecord:
+def entry(month="Jun", day=14, time_of_day="15:16:02", **kw) -> LogEntry:
     base = dict(line_id=1, month=month, day=day, time_of_day=time_of_day,
                 level=None, component="sshd(pam_unix)", pid=123,
-                content="x", event_id="E1", event_template="")
+                content="x", event_id="E1", event_template="", timestamp=1118762162)
     base.update(kw)
-    return RawLogRecord(**base)
+    return LogEntry(**base)
 
 
 class TestTimestampConversion:
     def test_known_instant(self):
         # calendar.timegm((2005, 6, 14, 15, 16, 2)) == 1118762162
-        assert to_timestamp(record(), 2005) == 1118762162
+        assert to_timestamp("Jun", 14, "15:16:02", 2005) == 1118762162
 
     def test_epoch_origin(self):
-        assert to_timestamp(record("Jan", 1, "00:00:00"), 1970) == 0
+        assert to_timestamp("Jan", 1, "00:00:00", 1970) == 0
 
     def test_invalid_calendar_date(self):
         with pytest.raises(ValueError):
-            to_timestamp(record("Feb", 30), 2005)
+            to_timestamp("Feb", 30, "15:16:02", 2005)
 
     def test_agrees_with_independent_calendar_on_random_dates(self):
         rng = random.Random(20050614)
@@ -62,9 +62,9 @@ class TestTimestampConversion:
             day = rng.randint(1, days_in[month])
             hh, mm, ss = rng.randrange(24), rng.randrange(60), rng.randrange(60)
             year = rng.randint(1971, 2037)
-            rec = record(MONTH_NAMES[month], day, f"{hh:02d}:{mm:02d}:{ss:02d}")
             expected = calendar.timegm((year, month + 1, day, hh, mm, ss))
-            assert to_timestamp(rec, year) == expected
+            assert to_timestamp(MONTH_NAMES[month], day, f"{hh:02d}:{mm:02d}:{ss:02d}",
+                                year) == expected
 
     def test_strictly_increasing_within_year(self):
         rng = random.Random(7)
@@ -77,15 +77,15 @@ class TestTimestampConversion:
             hh, mm, ss = rng.randrange(24), rng.randrange(60), rng.randrange(60)
             keys.append((month, day, hh, mm, ss))
             stamps.append(to_timestamp(
-                record(MONTH_NAMES[month], day, f"{hh:02d}:{mm:02d}:{ss:02d}"), 2005))
+                MONTH_NAMES[month], day, f"{hh:02d}:{mm:02d}:{ss:02d}", 2005))
         order = sorted(range(300), key=lambda i: keys[i])
         for a, b in zip(order, order[1:]):
             if keys[a] != keys[b]:
                 assert stamps[a] < stamps[b]
 
     def test_fixed_offset_zone_shifts_result(self):
-        utc = to_timestamp(record(), 2005, timezone.utc)
-        plus_two = to_timestamp(record(), 2005, timezone(timedelta(hours=2)))
+        utc = to_timestamp("Jun", 14, "15:16:02", 2005, timezone.utc)
+        plus_two = to_timestamp("Jun", 14, "15:16:02", 2005, timezone(timedelta(hours=2)))
         assert plus_two == utc - 7200
 
 
@@ -154,26 +154,24 @@ class TestStructuredCsv:
 
 class TestRawSyslog:
     def test_component_and_pid(self):
-        rec = parse_raw_syslog_line(
-            "Jun 14 15:16:01 combo sshd(pam_unix)[19939]: "
-            "session opened for user test")
-        assert rec.component == "sshd(pam_unix)"
-        assert rec.pid == 19939
-        assert rec.content == "session opened for user test"
-        assert rec.event_id == "raw"
+        entries, _ = read_syslog_entries(io.StringIO(
+            "Jun 14 15:16:01 combo sshd(pam_unix)[19939]: session opened for user test\n"))
+        assert entries == [LogEntry(
+            line_id=1, month="Jun", day=14, time_of_day="15:16:01", level=None,
+            component="sshd(pam_unix)", pid=19939, content="session opened for user test",
+            event_id="raw", event_template="", timestamp=1118762161)]
 
     def test_component_without_pid(self):
-        rec = parse_raw_syslog_line(
-            "Jul 27 14:41:57 combo ftpd[31337]: connection from 1.2.3.4")
-        assert rec.component == "ftpd"
-        rec2 = parse_raw_syslog_line(
-            "Jun 15 04:06:20 combo logrotate: ALERT exited abnormally with [1]")
-        assert rec2.component == "logrotate"
-        assert rec2.pid is None
+        assert _syslog_record("Jul 27 14:41:57 combo ftpd[31337]: connection from 1.2.3.4") == \
+            ("Jul", 27, "14:41:57", "ftpd", 31337, "connection from 1.2.3.4", 52_917)
+        assert _syslog_record(
+            "Jun 15 04:06:20 combo logrotate: ALERT exited abnormally with [1]") == \
+            ("Jun", 15, "04:06:20", "logrotate", None, "ALERT exited abnormally with [1]",
+             14_780)
 
     def test_unparseable_line(self):
         with pytest.raises(SyslogFormatError):
-            parse_raw_syslog_line("garbage")
+            _syslog_record("garbage")
 
     def test_stream_skips_and_counts_bad_lines(self, syslog_sample):
         text = syslog_sample + "not a log line\n\n"
@@ -185,8 +183,8 @@ class TestRawSyslog:
 
 class TestYearHandling:
     def test_single_year_by_default(self):
-        records = [record("Dec", 31, "23:59:59"), record("Jan", 1, "00:00:01")]
-        entries = entries_from_records(IngestResult(records), IngestOptions(base_year=2005))
+        text = "Dec 31 23:59:59 combo x: last\nJan 1 00:00:01 combo x: first\n"
+        entries, _ = read_syslog_entries(io.StringIO(text), IngestOptions(base_year=2005))
         assert entries[0].timestamp == calendar.timegm((2005, 12, 31, 23, 59, 59))
         assert entries[1].timestamp == calendar.timegm((2005, 1, 1, 0, 0, 1))
 
@@ -210,7 +208,7 @@ class TestOneBadLineIsSkipped:
         assert len(entries) == len(result.records) == 8
         assert result.skipped == 1
         assert "undecodable" in result.errors[0]
-        assert not any("session closed" in e.record.content for e in entries)
+        assert not any("session closed" in e.content for e in entries)
 
     @pytest.mark.parametrize("input_format", ["syslog", "csv"])
     @pytest.mark.parametrize("date, year, kept", [
@@ -248,7 +246,7 @@ class TestOversizedField:
 
     def test_row_is_skipped_and_the_next_is_read(self):
         entries, result = read_csv_entries(io.StringIO(self.TEXT, newline=""))
-        assert [e.record.content for e in entries] == ["first", "third"]
+        assert [e.content for e in entries] == ["first", "third"]
         assert result.skipped == 1
         assert result.errors == [
             f"row 3: field larger than field limit ({csv.field_size_limit()})"]
@@ -277,8 +275,8 @@ class TestOversizedField:
                                 _csv_row(3, "third")])
         assert (self.FORGED in content) == (f"\n{self.FORGED}\n" in text)
         entries, result = read_csv_entries(io.StringIO(text, newline=newline))
-        assert [e.record.line_id for e in entries] == [1, 3]
-        assert result.records == [e.record for e in entries]
+        assert [e.line_id for e in entries] == [1, 3]
+        assert result.records is entries
         assert result.errors == [
             f"row 3: field larger than field limit ({csv.field_size_limit()})"]
 
@@ -289,19 +287,19 @@ class TestOversizedField:
 
 
 class TestValueTypes:
-    """Records and entries are named tuples: immutable, hashed and compared
-    as the tuple of their fields, and printed and pickled as before."""
+    """An entry is one named tuple: immutable, hashed and compared as the
+    tuple of its fields, and printed and pickled by its fields' names."""
 
-    RECORD_REPR = ("RawLogRecord(line_id=1, month='Jun', day=14, time_of_day='15:16:02', "
-                   "level=None, component='sshd(pam_unix)', pid=123, content='x', "
-                   "event_id='E1', event_template='')")
+    ENTRY_REPR = ("LogEntry(line_id=1, month='Jun', day=14, time_of_day='15:16:02', "
+                  "level=None, component='sshd(pam_unix)', pid=123, content='x', "
+                  "event_id='E1', event_template='', timestamp=1118762162)")
 
     def test_repr(self):
-        assert repr(record()) == self.RECORD_REPR
-        assert repr(LogEntry(record(), 1118762162)) == \
-            f"LogEntry(record={self.RECORD_REPR}, timestamp=1118762162)"
+        assert repr(entry()) == self.ENTRY_REPR
 
-    @pytest.mark.parametrize("value", [record(), LogEntry(record(), 5)])
+    @pytest.mark.parametrize("value", [
+        read_syslog_entries(io.StringIO(SYSLOG_SAMPLE))[0][0],
+        read_csv_entries(io.StringIO(make_csv_sample()))[0][0]])
     def test_immutable(self, value):
         with pytest.raises(AttributeError):
             value.month = "Jul"
@@ -311,26 +309,21 @@ class TestValueTypes:
             value.extra = 1
 
     def test_hash_and_equality_are_the_field_tuples(self):
-        rec = record()
-        fields = (1, "Jun", 14, "15:16:02", None, "sshd(pam_unix)", 123, "x", "E1", "")
-        assert hash(rec) == hash(tuple(rec)) == hash(fields)
-        assert rec == fields and rec != record(day=15)
-        entry = LogEntry(rec, 5)
-        assert hash(entry) == hash(tuple(entry)) == hash((rec, 5))
-        assert entry == (rec, 5)
+        value = entry()
+        fields = (1, "Jun", 14, "15:16:02", None, "sshd(pam_unix)", 123, "x", "E1", "",
+                  1118762162)
+        assert hash(value) == hash(tuple(value)) == hash(fields)
+        assert value == fields and value != entry(day=15)
 
-    def test_keywords_and_month_number(self):
-        rec = record()
-        assert RawLogRecord(*rec) == rec
-        assert LogEntry(timestamp=5, record=rec) == LogEntry(rec, 5)
-        assert rec.month_number == 6
-        assert record("Dec").month_number == 12
+    def test_keywords(self):
+        value = entry()
+        assert LogEntry(*value) == value
+        assert value._replace(timestamp=5) == entry(timestamp=5)
 
     def test_pickle_round_trip(self):
-        entry = LogEntry(record(), 5)
-        again = pickle.loads(pickle.dumps(entry))
-        assert again == entry and type(again) is LogEntry
-        assert type(again.record) is RawLogRecord
+        value = entry()
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and type(again) is LogEntry
 
     @pytest.mark.parametrize("input_format", ["syslog", "csv"])
     def test_readers_build_the_named_types(self, input_format):
@@ -339,8 +332,65 @@ class TestValueTypes:
         else:
             entries, result = read_csv_entries(io.StringIO(make_csv_sample()))
         assert {type(e) for e in entries} == {LogEntry}
-        assert {type(e.record) for e in entries} == {type(r) for r in result.records} == \
-            {RawLogRecord}
+        assert result.records is entries
+
+
+# -- the two input shapes ---------------------------------------------------
+
+_COMPONENTS = sorted({row.component_prefix for row in DEFAULT_TABLE} - {""}) + ["kernel", "su"]
+_NEEDLES = sorted({row.content_contains for row in DEFAULT_TABLE} - {""})
+
+
+@st.composite
+def log_lines(draw):
+    """Lines that the mapping table acts on, as (month, day, time, component,
+    pid, content): components from its prefixes, contents from its needles
+    with an address, a user and a uid around them."""
+    component = draw(st.sampled_from(_COMPONENTS)) + draw(st.sampled_from(["", "(pam_unix)"]))
+    parts = draw(st.lists(st.sampled_from(
+        _NEEDLES + ["rhost=10.0.0.7", "from 1.2.3.4", "user=root", "for user cyrus",
+                    "(uid=0)", "ok"]), min_size=1, max_size=4))
+    return (draw(st.sampled_from(MONTH_NAMES)), draw(st.integers(1, 28)),
+            "{:02d}:{:02d}:{:02d}".format(draw(st.integers(0, 23)), draw(st.integers(0, 59)),
+                                          draw(st.integers(0, 59))),
+            component, draw(st.one_of(st.none(), st.integers(1, 99999))), " ".join(parts))
+
+
+def _both_shapes(lines):
+    """The syslog text and the CSV export of the same lines."""
+    syslog = "".join(f"{month} {day} {time} combo {component}"
+                     f"{'' if pid is None else f'[{pid}]'}: {content}\n"
+                     for month, day, time, component, pid, content in lines)
+    rows = [{"LineId": str(i), "Month": month, "Date": str(day), "Time": time,
+             "Component": component, "PID": "" if pid is None else str(pid),
+             "Content": content, "EventId": f"E{i}", "EventTemplate": ""}
+            for i, (month, day, time, component, pid, content) in enumerate(lines, start=1)]
+    return syslog, make_csv_sample(rows)
+
+
+class TestSyslogAndCsvAgree:
+    """A syslog file and the CSV export of the same lines give the same
+    entries, but for the CSV's event ids, and so the same facts."""
+
+    @staticmethod
+    def check(syslog_text, csv_text):
+        syslog_entries, syslog_result = read_syslog_entries(io.StringIO(syslog_text))
+        csv_entries, csv_result = read_csv_entries(io.StringIO(csv_text, newline=""))
+        assert syslog_result.errors == csv_result.errors == []
+        assert [e._replace(event_id="raw", event_template="") for e in csv_entries] == \
+            syslog_entries
+        assert entries_to_facts(csv_entries) == entries_to_facts(syslog_entries)
+        return syslog_entries
+
+    def test_sample(self):
+        entries = self.check(SYSLOG_SAMPLE, make_csv_sample())
+        assert len(entries) == 9
+        assert len(entries_to_facts(entries)) == 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(log_lines(), min_size=1, max_size=6))
+    def test_generated_lines(self, lines):
+        assert len(self.check(*_both_shapes(lines))) == len(lines)
 
 
 # -- the fast readers against the reference readers --------------------------
@@ -484,28 +534,38 @@ class TestReadersAgreeWithReference:
             _outcome(reference.read_syslog_entries, text, options)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.builds(
-        record,
-        month=st.sampled_from(MONTH_NAMES + ["Jux"]),
-        day=st.one_of(st.integers(-1, 32), st.just(10 ** 20)),
-        time_of_day=st.one_of(st.sampled_from(_TIMES + ["1:2:3", "1:2", "1:2:3:4", "-0:0:0",
-                                                        "0:0:99999999999999999999"]),
-                              st.builds("{}:{}:{}".format, st.integers(-1, 61),
-                                        st.integers(-1, 61), st.integers(-1, 61)))),
+    @given(st.lists(st.tuples(
+        st.sampled_from(MONTH_NAMES + ["Jux"]),
+        st.one_of(st.integers(-1, 32), st.just(10 ** 20)),
+        st.one_of(st.sampled_from(_TIMES + ["1:2:3", "1:2", "1:2:3:4", "-0:0:0",
+                                            "0:0:99999999999999999999"]),
+                  st.builds("{}:{}:{}".format, st.integers(-1, 61),
+                            st.integers(-1, 61), st.integers(-1, 61)))),
         max_size=4),
         st.integers(0, 10000),
         st.one_of(st.sampled_from(ZONES), _SUB_SECOND_ZONES))
     # before 1970 with a sub-second offset, truncating differs from flooring
-    @example([record()], 1960, timezone(timedelta(microseconds=1)))
-    def test_hand_built_records(self, records, year, zone):
-        def outcome(entries_from):
-            result = IngestResult(list(records))
+    @example([("Jun", 14, "15:16:02")], 1960, timezone(timedelta(microseconds=1)))
+    def test_hand_built_records(self, dates, year, zone):
+        """``_timestamper`` gives the reference's timestamp, None where the
+        date is not in the year, or the reference's error."""
+        def reference_stamp(month, day, time_of_day):
             try:
-                entries = entries_from(result, IngestOptions(base_year=year, zone=zone))
+                return reference.to_timestamp(month, day, time_of_day, year, zone)
+            except ValueError:
+                if day <= 28:
+                    raise
+                return None
+
+        def outcome(stamp):
+            try:
+                return [stamp(*date) for date in dates]
             except Exception as exc:
                 return type(exc), str(exc)
-            return entries, result.records, result.skipped, result.errors
-        assert outcome(entries_from_records) == outcome(reference.entries_from_records)
+
+        timestamp = _timestamper(year, zone)
+        assert outcome(lambda month, day, time_of_day: timestamp(
+            month, day, time_of_day, _plain_seconds(time_of_day))) == outcome(reference_stamp)
 
     @pytest.mark.skipif(NEW_YORK is None, reason="no America/New_York in the zone database")
     def test_non_fixed_zone_across_a_dst_day(self):
