@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Mapping, Optional, Sequence
+from functools import cache
+from typing import Callable, Mapping, Optional, Sequence
 
 from .engine import Inconsistent
 from .ingest import DEFAULT_BASE_YEAR
@@ -47,10 +48,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def build_parser(env: Mapping[str, str]) -> argparse.ArgumentParser:
-    def setting(name: str) -> Optional[str]:
-        return env.get(ENV_PREFIX + name)
-
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: each build leaves argparse's help
+    formatters in reference cycles. Every flag defaults to None (unset)."""
     parser = _Parser(
         prog="stratalog",
         description="Detect anomalies in system logs with explainable logic rules.")
@@ -62,30 +63,39 @@ def build_parser(env: Mapping[str, str]) -> argparse.ArgumentParser:
                     "rules, and print alerts with derivations.")
     p.add_argument("input", help="path to the log file")
     p.add_argument("--format", choices=("csv", "syslog"),
-                   default=setting("FORMAT") or "csv",
                    help="input format: structured CSV export or raw syslog lines")
     p.add_argument("--year", type=int,
-                   default=setting("YEAR") or DEFAULT_BASE_YEAR,
                    help="base year for timestamps (log lines carry none); "
                         f"default {DEFAULT_BASE_YEAR}")
-    p.add_argument("--rules", metavar="PATH", default=setting("RULES"),
+    p.add_argument("--rules", metavar="PATH",
                    help="rule file to run instead of the bundled program")
-    p.add_argument("--extra-facts", metavar="PATH", default=setting("EXTRA_FACTS"),
+    p.add_argument("--extra-facts", metavar="PATH",
                    help="supplemental facts file (e.g. dormant_account facts)")
-    p.add_argument("--set", dest="overrides", action="append", metavar="NAME=VALUE",
-                   default=None,
+    p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="override a #const threshold; repeatable")
-    p.add_argument("--facts-out", metavar="PATH", default=setting("FACTS_OUT"),
+    p.add_argument("--facts-out", metavar="PATH",
                    help="also write the extracted facts to this file")
-    p.add_argument("--emit-rules", metavar="PATH", default=setting("EMIT_RULES"),
+    p.add_argument("--emit-rules", metavar="PATH",
                    help="also write the effective rule program to this file")
     p.add_argument("--output", choices=("text", "json"),
-                   default=setting("OUTPUT") or "text",
                    help="report format: readable text or json-lines")
-    group_default = (setting("GROUP") or "").strip().lower() in _TRUTHY
-    p.add_argument("--group", action="store_true", default=group_default,
+    p.add_argument("--group", action="store_true", default=None,
                    help="collapse alerts sharing kind and entities into summaries")
     return parser
+
+
+#: Each unset flag's value, from its ``STRATALOG_<DEST>`` text or None.
+_FROM_ENV: dict[str, Callable[[Optional[str]], object]] = {
+    "format": lambda raw: raw or "csv",
+    "year": lambda raw: raw or DEFAULT_BASE_YEAR,
+    "rules": lambda raw: raw,
+    "extra_facts": lambda raw: raw,
+    "set": lambda raw: [pair for pair in (raw or "").strip().split(",") if pair.strip()],
+    "facts_out": lambda raw: raw,
+    "emit_rules": lambda raw: raw,
+    "output": lambda raw: raw or "text",
+    "group": lambda raw: (raw or "").strip().lower() in _TRUTHY,
+}
 
 
 def _parse_overrides(pairs: Sequence[str], parser: argparse.ArgumentParser) -> dict[str, int]:
@@ -105,14 +115,12 @@ def _parse_overrides(pairs: Sequence[str], parser: argparse.ArgumentParser) -> d
 def main(argv: Optional[Sequence[str]] = None,
          env: Optional[Mapping[str, str]] = None) -> int:
     environment = os.environ if env is None else env
-    parser = build_parser(environment)
+    parser = build_parser()
     args = parser.parse_args(argv)
-
-    raw_pairs = args.overrides
-    if raw_pairs is None:
-        env_pairs = (environment.get(ENV_PREFIX + "SET") or "").strip()
-        raw_pairs = [p for p in env_pairs.split(",") if p.strip()] if env_pairs else []
-    overrides = _parse_overrides(raw_pairs, parser)
+    for dest, from_env in _FROM_ENV.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, from_env(environment.get(ENV_PREFIX + dest.upper())))
+    overrides = _parse_overrides(args.set, parser)
 
     try:
         year = int(args.year)

@@ -35,8 +35,11 @@ query output is sorted.
 """
 from __future__ import annotations
 
+import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -481,6 +484,12 @@ Env = list  # slot -> bound constant
 Step = Callable[[Env], None]
 
 
+@cache
+def _integer_limit(digits: int) -> Union[int, float]:
+    """The least integer of more than ``digits`` digits (none if 0)."""
+    return 10 ** digits if digits else math.inf
+
+
 def _getter(term: Term, slots: dict[Variable, int], bound: set[int],
             rule: Rule) -> Callable[[Env], Constant]:
     """A term's value in an environment whose bound slots are ``bound``."""
@@ -495,6 +504,8 @@ def _getter(term: Term, slots: dict[Variable, int], bound: set[int],
         left = _getter(term.left, slots, bound, rule)
         right = _getter(term.right, slots, bound, rule)
         op = term.op
+        digits = sys.get_int_max_str_digits()
+        limit = _integer_limit(digits)
 
         def arith(env: Env) -> Constant:
             a, b = left(env), right(env)
@@ -502,7 +513,11 @@ def _getter(term: Term, slots: dict[Variable, int], bound: set[int],
                 raise EvaluationError(
                     "arithmetic on non-integer constant "
                     f"({format_constant(a)} {op} {format_constant(b)})", rule)
-            return a + b if op == "+" else a - b
+            value = a + b if op == "+" else a - b
+            if -limit < value < limit:
+                return value
+            raise EvaluationError(f"'{op}' gives an integer of more than {digits} digits, "
+                                  "the interpreter's limit for writing one out", rule)
         return arith
     return lambda env: term
 

@@ -109,8 +109,11 @@ class IngestOptions:
 class IngestResult:
     #: The entries a reader kept: the very list it returns beside this result.
     records: list[LogEntry] = field(default_factory=list)
-    skipped: int = 0
     errors: list[str] = field(default_factory=list)
+
+    @property
+    def skipped(self) -> int:
+        return len(self.errors)
 
 
 def _plain_seconds(time_of_day: str) -> Optional[int]:
@@ -343,7 +346,6 @@ def read_csv_entries(stream: IO[str],
         entries.append(new_tuple(LogEntry, (line_id, month, day, time_of_day, level, component,
                                             pid, content, event_id, event_template, stamp)))
     errors += date_errors
-    result.skipped = len(errors)
     return entries, result
 
 
@@ -380,5 +382,4 @@ def read_syslog_entries(lines: Iterable[str],
         entries.append(new_tuple(LogEntry, (line_id, month, day, time_of_day, None, component,
                                             pid, content, "raw", "", stamp)))
     errors += date_errors
-    result.skipped = len(errors)
     return entries, result

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .facts import Constant, Fact, Symbol, format_constant
+from .facts import Fact, Symbol, format_constant
 
 #: Variables created for each anonymous ``_`` occurrence use this prefix;
 #: it cannot collide with surface syntax, and they print back as ``_``.
@@ -204,13 +204,3 @@ def rule_global_variables(rule: Rule) -> set[Variable]:
             names.update(literal_variables(literal))
     return names
 
-
-def substitute_consts(term: Term, consts: dict[str, int]) -> Term:
-    """Replace symbol references to ``#const`` names with their values."""
-    if isinstance(term, Symbol) and term.name in consts:
-        return consts[term.name]
-    if isinstance(term, ArithTerm):
-        return ArithTerm(term.op,
-                         substitute_consts(term.left, consts),
-                         substitute_consts(term.right, consts))
-    return term

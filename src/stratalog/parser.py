@@ -1,4 +1,4 @@
-"""Lexer and recursive-descent parser for the rule language.
+r"""Lexer and recursive-descent parser for the rule language.
 
 Grammar, informally::
 
@@ -18,16 +18,31 @@ Grammar, informally::
     term       := primary (("+"|"-") primary)*
     primary    := VAR | "_" | INT | "-" INT | STRING | IDENT
 
-``%`` starts a comment. ``=`` is only legal as aggregate assignment; bare
-``X = Y`` is rejected with a hint to use ``==``. A term holds at most
-:data:`MAX_TERM_DEPTH` ``+``/``-`` operators. Errors carry line/column.
+Tokens: blanks are space, tab and carriage return, and ``%`` comments
+run to the end of the line. A symbol is one of ``( ) { } , . + - : :- =
+== != < <= > >=`` or a directive: ``#`` and a run of word characters
+(``str.isalnum`` or ``_``), of which only ``#const`` and ``#count``
+exist. A string is one line in double quotes with the escapes ``\"``,
+``\\``, ``\n`` and ``\t``. An INT is a run of decimal digits
+(``str.isdecimal``, as ``int`` reads them). A word is a run of word
+characters that starts with a letter or ``_``: the keyword ``not``, a VAR
+when it starts upper-case or with ``_``, otherwise an IDENT. Any other
+character is unexpected, ``!`` alone and digits that are not decimal
+(``²``, ``①``) included.
+
+Each ``#const`` name is replaced by its value as it is read. ``=`` is only
+legal as aggregate assignment; bare ``X = Y`` is rejected with a hint to
+use ``==``. A term holds at most :data:`MAX_TERM_DEPTH` ``+``/``-``
+operators, and an integer at most ``sys.get_int_max_str_digits()`` digits.
+Errors carry line/column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+import re
+import sys
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, TypeVar
 
-from .facts import Constant, Fact, Symbol
+from .facts import Fact, Symbol, new_tuple
 from .lang import (
     ANON_PREFIX,
     AggregateLiteral,
@@ -43,9 +58,10 @@ from .lang import (
     Span,
     Term,
     Variable,
-    substitute_consts,
 )
 
+
+_T = TypeVar("_T")
 
 #: The most ``+``/``-`` operators one term may hold. The grammar has no
 #: parentheses, so this is the deepest an arithmetic term nests, and every
@@ -60,153 +76,113 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{column}: {message}")
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int
     column: int
 
 
-_PUNCT = {
-    "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
-    ",": "COMMA", ".": "PERIOD", "+": "PLUS", "-": "MINUS",
-}
+#: One token per match, after the blanks before it. A comment is matched
+#: with the newline or the end of text that closes it, so the EOF token
+#: after a trailing comment sits at its ``%``. BAD_STRING matches the good
+#: part of a string that STRING cannot match; no group matches at an
+#: unexpected character.
+_SCANNER = re.compile(r"""[ \t\r]*(?:
+    (?P<NEWLINE>(?:%[^\n]*)?\n)
+  | (?P<EOF>(?:%[^\n]*)?\Z)
+  | (?P<SYMBOL>:-|[=!<>]=|[-(){},.+:=<>]|\#\w*)
+  | (?P<STRING>"(?:[^"\\\n]|\\["\\nt])*")
+  | (?P<BAD_STRING>"(?:[^"\\\n]|\\["\\nt])*)
+  | (?P<INT>\d+)
+  | (?P<WORD>\w+)
+)?""", re.VERBOSE)
 
-_KEYWORD_DIRECTIVES = {"const": "CONST", "count": "COUNT"}
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+
+_SYMBOLS = {
+    "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE", ",": "COMMA",
+    ".": "PERIOD", "+": "PLUS", "-": "MINUS", ":": "COLON", ":-": "IMPLIES",
+    "=": "ASSIGN", "==": "CMP", "!=": "CMP", "<": "CMP", "<=": "CMP",
+    ">": "CMP", ">=": "CMP", "#const": "CONST", "#count": "COUNT",
+}
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, column = 1, 1
-    i, n = 0, len(text)
-
-    def error(msg: str) -> ParseError:
-        return ParseError(msg, line, column)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    scan = _SCANNER.match
+    line, line_start, pos = 1, 0, 0
+    while True:
+        match = scan(text, pos)
+        kind = match.lastgroup
+        if kind is None:
+            start = match.end()
+            raise ParseError(f"unexpected character {text[start]!r}", line, start - line_start + 1)
+        start, pos = match.span(kind)
+        if kind == "NEWLINE":
             line += 1
-            column = 1
+            line_start = pos
             continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_column = line, column
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, start_line, start_column))
-            i += 1
-            column += 1
-            continue
-        if ch == ":":
-            if i + 1 < n and text[i + 1] == "-":
-                tokens.append(_Token("IMPLIES", ":-", start_line, start_column))
-                i += 2
-                column += 2
-            else:
-                tokens.append(_Token("COLON", ":", start_line, start_column))
-                i += 1
-                column += 1
-            continue
-        if ch in "=!<>":
-            two = text[i:i + 2]
-            if two in ("==", "!=", ">=", "<="):
-                tokens.append(_Token("CMP", two, start_line, start_column))
-                i += 2
-                column += 2
-                continue
-            if ch == "=":
-                tokens.append(_Token("ASSIGN", "=", start_line, start_column))
-            elif ch in "<>":
-                tokens.append(_Token("CMP", ch, start_line, start_column))
-            else:
-                raise error(f"unexpected character {ch!r}")
-            i += 1
-            column += 1
-            continue
-        if ch == "#":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i + 1:j]
-            kind = _KEYWORD_DIRECTIVES.get(word)
+        value = match[kind]
+        column = start - line_start + 1
+        if kind == "SYMBOL":
+            kind = _SYMBOLS.get(value)
             if kind is None:
-                raise error(f"unknown directive #{word}")
-            tokens.append(_Token(kind, "#" + word, start_line, start_column))
-            column += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n or text[j] == "\n":
-                    raise error("unterminated string")
-                c = text[j]
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise error("unterminated string")
-                    esc = text[j + 1]
-                    if esc == '"':
-                        parts.append('"')
-                    elif esc == "\\":
-                        parts.append("\\")
-                    elif esc == "n":
-                        parts.append("\n")
-                    elif esc == "t":
-                        parts.append("\t")
-                    else:
-                        raise error(f"unknown escape \\{esc}")
-                    j += 2
-                    continue
-                if c == '"':
-                    j += 1
-                    break
-                parts.append(c)
-                j += 1
-            tokens.append(_Token("STRING", "".join(parts), start_line, start_column))
-            column += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], start_line, start_column))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word == "not":
-                kind = "NOT"
-            elif word[0].isupper() or word[0] == "_":
-                kind = "VAR"
-            else:
-                kind = "IDENT"
-            tokens.append(_Token(kind, word, start_line, start_column))
-            column += j - i
-            i = j
-            continue
-        raise error(f"unexpected character {ch!r}")
-    tokens.append(_Token("EOF", "", line, column))
-    return tokens
+                raise ParseError(f"unknown directive {value}", line, column)
+        elif kind == "WORD":
+            first = value[0]
+            if not (first.isalpha() or first == "_"):
+                raise ParseError(f"unexpected character {first!r}", line, column)
+            kind = "NOT" if value == "not" else \
+                "VAR" if first.isupper() or first == "_" else "IDENT"
+        elif kind == "STRING":
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(lambda escape: _ESCAPES[escape[1]], value)
+        elif kind == "BAD_STRING":  # a bad escape follows, or the end of the line
+            bad = text[pos:pos + 2]
+            raise ParseError(f"unknown escape {bad}" if len(bad) == 2 and bad[0] == "\\"
+                             else "unterminated string", line, column)
+        elif kind == "EOF":
+            tokens.append(new_tuple(_Token, ("EOF", "", line, column)))
+            return tokens
+        tokens.append(new_tuple(_Token, (kind, value, line, column)))
+
+
+def _integer(token: _Token, negative: bool = False) -> int:
+    """An INT token's value; a ParseError at the token when it has more
+    digits than the interpreter converts."""
+    try:
+        value = int(token.value)
+    except ValueError:
+        raise ParseError(f"integer has more than {sys.get_int_max_str_digits()} digits",
+                         token.line, token.column) from None
+    return -value if negative else value
+
+
+def _const_statements(tokens: list[_Token]) -> Iterator[tuple[int, int]]:
+    """Each ``#const NAME = [-]INT`` statement the tokens hold, as the index
+    of its name token and of its INT token. The value starts two tokens
+    after the name; a statement without these tokens is left for the parser
+    to report."""
+    for i, token in enumerate(tokens):
+        if token.kind == "CONST" and tokens[i + 1].kind == "IDENT" \
+                and tokens[i + 2].kind == "ASSIGN":  # an EOF token ends every list
+            last = i + 4 if tokens[i + 3].kind == "MINUS" else i + 3
+            if tokens[last].kind == "INT":
+                yield i + 1, last
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        #: Each ``#const`` name's value, read before parsing, so that a name
+        #: is replaced wherever it is used, before or after its statement;
+        #: ``_parse_const`` checks each statement and rejects a repeated name.
+        self.values = {tokens[name].value: _integer(tokens[last], tokens[last - 1].kind == "MINUS")
+                       for name, last in _const_statements(tokens)}
         self.consts: dict[str, int] = {}
         self.rules: list[Rule] = []
         self.facts: list[Fact] = []
@@ -238,6 +214,13 @@ class _Parser:
         token = self.current
         return ParseError(message, token.line, token.column)
 
+    def comma_separated(self, parse_one: Callable[[], _T]) -> tuple[_T, ...]:
+        items = [parse_one()]
+        while self.current.kind == "COMMA":
+            self.advance()
+            items.append(parse_one())
+        return tuple(items)
+
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> Program:
@@ -246,8 +229,7 @@ class _Parser:
                 self._parse_const()
             else:
                 self._parse_statement()
-        program = Program(self.consts, self.rules, self.facts)
-        return _resolve_consts(program)
+        return Program(self.consts, self.rules, self.facts)
 
     def _parse_const(self) -> None:
         self.advance()
@@ -256,14 +238,11 @@ class _Parser:
             raise ParseError(f"duplicate #const {name_token.value}",
                              name_token.line, name_token.column)
         self.expect("ASSIGN", "'='")
-        negative = False
         if self.current.kind == "MINUS":
-            negative = True
             self.advance()
-        value_token = self.expect("INT", "integer value")
+        self.expect("INT", "integer value")
         self.expect("PERIOD", "'.'")
-        value = int(value_token.value)
-        self.consts[name_token.value] = -value if negative else value
+        self.consts[name_token.value] = self.values[name_token.value]
 
     def _parse_statement(self) -> None:
         start = self.current
@@ -271,7 +250,7 @@ class _Parser:
         self._anon_counter = 0
         if start.kind == "IMPLIES":
             self.advance()
-            body = self._parse_body()
+            body = self.comma_separated(self._parse_body_literal)
             self.expect("PERIOD", "'.'")
             self.rules.append(Rule(None, body, span))
             return
@@ -287,16 +266,9 @@ class _Parser:
                 self.rules.append(Rule(head, (), span))
             return
         self.expect("IMPLIES", "':-' or '.'")
-        body = self._parse_body()
+        body = self.comma_separated(self._parse_body_literal)
         self.expect("PERIOD", "'.'")
         self.rules.append(Rule(head, body, span))
-
-    def _parse_body(self) -> tuple[BodyLiteral, ...]:
-        literals = [self._parse_body_literal()]
-        while self.current.kind == "COMMA":
-            self.advance()
-            literals.append(self._parse_body_literal())
-        return tuple(literals)
 
     def _parse_body_literal(self) -> BodyLiteral:
         token = self.current
@@ -315,40 +287,24 @@ class _Parser:
             return self._parse_atom()
         # term-led literal: comparison or aggregate assignment
         left = self._parse_term()
-        op_token = self.current
-        if op_token.kind == "ASSIGN":
-            self.advance()
-            if self.current.kind != "COUNT":
-                raise ParseError("'=' is only legal as aggregate assignment; "
-                                 "use '==' for comparison",
-                                 op_token.line, op_token.column)
+        if self.current.kind == "ASSIGN" and self.peek().kind == "COUNT":
             if not isinstance(left, Variable):
-                raise ParseError("aggregate assignment target must be a variable",
-                                 op_token.line, op_token.column)
-            aggregate = self._parse_aggregate()
-            return AggregateLiteral(aggregate, "=", left)
-        if op_token.kind != "CMP":
-            raise self.fail("expected comparison operator")
-        self.advance()
-        if self.current.kind == "COUNT":
+                raise self.fail("aggregate assignment target must be a variable")
+            self.advance()
+            return AggregateLiteral(self._parse_aggregate(), "=", left)
+        if self.current.kind == "CMP" and self.peek().kind == "COUNT":
+            self.advance()
             raise self.fail("aggregate must appear on the left of its guard")
-        right = self._parse_term()
-        return Comparison(left, op_token.value, right)
+        return self._parse_comparison(left)
 
     def _parse_aggregate(self) -> CountAggregate:
         self.expect("COUNT", "'#count'")
         self.expect("LBRACE", "'{'")
-        elements = [self._parse_term()]
-        while self.current.kind == "COMMA":
-            self.advance()
-            elements.append(self._parse_term())
+        elements = self.comma_separated(self._parse_term)
         self.expect("COLON", "':' between aggregate elements and condition")
-        condition = [self._parse_condition_literal()]
-        while self.current.kind == "COMMA":
-            self.advance()
-            condition.append(self._parse_condition_literal())
+        condition = self.comma_separated(self._parse_condition_literal)
         self.expect("RBRACE", "'}'")
-        return CountAggregate(tuple(elements), tuple(condition))
+        return CountAggregate(elements, condition)
 
     def _parse_condition_literal(self) -> ConditionLiteral:
         token = self.current
@@ -358,28 +314,25 @@ class _Parser:
             raise self.fail("aggregates cannot be nested")
         if token.kind == "IDENT" and self.peek().kind in ("LPAREN", "COMMA", "RBRACE"):
             return self._parse_atom()
-        left = self._parse_term()
+        return self._parse_comparison(self._parse_term())
+
+    def _parse_comparison(self, left: Term) -> Comparison:
         op_token = self.current
         if op_token.kind == "ASSIGN":
-            raise ParseError("'=' is only legal as aggregate assignment; "
-                             "use '==' for comparison", op_token.line, op_token.column)
+            raise self.fail("'=' is only legal as aggregate assignment; use '==' for comparison")
         if op_token.kind != "CMP":
             raise self.fail("expected comparison operator")
         self.advance()
-        right = self._parse_term()
-        return Comparison(left, op_token.value, right)
+        return Comparison(left, op_token.value, self._parse_term())
 
     def _parse_atom(self) -> Atom:
         name = self.expect("IDENT", "predicate name")
         if self.current.kind != "LPAREN":
             return Atom(name.value)
         self.advance()
-        terms = [self._parse_term()]
-        while self.current.kind == "COMMA":
-            self.advance()
-            terms.append(self._parse_term())
+        terms = self.comma_separated(self._parse_term)
         self.expect("RPAREN", "')'")
-        return Atom(name.value, tuple(terms))
+        return Atom(name.value, terms)
 
     def _parse_term(self) -> Term:
         term = self._parse_primary()
@@ -403,68 +356,29 @@ class _Parser:
             return Variable(token.value)
         if token.kind == "INT":
             self.advance()
-            return int(token.value)
+            return _integer(token)
         if token.kind == "MINUS":
             self.advance()
-            value = self.expect("INT", "integer after unary '-'")
-            return -int(value.value)
+            return _integer(self.expect("INT", "integer after unary '-'"), negative=True)
         if token.kind == "STRING":
             self.advance()
             return token.value
         if token.kind == "IDENT":
             self.advance()
-            return Symbol(token.value)
+            symbol = Symbol(token.value)  # checks the name even where it is a #const
+            return self.values.get(token.value, symbol)
         raise self.fail(f"expected a term, got {token.value or 'end of input'!r}")
 
 
 def _atom_as_fact(atom: Atom) -> Optional[Fact]:
-    args: list[Constant] = []
-    for term in atom.terms:
-        if isinstance(term, (Variable, ArithTerm)):
-            return None
-        args.append(term)
-    return Fact(atom.predicate, tuple(args))
-
-
-def _map_atom(atom: Atom, consts: dict[str, int]) -> Atom:
-    return Atom(atom.predicate, tuple(substitute_consts(t, consts) for t in atom.terms))
-
-
-def _map_literal(literal: BodyLiteral, consts: dict[str, int]) -> BodyLiteral:
-    if isinstance(literal, Atom):
-        return _map_atom(literal, consts)
-    if isinstance(literal, Comparison):
-        return Comparison(substitute_consts(literal.left, consts), literal.op,
-                          substitute_consts(literal.right, consts))
-    if isinstance(literal, NafLiteral):
-        return NafLiteral(_map_atom(literal.atom, consts))
-    if isinstance(literal, AggregateLiteral):
-        aggregate = CountAggregate(
-            tuple(substitute_consts(t, consts) for t in literal.aggregate.elements),
-            tuple(_map_literal(c, consts) for c in literal.aggregate.condition),
-        )
-        return AggregateLiteral(aggregate, literal.op, substitute_consts(literal.bound, consts))
-    raise TypeError(f"not a body literal: {literal!r}")
-
-
-def _resolve_consts(program: Program) -> Program:
-    """Substitute ``#const`` values for symbol references program-wide."""
-    if not program.consts:
-        return program
-    consts = program.consts
-    rules = [
-        Rule(_map_atom(rule.head, consts) if rule.head is not None else None,
-             tuple(_map_literal(lit, consts) for lit in rule.body),
-             rule.span)
-        for rule in program.rules
-    ]
-    facts = [Fact(f.predicate, tuple(substitute_consts(a, consts) for a in f.args))
-             for f in program.facts]
-    return Program(consts, rules, facts)
+    if any(isinstance(term, (Variable, ArithTerm)) for term in atom.terms):
+        return None
+    return Fact(atom.predicate, atom.terms)
 
 
 def parse_program(text: str) -> Program:
-    """Parse program text into an AST with ``#const`` references resolved."""
+    """Parse program text into an AST, each ``#const`` name replaced by its
+    value."""
     return _Parser(_tokenize(text)).parse()
 
 
@@ -486,61 +400,21 @@ def override_consts(text: str, overrides: Mapping[str, int]) -> str:
 
     Raises ValueError for a name the text defines no ``#const`` for.
     """
-    return _override(text, overrides)[0]
-
-
-def _override(text: str, overrides: Mapping[str, int]) -> tuple[str, list[_Token]]:
-    """:func:`override_consts`, also returning the tokens of the new text:
-    the old tokens with the values replaced and the positions after each
-    replacement moved, so the new text is never lexed again."""
     tokens = _tokenize(text)
-    edits: dict[int, tuple[int, int]] = {}  # first value token -> (last one, value)
-    for i, token in enumerate(tokens):
-        if token.kind != "CONST" or tokens[i + 1].kind != "IDENT" \
-                or tokens[i + 2].kind != "ASSIGN" or tokens[i + 1].value not in overrides:
-            continue
-        first = tokens[i + 3]  # an EOF token always follows ASSIGN and MINUS
-        last = i + 4 if first.kind == "MINUS" else i + 3
-        if tokens[last].kind != "INT":
-            continue  # malformed; parse_program reports it
-        edits[i + 3] = (last, overrides[tokens[i + 1].value])
-    missing = sorted(set(overrides) - {tokens[i - 2].value for i in edits})
+    edits = [(tokens[name], tokens[name + 2], tokens[last])
+             for name, last in _const_statements(tokens) if tokens[name].value in overrides]
+    missing = sorted(set(overrides) - {name.value for name, _, _ in edits})
     if missing:
         raise ValueError(f"rule file defines no #const {missing[0]}")
-    if not edits:
-        return text, tokens
-
-    line_starts = [0]
-    while (newline := text.find("\n", line_starts[-1])) >= 0:
-        line_starts.append(newline + 1)
+    line_starts = [0, *(newline.end() for newline in re.finditer("\n", text))]
 
     def offset(token: _Token) -> int:
         return line_starts[token.line - 1] + token.column - 1
 
     pieces: list[str] = []
-    moved: list[_Token] = []
-    done = lines_removed = i = 0
-    edit_line = shift = 0  # old line of the last replacement's end; column shift after it
-    while i < len(tokens):
-        token = tokens[i]
-        line = token.line - lines_removed
-        column = token.column + shift if token.line == edit_line else token.column
-        if i not in edits:
-            moved.append(token if (line, column) == (token.line, token.column)
-                         else _Token(token.kind, token.value, line, column))
-            i += 1
-            continue
-        last_index, value = edits[i]
-        last = tokens[last_index]
-        new = str(value)
-        if value < 0:
-            moved += [_Token("MINUS", "-", line, column), _Token("INT", new[1:], line, column + 1)]
-        else:
-            moved.append(_Token("INT", new, line, column))
-        pieces += [text[done:offset(token)], new]
+    done = 0
+    for name, first, last in edits:
+        pieces += [text[done:offset(first)], str(overrides[name.value])]
         done = offset(last) + len(last.value)
-        lines_removed += last.line - token.line
-        edit_line, shift = last.line, column + len(new) - last.column - len(last.value)
-        i = last_index + 1
     pieces.append(text[done:])
-    return "".join(pieces), moved
+    return "".join(pieces)

@@ -47,7 +47,7 @@ from .ingest import (
     read_syslog_entries,
 )
 from .lang import Program
-from .parser import _override, _Parser, parse_facts
+from .parser import override_consts, parse_facts, parse_program
 from .rules import ANOMALY_CATALOG, RULES_TEXT, Thresholds
 
 
@@ -129,13 +129,14 @@ def _program_source(config: RunConfig) -> tuple[str, dict[str, int]]:
 
 
 def load_program(config: RunConfig) -> Program:
-    """Resolve and parse the rule program ("rules" stage). The text is
-    lexed once: the parser takes the tokens the override produced."""
+    """Resolve and parse the rule program ("rules" stage): the rule text
+    with the configured ``#const`` values set in it, which is also the text
+    ``emit_rules`` receives."""
     try:
-        text, tokens = _override(*_program_source(config))
+        text = override_consts(*_program_source(config))
         if config.emit_rules:
             Path(config.emit_rules).write_text(text, encoding="utf-8")
-        return _Parser(tokens).parse()
+        return parse_program(text)
     except (OSError, ValueError) as exc:
         raise StageError("rules", str(exc)) from exc
 
@@ -217,7 +218,10 @@ def group_alerts(alerts: Sequence[Alert]) -> list[GroupedAlert]:
 
 
 def _iso(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
+    except (OverflowError, OSError, ValueError):
+        raise StageError("report", "a timestamp is outside the years 1 to 9999") from None
 
 
 def _render_check(check, node: DerivationNode) -> str:

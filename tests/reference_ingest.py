@@ -82,7 +82,6 @@ def parse_structured_csv(stream: IO[str]) -> tuple[list[dict], IngestResult]:
             pid_text = (row["PID"] or "").strip()
             pid = int(pid_text) if pid_text else None
         except (TypeError, ValueError) as exc:
-            result.skipped += 1
             result.errors.append(f"row {row_number}: {exc}")
             continue
         month = (row["Month"] or "").strip()
@@ -99,7 +98,6 @@ def parse_structured_csv(stream: IO[str]) -> tuple[list[dict], IngestResult]:
                 f"{level or ''}{component}{content}{event_id}{event_template}":
             problem = "undecodable bytes"
         if problem is not None:
-            result.skipped += 1
             result.errors.append(f"row {row_number}: {problem}")
             continue
         rows.append(dict(
@@ -129,7 +127,6 @@ def timestamp_rows(rows: list[dict], result: IngestResult,
         except ValueError:
             if row["day"] <= 28:
                 raise
-            result.skipped += 1
             result.errors.append(f"line {row['line_id']}: no {row['month']} {row['day']} in {year}")
             continue
         result.records.append(LogEntry(**row, timestamp=stamp))
@@ -152,12 +149,10 @@ def read_syslog_entries(lines: Iterable[str],
             continue
         line_id += 1
         if _UNDECODABLE in line:
-            result.skipped += 1
             result.errors.append(f"undecodable bytes in syslog line: {line!r}")
             continue
         try:
             rows.append(parse_syslog_line(line, line_id))
         except SyslogFormatError as exc:
-            result.skipped += 1
             result.errors.append(str(exc))
     return timestamp_rows(rows, result, options), result

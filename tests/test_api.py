@@ -1,14 +1,17 @@
 """The public surface: the package's exported names, the demos using them,
 and what a pass through it leaves behind."""
 import gc
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import stratalog
+from stratalog import cli
 from stratalog import (
     Fact,
     RunConfig,
@@ -69,9 +72,8 @@ def test_demo_runs(demo):
 
 
 class TestNoCyclicGarbage:
-    """A warm library pass leaves no reference cycles, so the cyclic
-    collector finds nothing to free. The CLI is not driven here: argparse's
-    help formatter makes cycles of its own when ``build_parser`` runs."""
+    """A warm library or command-line pass leaves no reference cycles, so
+    the cyclic collector finds nothing to free."""
 
     @staticmethod
     def garbage_of(run) -> int:
@@ -94,6 +96,19 @@ class TestNoCyclicGarbage:
         def run():
             entries, _ = load_entries(config)
             render_alerts(detect(entries, config), "text")
+
+        assert self.garbage_of(run) == 0
+
+    @pytest.mark.parametrize("input_format", ["syslog", "csv"])
+    def test_cli_pass(self, tmp_path, input_format):
+        path = tmp_path / "input.log"
+        path.write_text(SYSLOG_SAMPLE if input_format == "syslog" else make_csv_sample())
+        argv = ["detect", str(path), "--format", input_format, "--year", "2005"]
+
+        def run():
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv, env={}) == cli.EXIT_OK
+            assert out.getvalue().startswith("potential_brute_force: ")
 
         assert self.garbage_of(run) == 0
 

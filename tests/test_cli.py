@@ -1,17 +1,25 @@
 """Command-line interface: exit codes, flags, environment fallbacks."""
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stratalog
 from stratalog.cli import EXIT_ERROR, EXIT_INCONSISTENT, EXIT_OK, main
 from stratalog.lang import format_program
 from stratalog.parser import MAX_TERM_DEPTH, parse_program
 from stratalog.report import MAX_INDENT
+
+from conftest import SYSLOG_SAMPLE
+from hostile import hostile_rules
 
 
 @pytest.fixture
@@ -255,6 +263,85 @@ class TestDeepTerm:
                              f"    q({value})  [rule at 3:1]",
                              "",
                              "total: 1 (system_issue: 1)"]
+
+
+class TestHugeIntegers:
+    """Integers past the interpreter's digit limit for writing one out end in
+    a named stage error: a literal in the rules stage, at its line and
+    column, and a sum in the evaluate stage, so every model value can be
+    printed. A timestamp without an ISO date ends in the report stage."""
+
+    LIMIT = sys.get_int_max_str_digits()
+
+    def run_rules(self, capsys, sample_path, tmp_path, text, *flags):
+        rules = tmp_path / "big.lp"
+        rules.write_text(text)
+        code, out, err = run_main(capsys, ["detect", str(sample_path), "--rules", str(rules),
+                                           *flags] + BASE)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_sum_past_the_limit(self, capsys, sample_path, tmp_path, output):
+        err = self.run_rules(capsys, sample_path, tmp_path,
+                             f"q({'9' * self.LIMIT}).\nsystem_issue(big, X + Y) :- q(X), q(Y).\n",
+                             "--output", output)
+        assert err == (f"error in evaluate stage: 2:1: '+' gives an integer of more than "
+                       f"{self.LIMIT} digits, the interpreter's limit for writing one out\n")
+
+    @pytest.mark.parametrize("template, position", [
+        ("p({}).\n", "1:3"), ("p(1).\nq(X) :- p(X), X > -{}.\n", "2:20"),
+        ("#const k = {}.\n", "1:12")], ids=["fact", "negative", "const"])
+    def test_literal_past_the_limit(self, capsys, sample_path, tmp_path, template, position):
+        err = self.run_rules(capsys, sample_path, tmp_path, template.format("9" * 5000))
+        assert err == (f"error in rules stage: {position}: integer has more than "
+                       f"{self.LIMIT} digits\n")
+
+    def test_set_value_at_the_limit(self, capsys, sample_path, tmp_path):
+        err = self.run_rules(capsys, sample_path, tmp_path,
+                             "#const k = 1.\nsystem_issue(k, X + k) :- q(X).\nq(1).\n",
+                             "--set", f"k={'9' * self.LIMIT}")
+        assert err.startswith("error in evaluate stage: 2:1: '+' gives an integer of more than")
+
+    @pytest.mark.parametrize("flags", [[], ["--group"], ["--output", "json"]])
+    @pytest.mark.parametrize("stamp", [10 ** 12, -10 ** 12, "9" * 4000])
+    def test_timestamp_without_a_date(self, capsys, sample_path, tmp_path, flags, stamp):
+        err = self.run_rules(capsys, sample_path, tmp_path,
+                             f"system_issue(huge, {stamp}).\n", *flags)
+        assert err == "error in report stage: a timestamp is outside the years 1 to 9999\n"
+
+
+class TestHostileRuleText:
+    """Whatever rule file and ``--set`` pairs ``hostile_rules`` draws, a run
+    ends with a report, or with exactly one ``error in <stage> stage:`` line
+    and exit code 1; never with a traceback."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("hostile")
+        (folder / "sample.log").write_text(SYSLOG_SAMPLE)
+        return folder / "sample.log", folder / "rules.lp"
+
+    @settings(max_examples=60, deadline=None)
+    @given(hostile_rules(), st.sampled_from([[], ["--output", "json"], ["--group"]]))
+    def test_run_ends_in_a_report_or_a_named_stage(self, paths, example, flags):
+        sample, rules = paths
+        text, pairs = example
+        rules.write_text(text, encoding="utf-8")
+        argv = ["detect", str(sample), "--rules", str(rules), *flags, *BASE]
+        for pair in pairs:
+            argv += ["--set", pair]
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            code = main(argv, env={})
+        if code == EXIT_ERROR:
+            assert out.getvalue() == ""
+            assert re.fullmatch(r"error in (rules|evaluate|report) stage: [^\n]*\n", err.getvalue())
+        else:
+            assert code in (EXIT_OK, EXIT_INCONSISTENT)
+            assert err.getvalue() == ""
+            assert out.getvalue().endswith("\n")
 
 
 class TestEnvironmentFallbacks:

@@ -1,5 +1,10 @@
 """Rule-language parsing: syntax, const resolution, errors, round-trips."""
+import hashlib
+import sys
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stratalog.facts import Fact, Symbol, fact
 from stratalog.lang import (
@@ -12,14 +17,15 @@ from stratalog.lang import (
 )
 from stratalog.parser import (
     ParseError,
-    _override,
     _tokenize,
     override_consts,
     parse_facts,
     parse_program,
 )
+from stratalog.rules import RULES_TEXT
 
 from progen import generate_program
+from reference_lexer import _tokenize as reference_tokenize
 
 
 class TestBasicPrograms:
@@ -84,6 +90,50 @@ class TestConstDirectives:
         program = parse_program("#const failed = 9.\np(other).")
         assert program.facts == [fact("p", Symbol("other"))]
 
+    # A name in arithmetic, aggregates, negation, facts and a constraint,
+    # used before and after its statement.
+    CONST_USES = (
+        "#const k = 3.\n#const low = -2.\np(k). p(low). q(k, \"k\", big).\n"
+        "r(X + k) :- p(X), X - low > big, not s(X, k).\n"
+        "s(X, k) :- p(X), #count{Y, k : q(Y, _, big), Y != k} >= k.\n"
+        "t(X, C) :- p(X), C = #count{Y : q(Y, k, Z), Z <= big + low}.\n"
+        ":- p(X), X == big - k.\n#const big = 7.\n"
+    )
+
+    def test_every_use_reads_the_value(self):
+        program = parse_program(self.CONST_USES)
+        literal = parse_program(
+            '\n\np(3). p(-2). q(3, "k", 7).\n'
+            "r(X + 3) :- p(X), X - -2 > 7, not s(X, 3).\n"
+            "s(X, 3) :- p(X), #count{Y, 3 : q(Y, _, 7), Y != 3} >= 3.\n"
+            "t(X, C) :- p(X), C = #count{Y : q(Y, 3, Z), Z <= 7 + -2}.\n"
+            ":- p(X), X == 7 - 3.\n")
+        assert program.consts == {"k": 3, "low": -2, "big": 7}
+        assert program.rules == literal.rules
+        assert [rule.span for rule in program.rules] == [rule.span for rule in literal.rules]
+        assert program.facts == literal.facts == [fact("p", 3), fact("p", -2),
+                                                  fact("q", 3, "k", 7)]
+
+    # sha256 of ``repr(parse_program(text))``, spans included, as the parser
+    # that substituted names after parsing gave them.
+    @pytest.mark.parametrize("text, digest", [
+        (RULES_TEXT, "981652feb65dd0de"),
+        ("% tune with #const limit = 3.\n#const limit = 3.  % the real one\n"
+         'msg("#const limit = 3.").\n#const  off =  - 2 .\n'
+         "p(X) :- q(X), X >= limit, X > off.\n", "340eeea5814f4fa7"),
+        ("#const a = 1. #const b = -22. p(X) :- q(X), X > a, X < b.\n#const c = 3. r(c).",
+         "9afbb2b8e1fbdb32"),
+        ("#const a = -\n  4. p(a). #const b = - % a comment\n\n 5. q(b).\n", "126fd3c82bd59a99"),
+        ("#const a=1.#const b=2.#const c=3.x(a,b,c).", "9c62f8df44683a33"),
+        (CONST_USES, "bb79e7393f9d4286"),
+    ], ids=["bundled", "override", "several", "split", "packed", "uses"])
+    def test_parse_results_are_unchanged(self, text, digest):
+        assert hashlib.sha256(repr(parse_program(text)).encode()).hexdigest()[:16] == digest
+
+    def test_name_is_checked_as_a_symbol(self):
+        with pytest.raises(ValueError, match="invalid symbol: 'kä'"):
+            parse_program("#const kä = 1.\np(kä).")
+
 
 class TestOverrideConsts:
     TEXT = (
@@ -135,9 +185,74 @@ class TestOverrideConsts:
     def test_tokens_equal_those_of_the_new_text(self, text, values):
         names = {t.value for t in _tokenize(text) if t.kind == "IDENT"}
         overrides = {name: value for name, value in values.items() if name in names}
-        new_text, tokens = _override(text, overrides)
-        assert new_text == override_consts(text, overrides)
-        assert tokens == _tokenize(new_text)
+        assert parse_program(override_consts(text, overrides)).consts == overrides
+
+
+# Grammar pieces, blanks, bad escapes and non-ASCII letters, digits and
+# other characters; none is a digit that is not decimal.
+_LEX_PIECES = [
+    "p", "q_1", "X", "_", "not", "nota", "(", ")", "{", "}", ",", ".", ":", ":-", "-",
+    "+", "=", "==", "!=", "!", "<", "<=", ">", ">=", "#const", "#count", "#foo", "#",
+    '"', "\\", '"a\\"b"', '"\\q', '"\\\n', "%", "% c\n", "\n", "\r", " ", "\t",
+    "\x0c", "0", "42", "\u0663", "\u00e9", "\u01c5", "\u4e2d", "\u00aa", "\u00bd",
+    "\u216b", "\ufffd", "x\u00b2",
+]
+
+
+def _lex(tokenize, text):
+    try:
+        return [(t.kind, t.value, t.line, t.column) for t in tokenize(text)]
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+class TestLexerAgainstReference:
+    """The scanner gives the tokens, and the errors, of the lexer it
+    replaced (``tests/reference_lexer.py``) on every text without a digit
+    that is not decimal."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_LEX_PIECES), st.characters()), max_size=16)
+           .map("".join).filter(lambda t: not any(c.isdigit() and not c.isdecimal() for c in t)))
+    @example('p("\\q unterminated')
+    @example("p. % trailing comment")
+    @example("\u216b(x).")
+    def test_same_tokens_and_errors(self, text):
+        assert _lex(_tokenize, text) == _lex(reference_tokenize, text)
+
+    @pytest.mark.parametrize("text, column", [("p(\u00b2).", 3), ("p(1\u00b2).", 4),
+                                              ("p(\u2460).", 3), ("p(X) :- q(X), X > 7\u00b2.", 20)])
+    def test_digit_that_is_not_decimal_is_unexpected(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert str(err.value).endswith(f"unexpected character {text[column - 1]!r}")
+
+    def test_other_decimal_digits_are_integers(self):
+        assert parse_program("p(\u0663\u0660).").facts == [fact("p", 30)]
+
+
+class TestIntegerLimit:
+    """An integer literal longer than the interpreter converts is a
+    ParseError at its token."""
+
+    LIMIT = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("template", ["p({}).", "p(-{}).", "q(X) :- p(X), X < 1 + {}.",
+                                          "#const k = {}.", "#const k = -{}."])
+    def test_over_the_limit(self, template):
+        text = "p(1).\n" + template.format("9" * (self.LIMIT + 1))
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert err.value.line == 2
+        assert text.splitlines()[1][err.value.column - 1] == "9"
+        assert str(err.value).endswith(f"integer has more than {self.LIMIT} digits")
+
+    def test_at_the_limit(self):
+        value = int("9" * self.LIMIT)
+        program = parse_program(f"#const k = -{'9' * self.LIMIT}.\np(k).")
+        assert program.consts == {"k": -value}
+        assert program.facts == [fact("p", -value)]
 
 
 class TestAggregates:
