@@ -105,10 +105,15 @@ def _parse_overrides(pairs: Sequence[str], parser: argparse.ArgumentParser) -> d
         name = name.strip()
         if not sep or not name:
             parser.error(f"--set expects NAME=VALUE, got {pair!r}")
+        value = raw.strip()
         try:
-            overrides[name] = int(raw.strip())
+            overrides[name] = int(value)
         except ValueError:
-            parser.error(f"--set {name}: value must be an integer, got {raw.strip()!r}")
+            limit, digits = sys.get_int_max_str_digits(), value.lstrip("+-")
+            if digits.isdecimal() and len(digits) > limit:
+                parser.error(f"--set {name}: value has more than {limit} digits, "
+                             f"got {value[:20]!r}...")
+            parser.error(f"--set {name}: value must be an integer, got {value!r}")
     return overrides
 
 

@@ -19,14 +19,15 @@ environment with one slot per variable; each step knows at compile time
 which positions bind a slot, which check a bound slot or a repeat within
 the atom, and which hold constants or arithmetic.
 
-Each body atom is looked up through the narrowest per-argument index among
-its bound positions; an index is built on the first lookup that binds its
-position and kept current from then on, and a compiled scan keeps it. A
-delta scan keyed on a position uses an index of the window, built the
-first time a round needs it. A ``#count`` of one range-guarded variable is
-answered by bisecting a sorted index of that variable's values per group,
-built once per evaluation and kept by the compiled count; every other
-aggregate enumerates its matches.
+The model holds one relation per predicate and arity, with one kind of
+index: a hash map from the values at a set of positions to exactly the rows
+that hold them. A body atom is looked up in its relation's index on its
+bound positions, built on first use and kept current from then on; a
+compiled scan keeps it, and a delta scan uses the same index of the window.
+A ``#count`` of one range-guarded variable is answered by bisecting the
+sorted values of that variable in each bucket of the index on its group
+positions, sorted once per evaluation; every other aggregate enumerates its
+matches.
 
 Every derived atom records the rule and ground supports that first produced
 it, so any alert can be unfolded into a full derivation tree. Iteration
@@ -78,51 +79,45 @@ class NotDerivedError(LookupError):
         super().__init__(f"atom not in model: {atom}")
 
 
+Row = tuple[Constant, ...]
+
+
 class _Relation:
-    """One predicate's atoms: argument tuples in insertion order, the atom
-    of each tuple, and the position indexes built so far.
+    """One predicate's atoms of one arity: argument tuples in insertion
+    order, the atom of each tuple, and the hash indexes built so far, one
+    per set of bound positions.
 
     A semi-naive delta is a relation over a copy of a window of another
     relation's rows; its ``atoms`` stay empty, since only scans read it."""
 
     __slots__ = ("rows", "atoms", "indexes")
 
-    def __init__(self, rows: Optional[list[tuple[Constant, ...]]] = None) -> None:
-        self.rows: list[tuple[Constant, ...]] = [] if rows is None else rows
-        self.atoms: dict[tuple[Constant, ...], Fact] = {}
-        self.indexes: dict[int, dict[Constant, list[tuple[Constant, ...]]]] = {}
+    def __init__(self, rows: Optional[list[Row]] = None) -> None:
+        self.rows: list[Row] = [] if rows is None else rows
+        self.atoms: dict[Row, Fact] = {}
+        # bound positions -> (their item getter, rows by its value)
+        self.indexes: dict[tuple[int, ...], tuple[Callable, dict[object, list[Row]]]] = {}
 
-    def index(self, position: int) -> dict[Constant, list[tuple[Constant, ...]]]:
-        """Rows by their value at ``position``, built from the rows on first
-        use and kept current by :meth:`Model.add` and by each rule's emit
-        step from then on."""
-        index = self.indexes.get(position)
-        if index is None:
-            index = self.indexes[position] = {}
+    def index(self, positions: tuple[int, ...]) -> dict[object, list[Row]]:
+        """Rows by ``itemgetter(*positions)`` of their arguments (the value
+        itself for one position, a tuple for several), each list in
+        insertion order. Built on first use and kept current by every
+        append from then on; ``()`` maps ``()`` to all rows. The lists are
+        live, so a caller that appends while it scans takes a length first."""
+        if not positions:
+            return {(): self.rows}
+        found = self.indexes.get(positions)
+        if found is None:
+            key, index = found = self.indexes[positions] = itemgetter(*positions), {}
             for args in self.rows:
-                if position < len(args):
-                    index.setdefault(args[position], []).append(args)
-        return index
-
-    def candidates(self, pattern: Sequence[Optional[Constant]]) -> list[tuple[Constant, ...]]:
-        """Arg tuples possibly matching the pattern (None = free position):
-        the shortest index list among the bound positions, which the caller
-        filters. Every list is live and in insertion order, so a caller that
-        adds atoms while it scans takes its length first."""
-        narrowest = None
-        for position, value in enumerate(pattern):
-            if value is not None:
-                found = self.index(position).get(value)
-                if found is None:
-                    return []
-                if narrowest is None or len(found) < len(narrowest):
-                    narrowest = found
-        return self.rows if narrowest is None else narrowest
+                index.setdefault(key(args), []).append(args)
+        return found[1]
 
 
 class Model:
-    """Insertion-ordered set of ground atoms with per-argument hash indexes,
-    each built on the first lookup that binds its position.
+    """Insertion-ordered set of ground atoms, held as one relation per
+    predicate and arity, each with a hash index per set of bound positions
+    that a lookup has used.
 
     A relation's rows only grow, in insertion order, so the atoms one
     semi-naive round derives are the window of rows it appended; the next
@@ -132,30 +127,30 @@ class Model:
 
     def __init__(self) -> None:
         self._order: list[Fact] = []
-        self._relations: dict[str, _Relation] = {}
+        self._relations: dict[tuple[str, int], _Relation] = {}
 
     def add(self, atom: Fact) -> bool:
-        relation = self._relations.get(atom.predicate) or self.relation(atom.predicate)
         args = atom.args
+        relation = self.relation(atom.predicate, len(args))
         if args in relation.atoms:
             return False
         relation.atoms[args] = atom
         relation.rows.append(args)
         self._order.append(atom)
-        for position, index in relation.indexes.items():
-            if position < len(args):
-                index.setdefault(args[position], []).append(args)
+        for key, index in relation.indexes.values():
+            index.setdefault(key(args), []).append(args)
         return True
 
-    def relation(self, predicate: str) -> _Relation:
-        """The predicate's live relation, empty until an atom is added."""
-        relation = self._relations.get(predicate)
+    def relation(self, predicate: str, arity: int) -> _Relation:
+        """The live relation of a predicate at an arity, empty until an atom
+        is added."""
+        relation = self._relations.get((predicate, arity))
         if relation is None:
-            relation = self._relations[predicate] = _Relation()
+            relation = self._relations[predicate, arity] = _Relation()
         return relation
 
     def __contains__(self, atom: Fact) -> bool:
-        relation = self._relations.get(atom.predicate)
+        relation = self._relations.get((atom.predicate, len(atom.args)))
         return relation is not None and atom.args in relation.atoms
 
     def __len__(self) -> int:
@@ -164,9 +159,9 @@ class Model:
     def __iter__(self) -> Iterator[Fact]:
         return iter(self._order)
 
-    def atoms(self, predicate: str) -> list[tuple[Constant, ...]]:
-        relation = self._relations.get(predicate)
-        return [] if relation is None else relation.rows
+    def atoms(self, predicate: str) -> list[Row]:
+        """The predicate's argument tuples at every arity, in model order."""
+        return [atom.args for atom in self._order if atom.predicate == predicate]
 
 
 # -- derivation bookkeeping --------------------------------------------------
@@ -368,13 +363,13 @@ class _RangeCount:
     sorted distinct ``constant_key(T)`` values of the matching group.
 
     ``index`` names the sorted index: predicate, arity, the position of
-    ``T``, the positions fixed to constants, and the group-key positions
-    (those holding outer variables, in ``key_vars``). Each guard is
-    ``T <op> term`` with the term over outer variables.
+    ``T`` and the group positions, those holding constants or outer
+    variables; ``key_terms`` are the terms at the group positions. Each
+    guard is ``T <op> term`` with the term over outer variables.
     """
 
-    index: tuple
-    key_vars: tuple[Variable, ...]
+    index: tuple[str, int, int, tuple[int, ...]]
+    key_terms: tuple[Term, ...]
     guards: tuple[tuple[str, Term], ...]
 
 
@@ -392,19 +387,16 @@ def _range_count_plan(literal: AggregateLiteral, rule: Rule) -> Optional[_RangeC
     if not isinstance(element, Variable) or element in outer \
             or atom.terms.count(element) != 1:
         return None
-    constants: list[tuple[int, Term]] = []
     key_positions: list[int] = []
-    key_vars: list[Variable] = []
+    key_terms: list[Term] = []
     for position, term in enumerate(atom.terms):
         if term == element:
             continue
         if isinstance(term, ArithTerm):
             return None
-        if not isinstance(term, Variable):
-            constants.append((position, term))
-        elif term in outer:
+        if not isinstance(term, Variable) or term in outer:
             key_positions.append(position)
-            key_vars.append(term)
+            key_terms.append(term)
         elif occurrences[term] != 1:
             return None
     guards: list[tuple[str, Term]] = []
@@ -422,9 +414,8 @@ def _range_count_plan(literal: AggregateLiteral, rule: Rule) -> Optional[_RangeC
         if not set(term_variables(other)) <= outer:
             return None
         guards.append((op, other))
-    index = (atom.predicate, len(atom.terms), atom.terms.index(element),
-             tuple(constants), tuple(key_positions))
-    return _RangeCount(index, tuple(key_vars), tuple(guards))
+    index = (atom.predicate, len(atom.terms), atom.terms.index(element), tuple(key_positions))
+    return _RangeCount(index, tuple(key_terms), tuple(guards))
 
 
 @dataclass
@@ -441,7 +432,7 @@ class _CompiledRule:
     condition_plans: dict[int, tuple[ConditionLiteral, ...]]
     range_counts: dict[int, _RangeCount]
     records: dict[int, int]  # body index -> support or check index
-    support_predicates: tuple[str, ...]
+    support_relations: tuple[tuple[str, int], ...]  # (predicate, arity) each
     check_count: int
 
 
@@ -465,7 +456,8 @@ def _compile_rule(rule: Rule) -> _CompiledRule:
                       if (count := _range_count_plan(rule.body[i], rule)) is not None},
         records={**{i: k for k, i in enumerate(atoms)},
                  **{i: k for k, i in enumerate(others)}},
-        support_predicates=tuple(rule.body[i].predicate for i in atoms),
+        support_relations=tuple((rule.body[i].predicate, len(rule.body[i].terms))
+                                for i in atoms),
         check_count=len(others))
 
 
@@ -537,6 +529,15 @@ def _tuple_getter(terms: Sequence[Term], slots: dict[Variable, int], bound: set[
     return lambda env: tuple([get(env) for get in getters])
 
 
+def _key_getter(terms: Sequence[Term], slots: dict[Variable, int], bound: set[int],
+                rule: Rule) -> Callable[[Env], object]:
+    """The terms' values as a key of :meth:`_Relation.index` on their
+    positions: the value itself for one term, a tuple otherwise."""
+    if len(terms) == 1:
+        return _getter(terms[0], slots, bound, rule)
+    return _tuple_getter(terms, slots, bound, rule)
+
+
 def _binds(literal: BodyLiteral, slots: dict[Variable, int]) -> set[int]:
     """The slots a body literal binds: an atom's variables, or the variable
     an aggregate assigns."""
@@ -563,7 +564,7 @@ class _Frame:
 
     @classmethod
     def of(cls, compiled: _CompiledRule) -> "_Frame":
-        return cls(compiled, [None] * len(compiled.support_predicates),
+        return cls(compiled, [None] * len(compiled.support_relations),
                    [None] * compiled.check_count)
 
 
@@ -571,10 +572,10 @@ class _Evaluator:
     def __init__(self, model: Model, graph: DerivationGraph):
         self.model = model
         self.graph = graph
-        # per stratum predicate, the rows the last semi-naive round appended
-        self.windows: dict[str, _Relation] = {}
+        # per stratum relation, the rows the last semi-naive round appended
+        self.windows: dict[tuple[str, int], _Relation] = {}
         # sorted range indexes, built on first use: group key -> sorted keys
-        self.ranges: dict[tuple, dict[tuple[Constant, ...], list[tuple]]] = {}
+        self.ranges: dict[tuple, dict[object, list[tuple]]] = {}
 
     # plan compilation
 
@@ -612,57 +613,44 @@ class _Evaluator:
 
     def _scan(self, frame: _Frame, atom: Atom, bound: set[int], record: Optional[int],
               step: Step, from_delta: bool) -> Step:
-        """Join one positive atom: look up rows by its bound positions, then
-        per row check repeats within the atom and bind its new slots. Only
-        the rows present when the scan starts are visited. A model
-        relation's index is kept from the scan's first lookup; a delta
-        scan reads the current round's window."""
+        """Join one positive atom: look up the rows that match its bound
+        positions in the relation's index on them, then per row check
+        repeats within the atom and bind its new slots. Only the rows
+        present when the scan starts are visited. A model relation's index
+        is kept from the scan's first lookup; a delta scan reads the current
+        round's window."""
         slots, rule = frame.compiled.slots, frame.compiled.rule
-        predicate, arity = atom.predicate, len(atom.terms)
-        keys: list[tuple[int, Callable[[Env], Constant]]] = []
+        positions: list[int] = []
+        key_terms: list[Term] = []
         binds: list[tuple[int, int]] = []
         first_at: dict[int, int] = {}
         repeats: list[tuple[int, int]] = []
         for position, term in enumerate(atom.terms):
             slot = slots[term] if isinstance(term, Variable) else None
             if slot is None or slot in bound:
-                keys.append((position, _getter(term, slots, bound, rule)))
+                positions.append(position)
+                key_terms.append(term)
             elif slot in first_at:
                 repeats.append((first_at[slot], position))
             else:
                 first_at[slot] = position
                 binds.append((position, slot))
-        # one bound position: its index list holds exactly the matching rows;
-        # several: the narrowest list is only known at run time, so each row
-        # is checked against all of them
-        key_position, key_value = keys[0] if len(keys) == 1 else (None, None)
-        key_check = itemgetter(*(p for p, _ in keys)) if len(keys) > 1 else None
+        bound_positions = tuple(positions)
+        key = _key_getter(key_terms, slots, bound, rule)
         repeat_check = (itemgetter(*(p for p, _ in repeats)),
                         itemgetter(*(q for _, q in repeats))) if repeats else None
-        relation = None if from_delta else self.model.relation(predicate)
+        name = (atom.predicate, len(atom.terms))
+        relation = None if from_delta else self.model.relation(*name)
         supports = frame.supports
         index = None
 
         def scan(env: Env) -> None:
             nonlocal index
-            source = relation or self.windows[predicate]
-            if key_value is not None:
-                if index is None or relation is None:
-                    index = source.index(key_position)
-                rows = index.get(key_value(env), ())
-            elif keys:
-                pattern: list[Optional[Constant]] = [None] * arity
-                for position, get in keys:
-                    pattern[position] = get(env)
-                rows = source.candidates(pattern)
-                expected = key_check(pattern)
-            else:
-                rows = source.rows
+            if index is None or relation is None:
+                index = (relation or self.windows[name]).index(bound_positions)
+            rows = index.get(key(env), ())
             for args in islice(rows, len(rows)):
-                if len(args) != arity \
-                        or (key_check is not None and key_check(args) != expected) \
-                        or (repeat_check is not None
-                            and repeat_check[0](args) != repeat_check[1](args)):
+                if repeat_check is not None and repeat_check[0](args) != repeat_check[1](args):
                     continue
                 for position, slot in binds:
                     env[slot] = args[position]
@@ -673,10 +661,9 @@ class _Evaluator:
 
     def _naf(self, frame: _Frame, literal: NafLiteral, bound: set[int], record: int,
              step: Step) -> Step:
-        predicate = literal.atom.predicate
-        ground = _tuple_getter(literal.atom.terms, frame.compiled.slots, bound,
-                               frame.compiled.rule)
-        known, checks = self.model.relation(predicate).atoms, frame.checks
+        predicate, terms = literal.atom.predicate, literal.atom.terms
+        ground = _tuple_getter(terms, frame.compiled.slots, bound, frame.compiled.rule)
+        known, checks = self.model.relation(predicate, len(terms)).atoms, frame.checks
 
         def naf(env: Env) -> None:
             args = ground(env)
@@ -751,7 +738,7 @@ class _Evaluator:
         plan = compiled.range_counts.get(index)
         if plan is None:
             return enumerate_count
-        group = _tuple_getter(plan.key_vars, slots, bound, rule)
+        group = _key_getter(plan.key_terms, slots, bound, rule)
         guards = [(op, _getter(term, slots, bound, rule)) for op, term in plan.guards]
         groups = None
 
@@ -760,7 +747,7 @@ class _Evaluator:
             if groups is None:
                 groups = self._range_index(plan.index)
             keys = groups.get(group(env))
-            if keys is None:
+            if not keys:
                 return 0  # guards are never evaluated over an empty group
             low, high = 0, len(keys)
             for op, get in guards:
@@ -779,20 +766,18 @@ class _Evaluator:
             return max(0, high - low)
         return range_count
 
-    def _range_index(self, index: tuple) -> dict[tuple[Constant, ...], list[tuple]]:
-        """Sorted distinct keys of the counted position per group key. The
-        counted predicate sits in a strictly lower, complete stratum, so the
-        index built on first use stays valid for the whole evaluation."""
+    def _range_index(self, index: tuple) -> dict[object, list[tuple]]:
+        """Sorted distinct keys of the counted position per group, read from
+        the relation's index on the group positions. The counted predicate
+        sits in a strictly lower, complete stratum, so the sorted index
+        built on first use stays valid for the whole evaluation."""
         groups = self.ranges.get(index)
         if groups is None:
-            predicate, arity, position, constants, key_positions = index
-            keys: dict[tuple[Constant, ...], set[tuple]] = {}
-            for args in self.model.atoms(predicate):
-                if len(args) == arity and all(args[p] == c for p, c in constants):
-                    keys.setdefault(tuple(args[p] for p in key_positions), set()).add(
-                        constant_key(args[position]))
-            groups = self.ranges[index] = {group: sorted(values)
-                                           for group, values in keys.items()}
+            predicate, arity, position, group_positions = index
+            buckets = self.model.relation(predicate, arity).index(group_positions)
+            groups = self.ranges[index] = {
+                group: sorted({constant_key(args[position]) for args in rows})
+                for group, rows in buckets.items()}
         return groups
 
     # stratum evaluation
@@ -805,10 +790,10 @@ class _Evaluator:
         head = rule.head
         assert head is not None
         model, entries, predicate = self.model, self.graph.entries, head.predicate
-        relation = model.relation(predicate)
+        relation = model.relation(predicate, len(head.terms))
         known, rows, indexes = relation.atoms, relation.rows, relation.indexes
         order = model._order
-        support_atoms = [model.relation(p).atoms for p in compiled.support_predicates]
+        support_atoms = [model.relation(*name).atoms for name in compiled.support_relations]
         supports, checks = frame.supports, frame.checks
 
         def finish(bound: set[int]) -> Step:
@@ -819,14 +804,14 @@ class _Evaluator:
                 if args in known:
                     return
                 atom = new_tuple(Fact, (predicate, args))
-                # Model.add without its membership test
+                # Model.add without its membership test, inlined: a call per
+                # derived atom costs a few per cent of a recursive evaluation
                 known[args] = atom
                 rows.append(args)
                 order.append(atom)
                 if indexes:
-                    for position, index in indexes.items():
-                        if position < len(args):
-                            index.setdefault(args[position], []).append(args)
+                    for key, index in indexes.values():
+                        index.setdefault(key(args), []).append(args)
                 entries[atom] = new_tuple(Derivation, (
                     rule, tuple(map(dict.__getitem__, support_atoms, supports)), tuple(checks)))
             return emit
@@ -849,16 +834,17 @@ class _Evaluator:
                 if isinstance(literal, Atom) and literal.predicate in stratum_predicates:
                     order = _delta_order(rule, compiled.order, i)
                     rounds.append((self._plan(frame, order, finish, i), width))
-        relations = {p: self.model.relation(p) for p in stratum_predicates}
-        before = {p: len(relation.rows) for p, relation in relations.items()}
+        relations = {name: relation for name, relation in self.model._relations.items()
+                     if name[0] in stratum_predicates}
+        before = {name: len(relation.rows) for name, relation in relations.items()}
         for plan, width in firsts:
             plan([None] * width)
         while rounds:
-            after = {p: len(relation.rows) for p, relation in relations.items()}
+            after = {name: len(relation.rows) for name, relation in relations.items()}
             if after == before:
                 break
-            self.windows = {p: _Relation(relation.rows[before[p]:after[p]])
-                            for p, relation in relations.items()}
+            self.windows = {name: _Relation(relation.rows[before[name]:after[name]])
+                            for name, relation in relations.items()}
             before = after
             for plan, width in rounds:
                 plan([None] * width)
@@ -924,21 +910,21 @@ def evaluate(program: Program,
 
 
 def query(model: Model, predicate: str) -> list[Fact]:
-    """The model's atoms of a predicate, sorted by arguments in
-    ``constant_key`` order; unknown predicates yield an empty list.
+    """The model's atoms of a predicate at every arity, sorted by arguments
+    in ``constant_key`` order; unknown predicates yield an empty list.
 
     When every argument is a plain ``int``, or every argument a plain
     ``str``, the values order as their keys do, so the argument tuples sort
     directly and no key is built."""
-    relation = model._relations.get(predicate)
-    if relation is None:
-        return []
-    kinds = set(map(type, chain.from_iterable(relation.rows)))
+    atoms = {arity: relation.atoms for (name, arity), relation in model._relations.items()
+             if name == predicate}
+    rows = list(chain.from_iterable(atoms.values()))
+    kinds = set(map(type, chain.from_iterable(rows)))
     if kinds <= {int} or kinds <= {str}:
-        ordered = sorted(relation.rows)
+        rows.sort()
     else:
-        ordered = sorted(relation.rows, key=lambda args: tuple(map(constant_key, args)))
-    return [relation.atoms[args] for args in ordered]
+        rows.sort(key=lambda args: tuple(map(constant_key, args)))
+    return [atoms[len(args)][args] for args in rows]
 
 
 def explain(graph: DerivationGraph, atom: Fact) -> DerivationNode:

@@ -365,7 +365,10 @@ class _Parser:
             return token.value
         if token.kind == "IDENT":
             self.advance()
-            symbol = Symbol(token.value)  # checks the name even where it is a #const
+            try:  # checks the name even where it is a #const
+                symbol = Symbol(token.value)
+            except ValueError as error:
+                raise ParseError(str(error), token.line, token.column) from None
             return self.values.get(token.value, symbol)
         raise self.fail(f"expected a term, got {token.value or 'end of input'!r}")
 

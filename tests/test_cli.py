@@ -305,6 +305,15 @@ class TestHugeIntegers:
                              "--set", f"k={'9' * self.LIMIT}")
         assert err.startswith("error in evaluate stage: 2:1: '+' gives an integer of more than")
 
+    def test_set_value_past_the_limit(self, capsys, sample_path):
+        value = "9" * (self.LIMIT + 100)
+        with pytest.raises(SystemExit) as exit_:
+            main(["detect", str(sample_path), "--set", f"k={value}"], env={})
+        assert exit_.value.code == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == (f"stratalog: error: --set k: value has more than {self.LIMIT} digits, "
+                       f"got {value[:20]!r}...")
+
     @pytest.mark.parametrize("flags", [[], ["--group"], ["--output", "json"]])
     @pytest.mark.parametrize("stamp", [10 ** 12, -10 ** 12, "9" * 4000])
     def test_timestamp_without_a_date(self, capsys, sample_path, tmp_path, flags, stamp):
@@ -341,7 +350,11 @@ class TestHostileRuleText:
         else:
             assert code in (EXIT_OK, EXIT_INCONSISTENT)
             assert err.getvalue() == ""
-            assert out.getvalue().endswith("\n")
+            if "json" in flags:  # zero alerts are zero lines, an empty stdout
+                assert all(isinstance(json.loads(line), dict)
+                           for line in out.getvalue().splitlines())
+            else:
+                assert out.getvalue().endswith("\n")
 
 
 class TestEnvironmentFallbacks:

@@ -429,25 +429,62 @@ class TestRangeCounts:
         assert model.atoms("r") == [(1,)]
 
 
-class TestCandidates:
-    def test_narrowest_bound_position_in_insertion_order(self):
+class TestRelationIndex:
+    """A relation holds one predicate at one arity; its only index kind maps
+    the values at a set of bound positions to exactly the matching rows."""
+
+    def test_bound_positions_select_exactly_their_rows_in_insertion_order(self):
         model = Model()
         for args in [(1, 1), (1, 2), (2, 2), (1, 3), (3, 2), (1, 4)]:
             model.add(Fact("e", args))
-        assert model.relation("e").candidates([1, None]) == [(1, 1), (1, 2), (1, 3), (1, 4)]
-        assert model.relation("e").candidates([1, 2]) == [(1, 2), (2, 2), (3, 2)]
-        assert model.relation("e").candidates([None, 4]) == [(1, 4)]
-        assert model.relation("e").candidates([9, 2]) == []
-        assert model.relation("e").candidates([None, None]) == model.atoms("e")
+        relation = model.relation("e", 2)
+        assert relation.index((0,))[1] == [(1, 1), (1, 2), (1, 3), (1, 4)]
+        assert relation.index((1,))[2] == [(1, 2), (2, 2), (3, 2)]
+        assert relation.index((1,))[4] == [(1, 4)]
+        assert relation.index((0, 1))[1, 2] == [(1, 2)]
+        assert relation.index((1, 0))[2, 3] == [(3, 2)]
+        assert relation.index((0,)).get(9) is None
+        assert relation.index((0, 1)).get((9, 2)) is None
+        assert relation.index(()) == {(): relation.rows}
+        assert relation.rows == model.atoms("e")
 
     def test_index_built_after_the_atoms_keeps_insertion_order(self):
         model = Model()
         for args in [(2, 1), (1, 1), (2, 2), (1, 2)]:
             model.add(Fact("e", args))
-        assert model.relation("e").candidates([None, 1]) == [(2, 1), (1, 1)]
+        relation = model.relation("e", 2)
+        by_second, by_both = relation.index((1,)), relation.index((0, 1))
+        assert by_second[1] == [(2, 1), (1, 1)]
         model.add(Fact("e", (3, 1)))
-        assert model.relation("e").candidates([None, 1]) == [(2, 1), (1, 1), (3, 1)]
-        assert model.relation("e").candidates([2, None]) == [(2, 1), (2, 2)]
+        model.add(Fact("e", (2, 1)))  # already there: no second row
+        assert by_second[1] == [(2, 1), (1, 1), (3, 1)]
+        assert by_both[3, 1] == [(3, 1)]
+        assert relation.index((1,)) is by_second
+        assert relation.index((0,))[2] == [(2, 1), (2, 2)]
+
+    def test_other_arities_live_in_other_relations(self):
+        model = Model()
+        for args in [(1,), (1, 2), (1, 2, 3), (2,)]:
+            model.add(Fact("e", args))
+        assert model.relation("e", 2).index((0,)) == {1: [(1, 2)]}
+        assert model.relation("e", 1).rows == [(1,), (2,)]
+        assert Fact("e", (1, 2, 3)) in model and Fact("e", (2, 2)) not in model
+
+    def test_a_predicate_at_two_arities(self):
+        text = ("p(1, 10). p(1). p(2, 30). p(2). p(1, 20). p(3, 40)."
+                " k(1). k(2). k(3). k(4)."
+                " q(X, Y) :- k(X), p(X, Y)."
+                " p(X) :- q(X, 40)."
+                " solo(X) :- k(X), not p(X)."
+                " n(X, N) :- k(X), N = #count{Y : p(X, Y), Y >= 10, Y <= 30}.")
+        assert range_counted(text) == [True]
+        model = agrees_with_oracle(text)
+        assert model.atoms("q") == [(1, 10), (1, 20), (2, 30), (3, 40)]
+        assert model.atoms("p") == [(1, 10), (1,), (2, 30), (2,), (1, 20), (3, 40), (3,)]
+        assert model.atoms("solo") == [(4,)]
+        assert sorted(model.atoms("n")) == [(1, 2), (2, 1), (3, 0), (4, 0)]
+        assert [atom.args for atom in query(model, "p")] == \
+            [(1,), (1, 10), (1, 20), (2,), (2, 30), (3,), (3, 40)]
 
 
 def shuffled_chain(n, seed):

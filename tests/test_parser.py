@@ -313,6 +313,11 @@ class TestErrors:
         with pytest.raises(ParseError, match="unknown escape"):
             parse_program('p("a\\q").')
 
+    def test_invalid_symbol_carries_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("p(café).")
+        assert str(err.value) == "1:3: invalid symbol: 'café'"
+
     def test_non_ground_fact_becomes_unsafe_rule(self):
         # a "fact" containing a variable parses as a bodyless rule, which
         # safety analysis then rejects (nothing binds X)
