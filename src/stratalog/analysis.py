@@ -3,7 +3,9 @@
 Safety guarantees every rule can be grounded: variables in heads, under
 negation, in comparisons, and in arithmetic must be bound by a positive
 body atom or by an aggregate assignment; aggregate-local variables must be
-bound by a positive atom inside the aggregate's own condition.
+bound by a positive atom inside the aggregate's own condition. A safe rule
+is also orderable: :func:`join_order`, which the engine plans joins with,
+orders its whole body and each aggregate's whole condition.
 
 Stratification orders predicates so that negation and aggregation only ever
 look at already-completed strata. Strata are the levels of the dependency
@@ -15,12 +17,13 @@ component means the program has no unique model and is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .lang import (
     AggregateLiteral,
     ArithTerm,
     Atom,
+    BodyLiteral,
     Comparison,
     NafLiteral,
     Program,
@@ -59,22 +62,86 @@ class CycleThroughNegation(ValueError):
             "negation/aggregation cycle through: " + " -> ".join(cycle + (cycle[0],)))
 
 
-def _direct_atom_variables(atom: Atom) -> set[Variable]:
-    """Variables occurring as direct arguments (not nested in arithmetic);
-    only these can be bound by matching the atom against ground facts."""
-    return {t for t in atom.terms if isinstance(t, Variable)}
+def literal_binds(literal: BodyLiteral) -> set[Variable]:
+    """The variables a body or condition literal binds: an atom's direct
+    arguments (not those nested in arithmetic), the only ones matching it
+    against ground facts can bind, or the variable an aggregate assigns."""
+    if isinstance(literal, Atom):
+        return {t for t in literal.terms if isinstance(t, Variable)}
+    if isinstance(literal, AggregateLiteral) and literal.is_assignment:
+        assert isinstance(literal.bound, Variable)
+        return {literal.bound}
+    return set()
 
 
-def _atom_arith_variables(atom: Atom) -> set[Variable]:
-    out: set[Variable] = set()
-    for term in atom.terms:
-        if isinstance(term, ArithTerm):
-            out.update(term_variables(term))
-    return out
+def literal_needs(literal: BodyLiteral, outer: set[Variable]) -> set[Variable]:
+    """The variables that must be bound before a literal can be evaluated:
+    those in an atom's arithmetic, every variable of a negation or a
+    comparison, and those an aggregate shares with ``outer``, the rule's
+    global variables, except the one it assigns."""
+    if isinstance(literal, Atom):
+        return {v for t in literal.terms if isinstance(t, ArithTerm)
+                for v in term_variables(t)}
+    if isinstance(literal, AggregateLiteral):
+        needs = outer.intersection(literal_variables(literal))
+        if literal.is_assignment:
+            needs.discard(literal.bound)  # type: ignore[arg-type]
+        return needs
+    return set(literal_variables(literal))
+
+
+def join_order(literals: Sequence[BodyLiteral], outer: set[Variable],
+               bound: Iterable[Variable], first: Optional[int] = None) -> tuple[int, ...]:
+    """The order a rule's literals (or an aggregate's condition) join in, as
+    indexes: ``first`` if given, then repeatedly the first literal as
+    written whose needs are bound. Stops when no remaining literal is
+    ready, so a shorter result than ``literals`` means they cannot all be
+    ordered."""
+    needs = [literal_needs(literal, outer) for literal in literals]
+    bound = set(bound)
+    order: list[int] = []
+    remaining = list(range(len(literals)))
+
+    def take(index: int) -> None:
+        order.append(index)
+        remaining.remove(index)
+        bound.update(literal_binds(literals[index]))
+
+    if first is not None:
+        take(first)
+    while remaining:
+        for index in remaining:
+            if needs[index] <= bound:
+                take(index)
+                break
+        else:
+            break
+    return tuple(order)
+
+
+def _first_unordered(literals: Sequence[BodyLiteral], outer: set[Variable],
+                     bound: set[Variable]) -> Optional[Variable]:
+    """The first variable, in written order, that a literal ``join_order``
+    leaves out needs and no ordered literal binds; None if it orders all."""
+    order = join_order(literals, outer, bound)
+    bound = bound.union(*(literal_binds(literals[i]) for i in order))
+    for i, literal in enumerate(literals):
+        if i not in order:
+            needs = literal_needs(literal, outer)
+            return next(v for v in literal_variables(literal) if v in needs and v not in bound)
+    return None
+
+
+_NEEDS_REASONS = {
+    Atom: "in atom arithmetic is unbound",
+    NafLiteral: "under negation is unbound",
+    Comparison: "in a comparison is unbound",
+}
 
 
 def check_safety(program: Program) -> list[SafetyViolation]:
-    """Return all safety violations; empty list means the program is safe."""
+    """Return all safety violations; empty list means the program is safe.
+    Only a rule with no other violation is checked to be orderable."""
     violations: list[SafetyViolation] = []
     for rule in program.rules:
         seen: set[str] = set()
@@ -85,13 +152,7 @@ def check_safety(program: Program) -> list[SafetyViolation]:
                 seen.add(display)
                 violations.append(SafetyViolation(rule.span, str(rule), display, reason))
 
-        bound: set[Variable] = set()
-        for literal in rule.body:
-            if isinstance(literal, Atom):
-                bound.update(_direct_atom_variables(literal))
-            elif isinstance(literal, AggregateLiteral) and literal.is_assignment:
-                assert isinstance(literal.bound, Variable)
-                bound.add(literal.bound)
+        bound: set[Variable] = set().union(*map(literal_binds, rule.body))
 
         def require(var_iter, reason: str) -> None:
             for var in var_iter:
@@ -103,14 +164,12 @@ def check_safety(program: Program) -> list[SafetyViolation]:
                     "in the head is unbound")
         global_vars = rule_global_variables(rule)
         for literal in rule.body:
-            if isinstance(literal, Atom):
-                require(_atom_arith_variables(literal),
-                        "in atom arithmetic is unbound")
-            elif isinstance(literal, NafLiteral):
-                require(literal_variables(literal), "under negation is unbound")
-            elif isinstance(literal, Comparison):
-                require(literal_variables(literal), "in a comparison is unbound")
-            elif isinstance(literal, AggregateLiteral):
+            if not isinstance(literal, AggregateLiteral):
+                needs = literal_needs(literal, global_vars)
+                if not needs <= bound:  # report in written order
+                    require((v for v in literal_variables(literal) if v in needs),
+                            _NEEDS_REASONS[type(literal)])
+            else:
                 agg = literal.aggregate
                 agg_vars: set[Variable] = set()
                 for term in agg.elements:
@@ -124,16 +183,22 @@ def check_safety(program: Program) -> list[SafetyViolation]:
                 require(term_variables(literal.bound) if not literal.is_assignment else (),
                         "in the aggregate guard is unbound")
                 # outer variables must be bound outside; locals inside
-                locally_bound: set[Variable] = set()
-                for cond in agg.condition:
-                    if isinstance(cond, Atom):
-                        locally_bound.update(_direct_atom_variables(cond))
+                locally_bound = set().union(*map(literal_binds, agg.condition))
                 for var in sorted(agg_vars, key=lambda v: v.name):
                     if var in global_vars:
                         if var not in bound:
                             report(var, "shared with the aggregate is unbound")
                     elif var not in locally_bound:
                         report(var, "local to the aggregate is unbound")
+        if seen:
+            continue
+        joins = [(rule.body, set())] + [(literal.aggregate.condition, global_vars)
+                                        for literal in rule.body
+                                        if isinstance(literal, AggregateLiteral)]
+        for literals, outside in joins:
+            var = _first_unordered(literals, global_vars, outside)
+            if var is not None:
+                report(var, "is needed before it can be bound")
     return violations
 
 

@@ -98,13 +98,18 @@ _FROM_ENV: dict[str, Callable[[Optional[str]], object]] = {
 }
 
 
+def _echo(text: str) -> str:
+    """A value as a usage error quotes it: its first 20 characters."""
+    return f"{text[:20]!r}..." if len(text) > 20 else repr(text)
+
+
 def _parse_overrides(pairs: Sequence[str], parser: argparse.ArgumentParser) -> dict[str, int]:
     overrides: dict[str, int] = {}
     for pair in pairs:
         name, sep, raw = pair.partition("=")
         name = name.strip()
         if not sep or not name:
-            parser.error(f"--set expects NAME=VALUE, got {pair!r}")
+            parser.error(f"--set expects NAME=VALUE, got {_echo(pair)}")
         value = raw.strip()
         try:
             overrides[name] = int(value)
@@ -112,8 +117,8 @@ def _parse_overrides(pairs: Sequence[str], parser: argparse.ArgumentParser) -> d
             limit, digits = sys.get_int_max_str_digits(), value.lstrip("+-")
             if digits.isdecimal() and len(digits) > limit:
                 parser.error(f"--set {name}: value has more than {limit} digits, "
-                             f"got {value[:20]!r}...")
-            parser.error(f"--set {name}: value must be an integer, got {value!r}")
+                             f"got {_echo(value)}")
+            parser.error(f"--set {name}: value must be an integer, got {_echo(value)}")
     return overrides
 
 
@@ -158,7 +163,9 @@ def main(argv: Optional[Sequence[str]] = None,
         else:
             report = render_alerts(result, config.output)
     except StageError as exc:
-        print(f"error in {exc.stage} stage: {exc.message}", file=sys.stderr)
+        # one line per error, whatever the message holds
+        message = exc.message.replace("\r", "\\r").replace("\n", "\\n")
+        print(f"error in {exc.stage} stage: {message}", file=sys.stderr)
         return EXIT_ERROR
 
     if ingest_result.skipped:

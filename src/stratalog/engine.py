@@ -12,12 +12,13 @@ and aggregates only ever consult strata that are already complete, which
 stratification guarantees.
 
 Grounding is on-the-fly: each rule is compiled once into join plans, the
-static one (the first literal as written whose inputs are bound, again and
-again) and, per recursive body atom, one that scans the delta atom first and
-orders the rest the same way. A plan is a chain of closures over a list
-environment with one slot per variable; each step knows at compile time
-which positions bind a slot, which check a bound slot or a repeat within
-the atom, and which hold constants or arithmetic.
+static one (the first literal as written whose needs are bound, again and
+again: ``analysis.join_order``, which safe rules always complete) and, per
+recursive body atom, one that scans the delta atom first and orders the
+rest the same way. A plan is a chain of closures over a list environment
+with one slot per variable; each step knows at compile time which positions
+bind a slot, which check a bound slot or a repeat within the atom, and
+which hold constants or arithmetic.
 
 The model holds one relation per predicate and arity, with one kind of
 index: a hash map from the values at a set of positions to exactly the rows
@@ -45,7 +46,7 @@ from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .analysis import SafetyError, check_safety, stratify
+from .analysis import SafetyError, check_safety, join_order, literal_binds, literal_needs, stratify
 from .facts import Constant, Fact, constant_key, format_constant, new_tuple
 from .lang import (
     AggregateLiteral,
@@ -266,92 +267,9 @@ def compare_constants(left: Constant, op: str, right: Constant) -> bool:
 
 # -- body planning -------------------------------------------------------------
 
-
-def _aggregate_required(literal: AggregateLiteral, global_vars: set[Variable]) -> set[Variable]:
-    required: set[Variable] = set()
-    agg = literal.aggregate
-    for term in agg.elements:
-        required.update(v for v in term_variables(term) if v in global_vars)
-    for cond in agg.condition:
-        if isinstance(cond, Atom):
-            for term in cond.terms:
-                required.update(v for v in term_variables(term) if v in global_vars)
-        else:
-            required.update(v for v in term_variables(cond.left) if v in global_vars)
-            required.update(v for v in term_variables(cond.right) if v in global_vars)
-    if literal.is_assignment:
-        required.discard(literal.bound)  # produced, not consumed
-    else:
-        required.update(term_variables(literal.bound))
-    return required
-
-
-def _order_body(rule: Rule, first: Optional[int] = None) -> tuple[int, ...]:
-    """Deterministic evaluation order, as body indexes: the literal at
-    ``first`` if given, then repeatedly the first literal as written whose
-    inputs are bound. Safe rules always complete."""
-    global_vars = rule_global_variables(rule)
-    remaining = list(range(len(rule.body)))
-    plan: list[int] = []
-    bound: set[Variable] = set()
-
-    def ready(literal: BodyLiteral) -> bool:
-        if isinstance(literal, Atom):
-            return all(v in bound
-                       for t in literal.terms if isinstance(t, ArithTerm)
-                       for v in term_variables(t))
-        if isinstance(literal, (NafLiteral, Comparison)):
-            vars_needed = set()
-            if isinstance(literal, NafLiteral):
-                for t in literal.atom.terms:
-                    vars_needed.update(term_variables(t))
-            else:
-                vars_needed.update(term_variables(literal.left))
-                vars_needed.update(term_variables(literal.right))
-            return vars_needed <= bound
-        return _aggregate_required(literal, global_vars) <= bound
-
-    def take(index: int) -> None:
-        literal = rule.body[index]
-        plan.append(index)
-        remaining.remove(index)
-        if isinstance(literal, Atom):
-            bound.update(t for t in literal.terms if isinstance(t, Variable))
-        elif isinstance(literal, AggregateLiteral) and literal.is_assignment:
-            assert isinstance(literal.bound, Variable)
-            bound.add(literal.bound)
-
-    if first is not None:
-        take(first)
-    while remaining:
-        for index in remaining:
-            if ready(rule.body[index]):
-                take(index)
-                break
-        else:
-            raise EvaluationError("cannot order body literals for evaluation", rule)
-    return tuple(plan)
-
-
-def _order_condition(condition: Sequence[ConditionLiteral],
-                     rule: Rule) -> tuple[ConditionLiteral, ...]:
-    """Same greedy ordering for an aggregate's condition; outer variables are
-    treated as bound since the aggregate is only evaluated once they are."""
-    remaining = list(condition)
-    plan: list[ConditionLiteral] = []
-    bound: set[Variable] = set(rule_global_variables(rule))
-    while remaining:
-        for i, cond in enumerate(remaining):
-            if isinstance(cond, Atom) or (
-                    set(term_variables(cond.left)) | set(term_variables(cond.right)) <= bound):
-                plan.append(cond)
-                del remaining[i]
-                if isinstance(cond, Atom):
-                    bound.update(t for t in cond.terms if isinstance(t, Variable))
-                break
-        else:
-            raise EvaluationError("cannot order aggregate condition", rule)
-    return tuple(plan)
+#: The most literals one rule may join, its body and its aggregates'
+#: conditions together: a compiled join takes one stack frame per literal.
+MAX_JOIN_LITERALS = 500
 
 
 _FLIPPED = {">=": "<=", "<=": ">=", ">": "<", "<": ">"}
@@ -373,14 +291,15 @@ class _RangeCount:
     guards: tuple[tuple[str, Term], ...]
 
 
-def _range_count_plan(literal: AggregateLiteral, rule: Rule) -> Optional[_RangeCount]:
+def _range_count_plan(literal: AggregateLiteral,
+                      global_vars: set[Variable]) -> Optional[_RangeCount]:
     """The range-count plan of an aggregate, or None when it does not fit."""
     agg = literal.aggregate
     atoms = [c for c in agg.condition if isinstance(c, Atom)]
     if len(agg.elements) != 1 or len(atoms) != 1:
         return None
     element, (atom,) = agg.elements[0], atoms
-    outer = _aggregate_required(literal, rule_global_variables(rule))
+    outer = literal_needs(literal, global_vars)
     occurrences: dict[Variable, int] = {}
     for var in literal_variables(literal):
         occurrences[var] = occurrences.get(var, 0) + 1
@@ -437,7 +356,14 @@ class _CompiledRule:
 
 
 def _compile_rule(rule: Rule) -> _CompiledRule:
-    order = _order_body(rule)
+    conditions = {i: literal.aggregate.condition for i, literal in enumerate(rule.body)
+                  if isinstance(literal, AggregateLiteral)}
+    joined = len(rule.body) + sum(map(len, conditions.values()))
+    if joined > MAX_JOIN_LITERALS:
+        raise EvaluationError(f"rule joins {joined} literals, body and aggregate conditions "
+                              f"together; the limit is {MAX_JOIN_LITERALS}", rule)
+    global_vars = rule_global_variables(rule)
+    order = join_order(rule.body, global_vars, ())
     slots: dict[Variable, int] = {}
     for literal in rule.body:
         for var in literal_variables(literal):
@@ -447,13 +373,14 @@ def _compile_rule(rule: Rule) -> _CompiledRule:
             slots.setdefault(var, len(slots))
     atoms = [i for i in order if isinstance(rule.body[i], Atom)]
     others = [i for i in order if not isinstance(rule.body[i], Atom)]
-    aggregates = [i for i in order if isinstance(rule.body[i], AggregateLiteral)]
     return _CompiledRule(
         rule, order, slots,
-        condition_plans={i: _order_condition(rule.body[i].aggregate.condition, rule)
-                         for i in aggregates},
-        range_counts={i: count for i in aggregates
-                      if (count := _range_count_plan(rule.body[i], rule)) is not None},
+        # an aggregate runs once the outer variables it shares are bound
+        condition_plans={i: tuple(condition[k]
+                                  for k in join_order(condition, global_vars, global_vars))
+                         for i, condition in conditions.items()},
+        range_counts={i: count for i in conditions
+                      if (count := _range_count_plan(rule.body[i], global_vars)) is not None},
         records={**{i: k for k, i in enumerate(atoms)},
                  **{i: k for k, i in enumerate(others)}},
         support_relations=tuple((rule.body[i].predicate, len(rule.body[i].terms))
@@ -467,7 +394,7 @@ def _delta_order(rule: Rule, order: tuple[int, ...], position: int) -> tuple[int
     variables bound before it, in which case the static order."""
     if any(isinstance(t, ArithTerm) for t in rule.body[position].terms):
         return order
-    return _order_body(rule, first=position)
+    return join_order(rule.body, rule_global_variables(rule), (), first=position)
 
 
 # -- slot-compiled matchers ------------------------------------------------------
@@ -538,17 +465,6 @@ def _key_getter(terms: Sequence[Term], slots: dict[Variable, int], bound: set[in
     return _tuple_getter(terms, slots, bound, rule)
 
 
-def _binds(literal: BodyLiteral, slots: dict[Variable, int]) -> set[int]:
-    """The slots a body literal binds: an atom's variables, or the variable
-    an aggregate assigns."""
-    if isinstance(literal, Atom):
-        return {slots[t] for t in literal.terms if isinstance(t, Variable)}
-    if isinstance(literal, AggregateLiteral) and literal.is_assignment:
-        assert isinstance(literal.bound, Variable)
-        return {slots[literal.bound]}
-    return set()
-
-
 class _Found(Exception):
     """Stops a join at its first solution."""
 
@@ -589,7 +505,7 @@ class _Evaluator:
         before: list[set[int]] = []
         for literal, _ in steps:
             before.append(bound)
-            bound = bound | _binds(literal, slots)
+            bound = bound | {slots[var] for var in literal_binds(literal)}
         step = finish(bound)
         for (literal, index), known in zip(reversed(steps), reversed(before)):
             record = None if index is None else frame.compiled.records[index]

@@ -9,11 +9,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stratalog
 from stratalog.cli import EXIT_ERROR, EXIT_INCONSISTENT, EXIT_OK, main
+from stratalog.engine import MAX_JOIN_LITERALS
 from stratalog.lang import format_program
 from stratalog.parser import MAX_TERM_DEPTH, parse_program
 from stratalog.report import MAX_INDENT
@@ -265,6 +266,39 @@ class TestDeepTerm:
                              "total: 1 (system_issue: 1)"]
 
 
+def _bases(count: int) -> str:
+    return ", ".join(f"base(X{i})" for i in range(count))
+
+
+class TestLongBody:
+    """A rule joins at most ``MAX_JOIN_LITERALS`` literals, its body and its
+    aggregates' conditions together; a longer one ends in the evaluate
+    stage instead of overflowing the stack."""
+
+    def run_rules(self, capsys, sample_path, tmp_path, body):
+        rules = tmp_path / "long.lp"
+        rules.write_text(f"base(1).\nsystem_issue(x, X0) :- {body}.\n")
+        return run_main(capsys, ["detect", str(sample_path), "--rules", str(rules)] + BASE)
+
+    @pytest.mark.parametrize("literals", [MAX_JOIN_LITERALS + 1, 1200])
+    def test_body_past_the_limit(self, capsys, sample_path, tmp_path, literals):
+        code, out, err = self.run_rules(capsys, sample_path, tmp_path, _bases(literals))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == (f"error in evaluate stage: 2:1: rule joins {literals} literals, body and "
+                       f"aggregate conditions together; the limit is {MAX_JOIN_LITERALS}\n")
+
+    @pytest.mark.parametrize("body", [
+        _bases(MAX_JOIN_LITERALS),
+        f"base(X0), #count{{Y : {', '.join(['base(Y)'] * (MAX_JOIN_LITERALS - 2))}}} > 0",
+    ], ids=["body", "condition"])
+    def test_at_the_limit(self, capsys, sample_path, tmp_path, body):
+        code, out, err = self.run_rules(capsys, sample_path, tmp_path, body)
+        assert code == EXIT_OK, err
+        assert out.startswith("system_issue: issue=x at 1 ")
+        assert out.endswith("total: 1 (system_issue: 1)\n")
+
+
 class TestHugeIntegers:
     """Integers past the interpreter's digit limit for writing one out end in
     a named stage error: a literal in the rules stage, at its line and
@@ -305,6 +339,16 @@ class TestHugeIntegers:
                              "--set", f"k={'9' * self.LIMIT}")
         assert err.startswith("error in evaluate stage: 2:1: '+' gives an integer of more than")
 
+    def test_long_set_value_is_cut_in_the_usage_error(self, capsys, sample_path):
+        value = "x" * 3000
+        with pytest.raises(SystemExit) as exit_:
+            main(["detect", str(sample_path), "--set", f"failed_login_threshold={value}"],
+                 env={})
+        assert exit_.value.code == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == ("stratalog: error: --set failed_login_threshold: value must be an "
+                       f"integer, got {value[:20]!r}...")
+
     def test_set_value_past_the_limit(self, capsys, sample_path):
         value = "9" * (self.LIMIT + 100)
         with pytest.raises(SystemExit) as exit_:
@@ -335,6 +379,7 @@ class TestHostileRuleText:
 
     @settings(max_examples=60, deadline=None)
     @given(hostile_rules(), st.sampled_from([[], ["--output", "json"], ["--group"]]))
+    @example(('p("a\\\nb").\n', []), [])  # an escaped line break in a lexer error
     def test_run_ends_in_a_report_or_a_named_stage(self, paths, example, flags):
         sample, rules = paths
         text, pairs = example

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratalog.engine import (
+    MAX_JOIN_LITERALS,
     ComparisonCheck,
     Derivation,
     EvaluationError,
@@ -623,3 +624,25 @@ class TestSemiNaiveDigest:
     @pytest.mark.parametrize("name", DIGESTS)
     def test_digest(self, name):
         assert run_digest(semi_naive_programs()[name]) == self.DIGESTS[name]
+
+
+class TestOnePlanner:
+    """The engine orders bodies and aggregate conditions with the safety
+    check's own ``join_order``, so it agrees with the oracle on every rule
+    the check accepts."""
+
+    FACTS = "p(1). p(2). q(0). q(1). r(7). "
+
+    @pytest.mark.parametrize("rule, expected", [
+        ("c(N) :- r(7), N = #count{X : p(X + 1), q(X)}.", fact("c", 2)),
+        ("c(Y) :- r(Y), #count{X : p(X + 1), q(X)} >= 2.", fact("c", 7)),
+    ], ids=["assignment", "guard"])
+    def test_condition_arithmetic_waits_for_the_atom_binding_it(self, rule, expected):
+        model = agrees_with_oracle(self.FACTS + rule)
+        assert query(model, "c") == [expected]
+
+    def test_condition_literals_count_toward_the_join_limit(self):
+        condition = ", ".join(["p(Y)"] * MAX_JOIN_LITERALS)
+        with pytest.raises(EvaluationError, match=f"1:1: rule joins {MAX_JOIN_LITERALS + 1} "
+                                                  f"literals.*the limit is {MAX_JOIN_LITERALS}"):
+            evaluate(parse_program(f"c(N) :- N = #count{{Y : {condition}}}. p(1)."))
