@@ -31,15 +31,24 @@ positions, sorted once per evaluation; every other aggregate enumerates its
 matches.
 
 Every derived atom records the rule and ground supports that first produced
-it, so any alert can be unfolded into a full derivation tree. Iteration
-never depends on hash seeds: atom storage is insertion-ordered and all
-query output is sorted.
+it, so any alert can be unfolded into a full derivation tree. The record is
+raw: one flat tuple of the rule's index, the supports' argument tuples and
+the checks, with no :class:`Fact` looked up per support and no
+:class:`Rule` in it, so the cyclic collector can untrack it.
+``DerivationGraph.entries`` resolves a record into a :class:`Derivation`
+when it is read, and ``explain`` shares one node per derived atom.
+``evaluate`` pauses the cyclic collector while it runs, since a run makes
+many tracked objects and almost no cyclic garbage. Iteration never depends
+on hash seeds: atom storage is insertion-ordered and all query output is
+sorted.
 """
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, islice
@@ -203,17 +212,57 @@ Check = Union[NafCheck, ComparisonCheck, AggregateCheck]
 
 class Derivation(NamedTuple):
     """The rule and ground supports that first derived an atom, and the
-    checks its binding passed. A named tuple, as :class:`Fact` is."""
+    checks its binding passed: what ``DerivationGraph.entries`` resolves a
+    record into. A named tuple, as :class:`Fact` is."""
 
     rule: Rule
     supports: tuple[Fact, ...]
     checks: tuple[Check, ...]
 
 
+#: A derivation as ``emit`` records it, one flat tuple: the rule's index in
+#: :attr:`DerivationGraph.rules`, the supports' argument tuples, the checks.
+Record = tuple[Union[int, Row, Check], ...]
+
+
+class _Entries(Mapping[Fact, Derivation]):
+    """Each derived atom's :class:`Derivation`, resolved from its record
+    when read, in derivation order."""
+
+    def __init__(self, graph: "DerivationGraph") -> None:
+        self._graph = graph
+
+    def __getitem__(self, atom: Fact) -> Derivation:
+        return self._graph.resolve(self._graph.records[atom])
+
+    def __iter__(self) -> Iterator[Fact]:
+        return iter(self._graph.records)
+
+    def __len__(self) -> int:
+        return len(self._graph.records)
+
+
 @dataclass
 class DerivationGraph:
-    entries: dict[Fact, Derivation] = field(default_factory=dict)
+    """The first derivation of every derived atom, and the input facts.
+    ``rules[i]`` is the rule of index i and its supports' predicates. A
+    record holds no :class:`Rule`, which the collector always tracks, so
+    the collector can untrack it once it has untracked the rows in it."""
+
+    records: dict[Fact, Record] = field(default_factory=dict)
+    rules: list[tuple[Rule, tuple[str, ...]]] = field(default_factory=list)
     fact_atoms: set[Fact] = field(default_factory=set)
+
+    @property
+    def entries(self) -> Mapping[Fact, Derivation]:
+        return _Entries(self)
+
+    def resolve(self, record: Record) -> Derivation:
+        """The derivation a record stands for, its supports as facts."""
+        rule, predicates = self.rules[record[0]]
+        end = 1 + len(predicates)
+        supports = tuple([new_tuple(Fact, support) for support in zip(predicates, record[1:end])])
+        return new_tuple(Derivation, (rule, supports, record[end:]))
 
 
 @dataclass
@@ -341,21 +390,22 @@ def _range_count_plan(literal: AggregateLiteral,
 class _CompiledRule:
     """A rule's static join order (body indexes) and what each step needs.
 
-    Every variable has a slot in a list environment. Supports are recorded
-    in the static order of the positive atoms, checks in the static order
-    of the other literals, whatever order a plan joins them in."""
+    Every variable has a slot in a list environment. A :data:`Record` holds
+    the supports in the static order of the positive atoms, then the checks
+    in the static order of the other literals, whatever order a plan joins
+    them in."""
 
     rule: Rule
+    index: int  # in DerivationGraph.rules
     order: tuple[int, ...]
     slots: dict[Variable, int]
     condition_plans: dict[int, tuple[ConditionLiteral, ...]]
     range_counts: dict[int, _RangeCount]
-    records: dict[int, int]  # body index -> support or check index
-    support_relations: tuple[tuple[str, int], ...]  # (predicate, arity) each
-    check_count: int
+    records: dict[int, int]  # body index -> its position in a Record
+    support_predicates: tuple[str, ...]
 
 
-def _compile_rule(rule: Rule) -> _CompiledRule:
+def _compile_rule(rule: Rule, index: int = 0) -> _CompiledRule:
     conditions = {i: literal.aggregate.condition for i, literal in enumerate(rule.body)
                   if isinstance(literal, AggregateLiteral)}
     joined = len(rule.body) + sum(map(len, conditions.values()))
@@ -374,18 +424,15 @@ def _compile_rule(rule: Rule) -> _CompiledRule:
     atoms = [i for i in order if isinstance(rule.body[i], Atom)]
     others = [i for i in order if not isinstance(rule.body[i], Atom)]
     return _CompiledRule(
-        rule, order, slots,
+        rule, index, order, slots,
         # an aggregate runs once the outer variables it shares are bound
         condition_plans={i: tuple(condition[k]
                                   for k in join_order(condition, global_vars, global_vars))
                          for i, condition in conditions.items()},
         range_counts={i: count for i in conditions
                       if (count := _range_count_plan(rule.body[i], global_vars)) is not None},
-        records={**{i: k for k, i in enumerate(atoms)},
-                 **{i: k for k, i in enumerate(others)}},
-        support_relations=tuple((rule.body[i].predicate, len(rule.body[i].terms))
-                                for i in atoms),
-        check_count=len(others))
+        records={i: k for k, i in enumerate(atoms + others, 1)},
+        support_predicates=tuple(rule.body[i].predicate for i in atoms))
 
 
 def _delta_order(rule: Rule, order: tuple[int, ...], position: int) -> tuple[int, ...]:
@@ -471,17 +518,17 @@ class _Found(Exception):
 
 @dataclass
 class _Frame:
-    """A rule being matched, and the support rows and checks of the binding
-    under construction, each at its record index."""
+    """A rule being matched, the :data:`Record` of the binding under
+    construction, and the predicates whose relations grow while it is
+    matched: those of the stratum it derives."""
 
     compiled: _CompiledRule
-    supports: list
-    checks: list
+    record: list
+    growing: frozenset[str]
 
     @classmethod
-    def of(cls, compiled: _CompiledRule) -> "_Frame":
-        return cls(compiled, [None] * len(compiled.support_relations),
-                   [None] * compiled.check_count)
+    def of(cls, compiled: _CompiledRule, growing: frozenset[str] = frozenset()) -> "_Frame":
+        return cls(compiled, [compiled.index] + [None] * len(compiled.records), growing)
 
 
 class _Evaluator:
@@ -534,7 +581,9 @@ class _Evaluator:
         repeats within the atom and bind its new slots. Only the rows
         present when the scan starts are visited. A model relation's index
         is kept from the scan's first lookup; a delta scan reads the current
-        round's window."""
+        round's window. Only a model relation of the stratum being evaluated
+        grows during a scan, so only its rows are cut to their length at the
+        start: a delta window is a copy, and a lower stratum is complete."""
         slots, rule = frame.compiled.slots, frame.compiled.rule
         positions: list[int] = []
         key_terms: list[Term] = []
@@ -557,7 +606,8 @@ class _Evaluator:
                         itemgetter(*(q for _, q in repeats))) if repeats else None
         name = (atom.predicate, len(atom.terms))
         relation = None if from_delta else self.model.relation(*name)
-        supports = frame.supports
+        grows = relation is not None and atom.predicate in frame.growing
+        binding = frame.record
         index = None
 
         def scan(env: Env) -> None:
@@ -565,13 +615,13 @@ class _Evaluator:
             if index is None or relation is None:
                 index = (relation or self.windows[name]).index(bound_positions)
             rows = index.get(key(env), ())
-            for args in islice(rows, len(rows)):
+            for args in islice(rows, len(rows)) if grows else rows:
                 if repeat_check is not None and repeat_check[0](args) != repeat_check[1](args):
                     continue
                 for position, slot in binds:
                     env[slot] = args[position]
                 if record is not None:
-                    supports[record] = args
+                    binding[record] = args
                 step(env)
         return scan
 
@@ -579,12 +629,12 @@ class _Evaluator:
              step: Step) -> Step:
         predicate, terms = literal.atom.predicate, literal.atom.terms
         ground = _tuple_getter(terms, frame.compiled.slots, bound, frame.compiled.rule)
-        known, checks = self.model.relation(predicate, len(terms)).atoms, frame.checks
+        known, binding = self.model.relation(predicate, len(terms)).atoms, frame.record
 
         def naf(env: Env) -> None:
             args = ground(env)
             if args not in known:
-                checks[record] = NafCheck(Fact(predicate, args))
+                binding[record] = NafCheck(Fact(predicate, args))
                 step(env)
         return naf
 
@@ -593,20 +643,20 @@ class _Evaluator:
         slots, rule = frame.compiled.slots, frame.compiled.rule
         left, right = _getter(literal.left, slots, bound, rule), \
             _getter(literal.right, slots, bound, rule)
-        op, checks = literal.op, frame.checks
+        op, binding = literal.op, frame.record
 
         def compare(env: Env) -> None:
             a, b = left(env), right(env)
             if compare_constants(a, op, b):
                 if record is not None:
-                    checks[record] = ComparisonCheck(a, op, b)
+                    binding[record] = ComparisonCheck(a, op, b)
                 step(env)
         return compare
 
     def _aggregate(self, frame: _Frame, literal: AggregateLiteral, index: int,
                    bound: set[int], record: int, step: Step) -> Step:
         count = self._counter(frame, literal, index, bound)
-        op, checks = literal.op, frame.checks
+        op, binding = literal.op, frame.record
         if literal.is_assignment:
             assert isinstance(literal.bound, Variable)
             slot = frame.compiled.slots[literal.bound]
@@ -618,7 +668,7 @@ class _Evaluator:
                     env[slot] = n
                 elif env[slot] != n:
                     return
-                checks[record] = AggregateCheck(n, "=", n)
+                binding[record] = AggregateCheck(n, "=", n)
                 step(env)
             return assign
         threshold = _getter(literal.bound, frame.compiled.slots, bound, frame.compiled.rule)
@@ -627,7 +677,7 @@ class _Evaluator:
             n = count(env)
             value = threshold(env)
             if isinstance(value, int) and compare_constants(n, op, value):
-                checks[record] = AggregateCheck(n, op, value)
+                binding[record] = AggregateCheck(n, op, value)
                 step(env)
         return guard
 
@@ -705,12 +755,11 @@ class _Evaluator:
         rule = compiled.rule
         head = rule.head
         assert head is not None
-        model, entries, predicate = self.model, self.graph.entries, head.predicate
+        model, records, predicate = self.model, self.graph.records, head.predicate
         relation = model.relation(predicate, len(head.terms))
         known, rows, indexes = relation.atoms, relation.rows, relation.indexes
         order = model._order
-        support_atoms = [model.relation(*name).atoms for name in compiled.support_relations]
-        supports, checks = frame.supports, frame.checks
+        binding = frame.record
 
         def finish(bound: set[int]) -> Step:
             head_args = _tuple_getter(head.terms, compiled.slots, bound, rule)
@@ -728,13 +777,12 @@ class _Evaluator:
                 if indexes:
                     for key, index in indexes.values():
                         index.setdefault(key(args), []).append(args)
-                entries[atom] = new_tuple(Derivation, (
-                    rule, tuple(map(dict.__getitem__, support_atoms, supports)), tuple(checks)))
+                records[atom] = tuple(binding)
             return emit
         return finish
 
     def run_stratum(self, compiled_rules: list[_CompiledRule],
-                    stratum_predicates: set[str]) -> None:
+                    stratum_predicates: frozenset[str]) -> None:
         """Fire every rule once over the model, then run semi-naive rounds:
         each recursive rule re-joins once per body atom of the stratum,
         scanning there only the window of rows the last round appended,
@@ -742,7 +790,8 @@ class _Evaluator:
         firsts: list[tuple[Step, int]] = []
         rounds: list[tuple[Step, int]] = []
         for compiled in compiled_rules:
-            frame, rule, width = _Frame.of(compiled), compiled.rule, len(compiled.slots)
+            frame, rule, width = _Frame.of(compiled, stratum_predicates), compiled.rule, \
+                len(compiled.slots)
             finish = self._emitter(frame)
             firsts.append((self._plan(frame, compiled.order, finish), width))
             for i in compiled.order:
@@ -793,36 +842,47 @@ def evaluate(program: Program,
     headless constraint is violated, naming the constraint and a witness
     binding. Raises :class:`SafetyError` / :class:`CycleThroughNegation`
     for programs outside the supported fragment.
+
+    The cyclic collector is paused while it runs: a run makes many tracked
+    objects and almost no cyclic garbage. It is on again afterwards only if
+    it was on before.
     """
-    violations = check_safety(program)
-    if violations:
-        raise SafetyError(violations)
-    stratification = stratify(program)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        violations = check_safety(program)
+        if violations:
+            raise SafetyError(violations)
+        stratification = stratify(program)
 
-    model = Model()
-    graph = DerivationGraph()
-    for f in list(program.facts) + list(extra_facts):
-        if model.add(f):
-            graph.fact_atoms.add(f)
+        model = Model()
+        graph = DerivationGraph()
+        for f in list(program.facts) + list(extra_facts):
+            if model.add(f):
+                graph.fact_atoms.add(f)
 
-    evaluator = _Evaluator(model, graph)
-    by_level: dict[int, list[_CompiledRule]] = {}
-    constraints: list[_CompiledRule] = []
-    for rule in program.rules:
-        compiled = _compile_rule(rule)
-        if rule.head is None:
-            constraints.append(compiled)
-        else:
-            level = stratification.level[rule.head.predicate]
-            by_level.setdefault(level, []).append(compiled)
-    for level, predicates in enumerate(stratification.strata):
-        evaluator.run_stratum(by_level.get(level, []), set(predicates))
+        evaluator = _Evaluator(model, graph)
+        by_level: dict[int, list[_CompiledRule]] = {}
+        constraints: list[_CompiledRule] = []
+        for index, rule in enumerate(program.rules):
+            compiled = _compile_rule(rule, index)
+            graph.rules.append((rule, compiled.support_predicates))
+            if rule.head is None:
+                constraints.append(compiled)
+            else:
+                level = stratification.level[rule.head.predicate]
+                by_level.setdefault(level, []).append(compiled)
+        for level, predicates in enumerate(stratification.strata):
+            evaluator.run_stratum(by_level.get(level, []), frozenset(predicates))
 
-    for compiled in constraints:
-        witness = evaluator.find_witness(compiled)
-        if witness is not None:
-            return Inconsistent(compiled.rule, witness)
-    return model, graph
+        for compiled in constraints:
+            witness = evaluator.find_witness(compiled)
+            if witness is not None:
+                return Inconsistent(compiled.rule, witness)
+        return model, graph
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def query(model: Model, predicate: str) -> list[Fact]:
@@ -830,33 +890,39 @@ def query(model: Model, predicate: str) -> list[Fact]:
     in ``constant_key`` order; unknown predicates yield an empty list.
 
     When every argument is a plain ``int``, or every argument a plain
-    ``str``, the values order as their keys do, so the argument tuples sort
-    directly and no key is built."""
-    atoms = {arity: relation.atoms for (name, arity), relation in model._relations.items()
-             if name == predicate}
-    rows = list(chain.from_iterable(atoms.values()))
-    kinds = set(map(type, chain.from_iterable(rows)))
+    ``str``, the values order as their keys do, so the argument tuples are
+    the sort key as they are."""
+    atoms = [atom for (name, _), relation in model._relations.items() if name == predicate
+             for atom in relation.atoms.values()]
+    args = itemgetter(1)
+    kinds = set(map(type, chain.from_iterable(map(args, atoms))))
     if kinds <= {int} or kinds <= {str}:
-        rows.sort()
+        atoms.sort(key=args)
     else:
-        rows.sort(key=lambda args: tuple(map(constant_key, args)))
-    return [atoms[len(args)][args] for args in rows]
+        atoms.sort(key=lambda atom: tuple(map(constant_key, atom.args)))
+    return atoms
 
 
 def explain(graph: DerivationGraph, atom: Fact) -> DerivationNode:
-    """Unfold an atom's first recorded derivation into a tree whose leaves
-    are input facts. Iterative, so a derivation of any depth unfolds."""
+    """Unfold an atom's first recorded derivation down to input facts: a
+    DAG with one node per derived atom, which unfolds to the tree of first
+    derivations; each input-fact leaf is a node of its own. Iterative, so a
+    derivation of any depth unfolds."""
+    nodes: dict[Fact, DerivationNode] = {}
     roots: list[DerivationNode] = []
     pending: list[tuple[list[DerivationNode], Fact]] = [(roots, atom)]
     while pending:  # depth first, supports left to right
         siblings, atom = pending.pop()
-        entry = graph.entries.get(atom)
-        if entry is None:
-            if atom not in graph.fact_atoms:
-                raise NotDerivedError(atom)
-            siblings.append(DerivationNode(atom, None, (), []))
-            continue
-        node = DerivationNode(atom, entry.rule, entry.checks, [])
+        node = nodes.get(atom)
+        if node is None:
+            record = graph.records.get(atom)
+            if record is None:
+                if atom not in graph.fact_atoms:
+                    raise NotDerivedError(atom)
+                siblings.append(DerivationNode(atom, None, (), []))
+                continue
+            entry = graph.resolve(record)
+            node = nodes[atom] = DerivationNode(atom, entry.rule, entry.checks, [])
+            pending.extend((node.children, support) for support in reversed(entry.supports))
         siblings.append(node)
-        pending.extend((node.children, support) for support in reversed(entry.supports))
     return roots[0]

@@ -1,4 +1,5 @@
 """Evaluator behavior: models, recursion, aggregates, explanations, errors."""
+import gc
 import hashlib
 import pickle
 import random
@@ -255,6 +256,37 @@ class TestExplain:
             assert edge.atom == fact("edge", 2999 - depth, 3000 - depth) and edge.is_fact
             node, depth = reach, depth + 1
         assert (node.atom, depth) == (fact("reach", 0), 3000)
+
+    @staticmethod
+    def ladder(n):
+        """``s(n)`` rests on ``s(n-1)`` twice, once through ``t(n-1)``: its
+        unfolded tree has 2^(n+2) - 3 nodes over 3n + 1 distinct atoms."""
+        edges = " ".join(f"e({i}, {i + 1})." for i in range(n))
+        return f"s(0). {edges} s(Y) :- s(X), e(X, Y), t(X). t(X) :- s(X)."
+
+    def test_a_derived_atom_met_again_is_the_same_node(self):
+        n = 12
+        _, graph = evaluate(parse_program(self.ladder(n)))
+        root = explain(graph, fact("s", n))
+
+        def unfold(atom):  # the tree of first derivations, from the entries
+            entry = graph.entries.get(atom)
+            if entry is None:
+                return (atom, None, (), [])
+            return (atom, entry.rule, entry.checks, [unfold(s) for s in entry.supports])
+
+        def as_tree(node):
+            return (node.atom, node.rule, node.checks, [as_tree(c) for c in node.children])
+
+        distinct, unfolded, pending = set(), 0, [root]
+        while pending:
+            node = pending.pop()
+            distinct.add(id(node))
+            unfolded += 1
+            pending.extend(node.children)
+        assert unfolded == 2 ** (n + 2) - 3
+        assert len(distinct) <= 3 * n + 3
+        assert as_tree(root) == unfold(fact("s", n))
 
 
 class TestDerivationValue:
@@ -624,6 +656,66 @@ class TestSemiNaiveDigest:
     @pytest.mark.parametrize("name", DIGESTS)
     def test_digest(self, name):
         assert run_digest(semi_naive_programs()[name]) == self.DIGESTS[name]
+
+
+class TestCollector:
+    """``evaluate`` runs with the cyclic collector paused and leaves it as
+    it found it, however it ends; its records can be left untracked."""
+
+    OUTCOMES = {
+        "model": ("p(1). q(X) :- p(X).", tuple),
+        "inconsistent": ("p(1). :- p(1).", Inconsistent),
+        "unsafe": ("q(X) :- r(Y), not p(X).", SafetyError),
+        "evaluation-error": ("p(a). q(X + 1) :- p(X).", EvaluationError),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("name", OUTCOMES)
+    def test_state_is_restored(self, name, enabled):
+        text, outcome = self.OUTCOMES[name]
+        program = parse_program(text)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                result = evaluate(program)
+            except (SafetyError, EvaluationError) as error:
+                result = error
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert isinstance(result, outcome)
+
+    def test_no_collection_runs_during_a_pass(self):
+        _, edges = shuffled_chain(150, seed=1)  # 11,325 atoms, each a few allocations
+        program = parse_program(f"reach(X, Y) :- edge(X, Y). {CLOSURES['delta-first']} {edges}")
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            evaluate(program)
+        finally:
+            gc.callbacks.remove(count)
+            if not was:
+                gc.disable()
+        assert starts == []
+
+    @pytest.mark.parametrize("name", CLOSURES)
+    def test_records_are_untracked_once_collected(self, name):
+        """A record of integer rows holds nothing the collector must track.
+        One collection untracks the rows, but it may meet a record before
+        the rows in it; the next then untracks the record."""
+        _, graph = evaluate(parse_program(semi_naive_programs()[name]))
+        gc.collect()
+        gc.collect()
+        assert len(graph.records) > 400
+        assert not any(map(gc.is_tracked, graph.records.values()))
 
 
 class TestOnePlanner:
