@@ -27,7 +27,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 
 def quartiles(values: Sequence[float]) -> dict[str, float]:
@@ -52,6 +52,22 @@ def summarize(parent: Sequence[float], change: Sequence[float], better: str) -> 
         "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
         "change_over_parent": round(statistics.median(change) / statistics.median(parent), 4),
         "parent_iqr": round(parent_side["q3"] - parent_side["q1"], 6),
+    }
+
+
+def verdict(summary: dict, pairs: int, better: str, bound: float) -> dict[str, bool]:
+    """The two flags of a metric's :func:`summarize` over ``pairs`` pairs.
+
+    ``claim_met``: the change won at least nine tenths of the pairs, and its
+    median is better than the parent's by more than the parent's
+    interquartile range. ``within_bound``: the change's median is not worse
+    than the parent's by more than ``bound``, a fraction of the parent's."""
+    sign = 1 if better == "lower" else -1
+    parent, change = summary["parent"]["median"], summary["change"]["median"]
+    return {
+        "claim_met": 10 * summary["change_wins"] >= 9 * pairs
+                     and sign * (parent - change) > summary["parent_iqr"],
+        "within_bound": sign * (change - parent) <= bound * parent,
     }
 
 
@@ -92,9 +108,11 @@ def run_pairs(sides: dict[str, Path], workload: str, seed: int, seconds: float, 
     return results
 
 
-def end_to_end_summary(results: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def end_to_end_summary(results: dict[str, list[dict]], better: dict[str, str],
+                       bounds: Optional[dict[str, float]] = None) -> dict:
     """A workload's entry under ``end_to_end``: pass counts and, for each
-    end-to-end metric named in ``better``, :func:`summarize` over the pairs."""
+    end-to-end metric named in ``better``, :func:`summarize` over the pairs,
+    with the flags of :func:`verdict` when ``bounds`` gives its bound."""
     summary: dict = {
         "pairs": len(results["parent"]),
         "failed_passes": {side: sum(r["failed"] for r in runs) for side, runs in results.items()},
@@ -108,6 +126,9 @@ def end_to_end_summary(results: dict[str, list[dict]], better: dict[str, str]) -
         summary[name] = {"unit": results["parent"][0]["metrics"][name]["unit"],
                          "better": direction,
                          **summarize(values["parent"], values["change"], direction)}
+        if bounds is not None:
+            summary[name].update(verdict(summary[name], summary["pairs"], direction,
+                                         bounds[name]))
     return summary
 
 
@@ -141,6 +162,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         warm_bytecode(checkout)
     declared = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     command = "python3 bench/run.py --workload W --seed {} --seconds {} --trace {}"
     document: dict = {
         "change": args.note,
@@ -154,14 +176,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             "method": (f"{args.pairs} pairs per workload, alternating which side runs "
                        "first; per side the median and quartiles (exclusive method) of the "
                        "runs' values; change_wins counts the pairs in which the change is "
-                       "better, ties counting for neither"),
+                       "better, ties counting for neither; claim_met: at least 9 in 10 "
+                       "pairs won and the medians differ by more than the parent's "
+                       "interquartile range; within_bound: the change's median is worse "
+                       "than the parent's by at most the metric's BENCHMARK.json bound, "
+                       "as a fraction of the parent's median"),
             "claim": args.claim,
             "workloads": {},
         },
     }
     for workload in args.workload:
         results = run_pairs(sides, workload, args.seed, args.seconds, 0, args.pairs)
-        document["end_to_end"]["workloads"][workload] = end_to_end_summary(results, better)
+        document["end_to_end"]["workloads"][workload] = end_to_end_summary(results, better,
+                                                                           bounds)
     if args.trace_pairs:
         document["per_layer"] = {
             "command": command.format(args.seed, args.trace_seconds, 1),

@@ -19,16 +19,16 @@ from functools import cache
 from typing import Callable, Mapping, Optional, Sequence
 
 from .engine import Inconsistent
-from .ingest import DEFAULT_BASE_YEAR
+from .ingest import DEFAULT_BASE_YEAR, IngestResult
 from .report import (
     RunConfig,
     StageError,
     detect,
     group_alerts,
-    load_entries,
     render_alerts,
     render_grouped,
     render_inconsistent,
+    stream_entries,
 )
 
 ENV_PREFIX = "STRATALOG_"
@@ -154,8 +154,8 @@ def main(argv: Optional[Sequence[str]] = None,
         parser.error(str(exc))
 
     try:
-        entries, ingest_result = load_entries(config)
-        result = detect(entries, config)
+        ingest_result = IngestResult()
+        result = detect(stream_entries(config, ingest_result), config)
         if isinstance(result, Inconsistent):
             report = render_inconsistent(result, config.output)
         elif config.group:

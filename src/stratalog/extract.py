@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .facts import Fact, Symbol
 from .ingest import LogEntry
@@ -194,10 +194,11 @@ def entry_to_facts(entry: LogEntry, table: MappingTable = DEFAULT_TABLE) -> list
     return entries_to_facts((entry,), table)
 
 
-def entries_to_facts(entries: Sequence[LogEntry],
+def entries_to_facts(entries: Iterable[LogEntry],
                      table: MappingTable = DEFAULT_TABLE) -> list[Fact]:
     """Facts for many entries, in entry order, duplicates preserved; each
-    entry's come from the first table row that matches it."""
+    entry's come from the first table row that matches it. ``entries`` is
+    iterated once, so it may be an iterator."""
     rows_for: dict[str, list[tuple[MappingRule, str]]] = {}
     statuses = _Statuses()
     out: list[Fact] = []

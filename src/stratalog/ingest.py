@@ -19,6 +19,13 @@ as Feb 30. A date skip is listed after every field skip. A CSV row that
 whole: its remaining lines, up to the line where it ends outside quotes,
 are read past, so no text inside one of its fields is read as a row.
 
+Each format has one reader loop, a generator (:func:`iter_csv_entries`,
+:func:`iter_syslog_entries`) that yields each entry as it reads its line
+and writes skip reasons into an :class:`IngestResult` as it goes.
+:func:`read_csv_entries` and :func:`read_syslog_entries` drain it into a
+list; the command line consumes it once, keeping no list of entries, so
+its memory grows with the facts, not with the lines.
+
 Both readers make entries in one pass: each checks, builds and
 timestamps a line or row as it reads it, taking the time of day from the
 check. The CSV reader looks columns up by their header position and reads
@@ -107,7 +114,9 @@ class IngestOptions:
 
 @dataclass
 class IngestResult:
-    #: The entries a reader kept: the very list it returns beside this result.
+    #: The entries kept: the very list ``read_csv_entries`` and
+    #: ``read_syslog_entries`` fill and return beside this result. The
+    #: ``iter_*`` generators, and so the command line, leave it empty.
     records: list[LogEntry] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
 
@@ -262,16 +271,19 @@ def _read_past_record(line: str, quoted: bool, lines: Iterator[str]) -> None:
             return
 
 
-def read_csv_entries(stream: IO[str],
-                     options: IngestOptions | None = None) -> tuple[list[LogEntry], IngestResult]:
-    """Read a structured log export (CSV with header) into timestamped entries.
+def iter_csv_entries(stream: IO[str], options: IngestOptions | None,
+                     result: IngestResult) -> Iterator[LogEntry]:
+    """Yield the timestamped entries of a structured log export (CSV with
+    header) as its rows are read, writing skip reasons into ``result``.
 
     Each row is checked, built and timestamped in one pass. A row failing a
     type check, whose kept text holds U+FFFD or that :mod:`csv` cannot read,
     such as one holding a field over :func:`csv.field_size_limit`, is
     skipped and counted, as is a row whose date its year lacks; those
-    date skips are listed after every other. A missing required column
-    raises :class:`MissingColumnError`. Rows read as :class:`csv.DictReader`
+    date skips are listed after every other, when the input ends. A missing
+    required column raises :class:`MissingColumnError` at the first entry
+    asked for, and a year out of range ``ValueError`` at the first dated
+    row. Rows read as :class:`csv.DictReader`
     reads them: blank rows are dropped and not numbered, a short row's
     missing cells are ``None``, and a header name that occurs twice names
     its last column.
@@ -295,8 +307,7 @@ def read_csv_entries(stream: IO[str],
 
     year = opts.base_year
     timestamp = _timestamper(year, opts.zone)
-    result = IngestResult()
-    entries, errors = result.records, result.errors
+    errors = result.errors
     date_errors: list[str] = []
     row_number = 1
     while True:
@@ -343,23 +354,32 @@ def read_csv_entries(stream: IO[str],
         if stamp is None:
             date_errors.append(_no_such_date(line_id, month, day, year))
             continue
-        entries.append(new_tuple(LogEntry, (line_id, month, day, time_of_day, level, component,
-                                            pid, content, event_id, event_template, stamp)))
+        yield new_tuple(LogEntry, (line_id, month, day, time_of_day, level, component,
+                                   pid, content, event_id, event_template, stamp))
     errors += date_errors
-    return entries, result
 
 
-def read_syslog_entries(lines: Iterable[str],
-                        options: IngestOptions | None = None) -> tuple[list[LogEntry], IngestResult]:
-    """Parse raw syslog text line by line into timestamped entries, checking,
-    building and timestamping each line in one pass. Blank lines are
-    ignored; unparseable lines, lines holding U+FFFD and lines whose date
-    their year lacks are skipped and counted, the date skips listed last."""
+def read_csv_entries(stream: IO[str],
+                     options: IngestOptions | None = None) -> tuple[list[LogEntry], IngestResult]:
+    """All entries of :func:`iter_csv_entries`, kept in ``result.records``."""
+    result = IngestResult()
+    result.records.extend(iter_csv_entries(stream, options, result))
+    return result.records, result
+
+
+def iter_syslog_entries(lines: Iterable[str], options: IngestOptions | None,
+                        result: IngestResult) -> Iterator[LogEntry]:
+    """Yield the timestamped entries of raw syslog text as its lines are
+    read, checking, building and timestamping each line in one pass, and
+    write skip reasons into ``result``. Blank lines are ignored;
+    unparseable lines, lines holding U+FFFD and lines whose date their year
+    lacks are skipped and counted, the date skips listed last, when the
+    input ends. A year out of range raises ``ValueError`` at the first
+    dated line."""
     opts = options or IngestOptions()
     year = opts.base_year
     timestamp = _timestamper(year, opts.zone)
-    result = IngestResult()
-    entries, errors = result.records, result.errors
+    errors = result.errors
     date_errors: list[str] = []
     line_id = 0
     for line in lines:
@@ -379,7 +399,14 @@ def read_syslog_entries(lines: Iterable[str],
             date_errors.append(_no_such_date(line_id, month, day, year))
             continue
         # unstructured input carries no template: the event id is "raw"
-        entries.append(new_tuple(LogEntry, (line_id, month, day, time_of_day, None, component,
-                                            pid, content, "raw", "", stamp)))
+        yield new_tuple(LogEntry, (line_id, month, day, time_of_day, None, component,
+                                   pid, content, "raw", "", stamp))
     errors += date_errors
-    return entries, result
+
+
+def read_syslog_entries(lines: Iterable[str],
+                        options: IngestOptions | None = None) -> tuple[list[LogEntry], IngestResult]:
+    """All entries of :func:`iter_syslog_entries`, kept in ``result.records``."""
+    result = IngestResult()
+    result.records.extend(iter_syslog_entries(lines, options, result))
+    return result.records, result

@@ -16,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone, tzinfo
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .engine import (
     AggregateCheck,
@@ -43,8 +43,8 @@ from .ingest import (
     IngestOptions,
     IngestResult,
     LogEntry,
-    read_csv_entries,
-    read_syslog_entries,
+    iter_csv_entries,
+    iter_syslog_entries,
 )
 from .lang import Program
 from .parser import override_consts, parse_facts, parse_program
@@ -108,17 +108,27 @@ class GroupedAlert:
 # -- pipeline stages ----------------------------------------------------------
 
 
-def load_entries(config: RunConfig) -> tuple[list[LogEntry], IngestResult]:
-    """Ingest the configured input file ("ingest" stage)."""
+def stream_entries(config: RunConfig, result: IngestResult) -> Iterator[LogEntry]:
+    """Yield the configured input file's entries as they are read ("ingest"
+    stage), writing skip reasons into ``result``. The file opens at the
+    first entry asked for; a reader error, raised then or partway through
+    the file, becomes a :class:`StageError`."""
     options = IngestOptions(base_year=config.base_year, zone=config.zone)
+    read = iter_csv_entries if config.input_format == "csv" else iter_syslog_entries
     try:
         with open(config.input_path, encoding="utf-8", errors="replace",
                   newline="") as stream:
-            if config.input_format == "csv":
-                return read_csv_entries(stream, options)
-            return read_syslog_entries(stream, options)
+            yield from read(stream, options, result)
     except (OSError, ValueError) as exc:
         raise StageError("ingest", str(exc)) from exc
+
+
+def load_entries(config: RunConfig) -> tuple[list[LogEntry], IngestResult]:
+    """Ingest the configured input file ("ingest" stage): every entry of
+    :func:`stream_entries`, kept in ``result.records``."""
+    result = IngestResult()
+    result.records.extend(stream_entries(config, result))
+    return result.records, result
 
 
 def _program_source(config: RunConfig) -> tuple[str, dict[str, int]]:
@@ -170,9 +180,12 @@ def _alerts_from_model(model: Model, graph: DerivationGraph) -> list[Alert]:
     return alerts
 
 
-def detect(entries: Sequence[LogEntry],
+def detect(entries: Iterable[LogEntry],
            config: RunConfig) -> Union[list[Alert], Inconsistent]:
     """Extract facts, evaluate the rules, and collect catalog alerts.
+
+    ``entries`` is consumed once, as the first step, so it may be the live
+    iterator of :func:`stream_entries`.
 
     Returns the violated-constraint result instead of alerts when the
     program is inconsistent over these facts.

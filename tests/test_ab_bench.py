@@ -41,6 +41,36 @@ class TestSummarize:
             ab_bench.summarize(parent, change, better)
 
 
+class TestVerdict:
+    def test_nine_wins_and_a_gap_past_the_parent_iqr_meet_the_claim(self):
+        change = CHANGE[:2] + [0.46] + CHANGE[3:]  # pair 3 won: 9 of 10
+        summary = ab_bench.summarize(PARENT, change, "lower")
+        assert summary["change_wins"] == 9
+        assert ab_bench.verdict(summary, 10, "lower", 0.25)["claim_met"] is True
+
+    def test_eight_wins_do_not(self):
+        summary = ab_bench.summarize(PARENT, CHANGE, "lower")
+        assert ab_bench.verdict(summary, 10, "lower", 0.25) == \
+            {"claim_met": False, "within_bound": True}
+
+    def test_a_gap_inside_the_parent_iqr_does_not(self):
+        change = [p - 0.01 for p in PARENT]
+        summary = ab_bench.summarize(PARENT, change, "lower")
+        assert summary["change_wins"] == 10 and summary["parent_iqr"] == 0.0475
+        assert ab_bench.verdict(summary, 10, "lower", 0.25)["claim_met"] is False
+
+    def test_wins_in_the_wrong_direction_do_not(self):
+        summary = ab_bench.summarize(PARENT, CHANGE, "higher")
+        assert ab_bench.verdict(summary, 10, "higher", 0.25)["claim_met"] is False
+
+    @pytest.mark.parametrize("better, change, within", [
+        ("lower", 11.0, True), ("lower", 11.5, False), ("lower", 5.0, True),
+        ("higher", 9.0, True), ("higher", 8.5, False), ("higher", 20.0, True)])
+    def test_within_bound_is_relative_to_the_parent_median(self, better, change, within):
+        summary = ab_bench.summarize([10.0] * 4, [change] * 4, better)
+        assert ab_bench.verdict(summary, 4, better, 0.1)["within_bound"] is within
+
+
 def _result(run_s, failed=0):
     metrics = {name: {"value": value, "unit": "s"}
                for name, value in (("run_s", run_s), ("items_per_s", 1 / run_s),
@@ -76,6 +106,17 @@ def test_end_to_end_summary():
     assert summary["run_s"]["change_wins"] == 8
     assert summary["items_per_s"]["change_wins"] == 8
     assert summary["setup_s"]["change_wins"] == 0
+
+
+def test_end_to_end_summary_with_bounds():
+    change = CHANGE[:2] + [0.46] + CHANGE[3:]  # 9 of 10 pairs faster
+    results = {"parent": [_result(t) for t in PARENT], "change": [_result(t) for t in change]}
+    better = {"run_s": "lower", "items_per_s": "higher", "setup_s": "lower"}
+    bounds = {"run_s": 0.25, "items_per_s": 0.25, "setup_s": 0.0}
+    summary = ab_bench.end_to_end_summary(results, better, bounds)
+    assert {name: (summary[name]["claim_met"], summary[name]["within_bound"])
+            for name in better} == {"run_s": (True, True), "items_per_s": (True, True),
+                                    "setup_s": (False, True)}
 
 
 def test_warm_bytecode_writes_every_module(tmp_path, monkeypatch):

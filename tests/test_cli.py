@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, flags, environment fallbacks."""
+import csv
 import io
 import json
 import os
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 import stratalog
 from stratalog.cli import EXIT_ERROR, EXIT_INCONSISTENT, EXIT_OK, main
 from stratalog.engine import MAX_JOIN_LITERALS
+from stratalog.ingest import IngestOptions, read_csv_entries, read_syslog_entries
 from stratalog.lang import format_program
 from stratalog.parser import MAX_TERM_DEPTH, parse_program
 from stratalog.report import MAX_INDENT
 
-from conftest import SYSLOG_SAMPLE
+from conftest import SYSLOG_SAMPLE, make_csv_sample
 from hostile import hostile_rules
+from test_ingest import _both_shapes, csv_texts, log_lines
 
 
 @pytest.fixture
@@ -89,6 +92,89 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["--help"], env={})
         assert err.value.code == 0
+
+
+class TestIngestErrorsWhileReading:
+    """An input error found while the file is read, not when it is opened,
+    still ends the run with one ``error in ingest stage:`` line and exit 1,
+    and before a bad rules or extra-facts file is read."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        files = {"csv": make_csv_sample(), "syslog": SYSLOG_SAMPLE,
+                 "no_line_id": "Month,Date\nJun,14\n",
+                 "long_header": "x" * (csv.field_size_limit() + 1) + ",b\n",
+                 "bad_rules": "p(X) :- .\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        return tmp_path
+
+    @staticmethod
+    def run(capsys, argv):
+        code, out, err = run_main(capsys, ["detect", *argv])
+        assert (code, out) == (EXIT_ERROR, "")
+        return err
+
+    @pytest.mark.parametrize("input_format", ["csv", "syslog"])
+    @pytest.mark.parametrize("year", ["0", "10000"])
+    def test_year_out_of_range(self, capsys, inputs, input_format, year):
+        err = self.run(capsys, [str(inputs / input_format), "--format", input_format,
+                                "--year", year])
+        assert err == f"error in ingest stage: year {year} is out of range\n"
+
+    def test_csv_missing_a_column(self, capsys, inputs):
+        err = self.run(capsys, [str(inputs / "no_line_id"), "--format", "csv"])
+        assert err == "error in ingest stage: missing required column: LineId\n"
+
+    def test_csv_header_that_csv_rejects(self, capsys, inputs):
+        err = self.run(capsys, [str(inputs / "long_header"), "--format", "csv"])
+        assert err == ("error in ingest stage: CSV header: field larger than field limit "
+                       f"({csv.field_size_limit()})\n")
+
+    @pytest.mark.parametrize("flag", ["--rules", "--extra-facts"])
+    @pytest.mark.parametrize("argv, message", [
+        (["csv", "--format", "csv", "--year", "0"], "year 0 is out of range"),
+        (["syslog", "--format", "syslog", "--year", "0"], "year 0 is out of range"),
+        (["no_line_id", "--format", "csv"], "missing required column: LineId"),
+        (["long_header", "--format", "csv"],
+         f"CSV header: field larger than field limit ({csv.field_size_limit()})"),
+    ])
+    def test_comes_before_a_bad_rules_or_facts_file(self, capsys, inputs, flag, argv, message):
+        err = self.run(capsys, [str(inputs / argv[0]), *argv[1:],
+                                flag, str(inputs / "bad_rules")])
+        assert err == f"error in ingest stage: {message}\n"
+
+
+class TestAnyInputEndsInAReportOrAnIngestError:
+    """Whatever CSV or syslog text the ingest tests draw, a run exits 0 with
+    a report and the list reader's skip count, or 1 with the list reader's
+    error as one ``error in ingest stage:`` line."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("drawn") / "input"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(csv_texts(), st.lists(log_lines(), max_size=4).map(_both_shapes)
+                     .flatmap(st.sampled_from)),
+           st.sampled_from(["csv", "syslog"]), st.sampled_from([2005, 2004, 0]))
+    def test_run(self, path, text, input_format, year):
+        path.write_text(text, encoding="utf-8", newline="")
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            code = main(["detect", str(path), "--format", input_format, "--year", str(year)],
+                        env={})
+        read = read_csv_entries if input_format == "csv" else read_syslog_entries
+        try:
+            with open(path, encoding="utf-8", errors="replace", newline="") as stream:
+                _, result = read(stream, IngestOptions(base_year=year))
+        except ValueError as exc:
+            assert (code, out.getvalue()) == (EXIT_ERROR, "")
+            assert err.getvalue() == f"error in ingest stage: {exc}\n"
+            return
+        assert code == EXIT_OK
+        assert out.getvalue().endswith("\n") and "total: " in out.getvalue()
+        note = f"note: skipped {result.skipped} unparseable line(s)\n"
+        assert err.getvalue() == (note if result.skipped else "")
 
 
 class TestFlags:
