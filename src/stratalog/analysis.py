@@ -1,11 +1,15 @@
-"""Static analysis: rule safety and stratification.
+"""Static analysis: rule safety, stratification and join orders.
 
 Safety guarantees every rule can be grounded: variables in heads, under
 negation, in comparisons, and in arithmetic must be bound by a positive
 body atom or by an aggregate assignment; aggregate-local variables must be
 bound by a positive atom inside the aggregate's own condition. A safe rule
-is also orderable: :func:`join_order`, which the engine plans joins with,
-orders its whole body and each aggregate's whole condition.
+is also orderable: :func:`join_order` orders its whole body and each
+aggregate's whole condition.
+
+:func:`analyze` is the one place join orders are computed: the safety pass
+keeps the orders it checks each rule with, and each recursive body atom
+then gets one that joins it first. The engine compiles from these orders.
 
 Stratification orders predicates so that negation and aggregation only ever
 look at already-completed strata. Strata are the levels of the dependency
@@ -17,7 +21,8 @@ component means the program has no unique model and is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from heapq import heappop, heappush
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .lang import (
     AggregateLiteral,
@@ -53,6 +58,14 @@ class SafetyError(ValueError):
         super().__init__("; ".join(str(v) for v in violations))
 
 
+class EvaluationError(ValueError):
+    def __init__(self, message: str, rule: Optional[Rule] = None):
+        self.rule = rule
+        if rule is not None:
+            message = f"{rule.span}: {message}"
+        super().__init__(message)
+
+
 class CycleThroughNegation(ValueError):
     """Negation or aggregation occurs inside a recursive predicate cycle."""
 
@@ -74,7 +87,7 @@ def literal_binds(literal: BodyLiteral) -> set[Variable]:
     return set()
 
 
-def literal_needs(literal: BodyLiteral, outer: set[Variable]) -> set[Variable]:
+def literal_needs(literal: BodyLiteral, outer: AbstractSet[Variable]) -> set[Variable]:
     """The variables that must be bound before a literal can be evaluated:
     those in an atom's arithmetic, every variable of a negation or a
     comparison, and those an aggregate shares with ``outer``, the rule's
@@ -83,53 +96,41 @@ def literal_needs(literal: BodyLiteral, outer: set[Variable]) -> set[Variable]:
         return {v for t in literal.terms if isinstance(t, ArithTerm)
                 for v in term_variables(t)}
     if isinstance(literal, AggregateLiteral):
-        needs = outer.intersection(literal_variables(literal))
+        needs = set(literal_variables(literal)).intersection(outer)
         if literal.is_assignment:
             needs.discard(literal.bound)  # type: ignore[arg-type]
         return needs
     return set(literal_variables(literal))
 
 
-def join_order(literals: Sequence[BodyLiteral], outer: set[Variable],
+def join_order(literals: Sequence[BodyLiteral], outer: AbstractSet[Variable],
                bound: Iterable[Variable], first: Optional[int] = None) -> tuple[int, ...]:
     """The order a rule's literals (or an aggregate's condition) join in, as
     indexes: ``first`` if given, then repeatedly the first literal as
     written whose needs are bound. Stops when no remaining literal is
     ready, so a shorter result than ``literals`` means they cannot all be
-    ordered."""
-    needs = [literal_needs(literal, outer) for literal in literals]
+    ordered.
+
+    The ready literals wait in a heap, ``first`` ahead of all, so the cost
+    is linear in the literals and their variables, times a logarithm."""
     bound = set(bound)
+    needs = [literal_needs(literal, outer) - bound for literal in literals]
+    waiting: dict[Variable, list[int]] = {}  # variable -> the literals needing it
+    for index, need in enumerate(needs):
+        for var in need:
+            waiting.setdefault(var, []).append(index)
+    ready = sorted((index != first, index) for index, need in enumerate(needs)
+                   if not need or index == first)  # sorted, so a heap
     order: list[int] = []
-    remaining = list(range(len(literals)))
-
-    def take(index: int) -> None:
+    while ready:
+        index = heappop(ready)[1]
         order.append(index)
-        remaining.remove(index)
-        bound.update(literal_binds(literals[index]))
-
-    if first is not None:
-        take(first)
-    while remaining:
-        for index in remaining:
-            if needs[index] <= bound:
-                take(index)
-                break
-        else:
-            break
+        for var in literal_binds(literals[index]) if waiting else ():
+            for other in waiting.pop(var, ()):
+                needs[other].discard(var)
+                if not needs[other] and other != first:
+                    heappush(ready, (True, other))
     return tuple(order)
-
-
-def _first_unordered(literals: Sequence[BodyLiteral], outer: set[Variable],
-                     bound: set[Variable]) -> Optional[Variable]:
-    """The first variable, in written order, that a literal ``join_order``
-    leaves out needs and no ordered literal binds; None if it orders all."""
-    order = join_order(literals, outer, bound)
-    bound = bound.union(*(literal_binds(literals[i]) for i in order))
-    for i, literal in enumerate(literals):
-        if i not in order:
-            needs = literal_needs(literal, outer)
-            return next(v for v in literal_variables(literal) if v in needs and v not in bound)
-    return None
 
 
 _NEEDS_REASONS = {
@@ -139,10 +140,29 @@ _NEEDS_REASONS = {
 }
 
 
+@dataclass(frozen=True)
+class RulePlan:
+    """A rule's join orders, as indexes: its body's static order; each
+    aggregate's condition order once the global variables are bound; and,
+    per body atom of the rule's own stratum in static order, the order of a
+    semi-naive round whose delta sits there. Both maps key by body index."""
+
+    global_variables: frozenset[Variable]
+    order: tuple[int, ...]
+    conditions: dict[int, tuple[int, ...]]
+    deltas: dict[int, tuple[int, ...]]
+
+
 def check_safety(program: Program) -> list[SafetyViolation]:
     """Return all safety violations; empty list means the program is safe.
     Only a rule with no other violation is checked to be orderable."""
+    return _check(program)[0]
+
+
+def _check(program: Program) -> tuple[list[SafetyViolation], list[RulePlan]]:
+    """The violations, and each rule's plan while there are none; analyze adds delta orders."""
     violations: list[SafetyViolation] = []
+    plans: list[RulePlan] = []
     for rule in program.rules:
         seen: set[str] = set()
 
@@ -192,14 +212,23 @@ def check_safety(program: Program) -> list[SafetyViolation]:
                         report(var, "local to the aggregate is unbound")
         if seen:
             continue
-        joins = [(rule.body, set())] + [(literal.aggregate.condition, global_vars)
-                                        for literal in rule.body
-                                        if isinstance(literal, AggregateLiteral)]
-        for literals, outside in joins:
-            var = _first_unordered(literals, global_vars, outside)
-            if var is not None:
-                report(var, "is needed before it can be bound")
-    return violations
+        order = join_order(rule.body, global_vars, ())
+        # an aggregate runs once the outer variables it shares are bound
+        conditions = {i: join_order(literal.aggregate.condition, global_vars, global_vars)
+                      for i, literal in enumerate(rule.body)
+                      if isinstance(literal, AggregateLiteral)}
+        joins = [(rule.body, set(), order)] + [
+            (rule.body[i].aggregate.condition, global_vars, joined)
+            for i, joined in conditions.items()]
+        for literals, outside, joined in joins:
+            left = sorted(set(range(len(literals))).difference(joined))
+            if left:  # report the first need of the first literal left out
+                needs = literal_needs(literals[left[0]], global_vars).difference(
+                    outside, *(literal_binds(literals[i]) for i in joined))
+                report(next(v for v in literal_variables(literals[left[0]]) if v in needs),
+                       "is needed before it can be bound")
+        plans.append(RulePlan(frozenset(global_vars), order, conditions, {}))
+    return violations, plans
 
 
 # -- dependency graph and strata -------------------------------------------
@@ -211,36 +240,18 @@ def _dependencies(program: Program) -> tuple[list[str], dict[str, set[str]], set
     nodes: dict[str, None] = {}
     edges: dict[str, set[str]] = {}
     strict: set[tuple[str, str]] = set()
-
-    def node(name: str) -> None:
-        nodes.setdefault(name)
-
-    def edge(dep: str, head: str, is_strict: bool) -> None:
-        node(dep)
-        node(head)
-        edges.setdefault(dep, set()).add(head)
-        if is_strict:
-            strict.add((dep, head))
-
     for f in program.facts:
-        node(f.predicate)
+        nodes.setdefault(f.predicate)
     for rule in program.rules:
-        if rule.head is None:
-            for literal in rule.body:
-                for atom in _literal_atoms(literal):
-                    node(atom.predicate)
-            continue
-        head = rule.head.predicate
-        node(head)
+        if rule.head is not None:
+            nodes.setdefault(rule.head.predicate)
         for literal in rule.body:
-            if isinstance(literal, Atom):
-                edge(literal.predicate, head, is_strict=False)
-            elif isinstance(literal, NafLiteral):
-                edge(literal.atom.predicate, head, is_strict=True)
-            elif isinstance(literal, AggregateLiteral):
-                for cond in literal.aggregate.condition:
-                    if isinstance(cond, Atom):
-                        edge(cond.predicate, head, is_strict=True)
+            for atom in _literal_atoms(literal):
+                nodes.setdefault(atom.predicate)
+                if rule.head is not None:
+                    edges.setdefault(atom.predicate, set()).add(rule.head.predicate)
+                    if not isinstance(literal, Atom):  # under negation or in a count
+                        strict.add((atom.predicate, rule.head.predicate))
     return list(nodes), edges, strict
 
 
@@ -347,3 +358,43 @@ def stratify(program: Program) -> Stratification:
     strata = [tuple(sorted(members)) for members in strata_members]
     predicate_level = {name: level[component_of[name]] for name in nodes}
     return Stratification(strata, predicate_level)
+
+
+#: The most literals one rule may join, its body and its aggregates'
+#: conditions together: a compiled join takes one stack frame per literal,
+#: and a recursive rule takes one delta order per body atom.
+MAX_JOIN_LITERALS = 500
+
+
+class Analysis(NamedTuple):
+    """A program's strata, and the plan of each of its rules in program order."""
+
+    stratification: Stratification
+    plans: tuple[RulePlan, ...]
+
+
+def analyze(program: Program) -> Analysis:
+    """Check, stratify and plan a program, computing each join order once.
+    Raises :class:`SafetyError`, then :class:`CycleThroughNegation`, then
+    :class:`EvaluationError` for the first rule that joins more than
+    ``MAX_JOIN_LITERALS`` literals, before any delta order is built."""
+    violations, plans = _check(program)
+    if violations:
+        raise SafetyError(violations)
+    stratification = stratify(program)
+    for rule, plan in zip(program.rules, plans):
+        joined = len(rule.body) + sum(len(rule.body[i].aggregate.condition)
+                                      for i in plan.conditions)
+        if joined > MAX_JOIN_LITERALS:
+            raise EvaluationError(f"rule joins {joined} literals, body and aggregate conditions "
+                                  f"together; the limit is {MAX_JOIN_LITERALS}", rule)
+    level = stratification.level
+    for rule, plan in zip(program.rules, plans):
+        for i in plan.order if rule.head is not None else ():
+            literal = rule.body[i]
+            if isinstance(literal, Atom) and level[literal.predicate] == level[rule.head.predicate]:
+                # the delta atom first, unless its arithmetic needs variables bound before it
+                arithmetic = any(isinstance(t, ArithTerm) for t in literal.terms)
+                plan.deltas[i] = plan.order if arithmetic else \
+                    join_order(rule.body, plan.global_variables, (), first=i)
+    return Analysis(stratification, tuple(plans))

@@ -12,13 +12,14 @@ and aggregates only ever consult strata that are already complete, which
 stratification guarantees.
 
 Grounding is on-the-fly: each rule is compiled once into join plans, the
-static one (the first literal as written whose needs are bound, again and
-again: ``analysis.join_order``, which safe rules always complete) and, per
-recursive body atom, one that scans the delta atom first and orders the
-rest the same way. A plan is a chain of closures over a list environment
-with one slot per variable; each step knows at compile time which positions
-bind a slot, which check a bound slot or a repeat within the atom, and
-which hold constants or arithmetic.
+static one and, per recursive body atom, one that scans the delta atom
+first. The engine orders no join itself: ``evaluate`` calls
+``analysis.analyze`` once, which checks and stratifies the program and
+hands back every rule's orders, those the safety check built included. A
+plan is a chain of closures over a list environment with one slot per
+variable; each step knows at compile time which positions bind a slot,
+which check a bound slot or a repeat within the atom, and which hold
+constants or arithmetic.
 
 The model holds one relation per predicate and arity, with one kind of
 index: a hash map from the values at a set of positions to exactly the rows
@@ -53,9 +54,9 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import AbstractSet, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .analysis import SafetyError, check_safety, join_order, literal_binds, literal_needs, stratify
+from .analysis import EvaluationError, RulePlan, analyze, literal_binds, literal_needs
 from .facts import Constant, Fact, constant_key, format_constant, new_tuple
 from .lang import (
     AggregateLiteral,
@@ -63,24 +64,14 @@ from .lang import (
     Atom,
     BodyLiteral,
     Comparison,
-    ConditionLiteral,
     NafLiteral,
     Program,
     Rule,
     Term,
     Variable,
     literal_variables,
-    rule_global_variables,
     term_variables,
 )
-
-
-class EvaluationError(ValueError):
-    def __init__(self, message: str, rule: Optional[Rule] = None):
-        self.rule = rule
-        if rule is not None:
-            message = f"{rule.span}: {message}"
-        super().__init__(message)
 
 
 class NotDerivedError(LookupError):
@@ -316,11 +307,6 @@ def compare_constants(left: Constant, op: str, right: Constant) -> bool:
 
 # -- body planning -------------------------------------------------------------
 
-#: The most literals one rule may join, its body and its aggregates'
-#: conditions together: a compiled join takes one stack frame per literal.
-MAX_JOIN_LITERALS = 500
-
-
 _FLIPPED = {">=": "<=", "<=": ">=", ">": "<", "<": ">"}
 
 
@@ -341,7 +327,7 @@ class _RangeCount:
 
 
 def _range_count_plan(literal: AggregateLiteral,
-                      global_vars: set[Variable]) -> Optional[_RangeCount]:
+                      global_vars: AbstractSet[Variable]) -> Optional[_RangeCount]:
     """The range-count plan of an aggregate, or None when it does not fit."""
     agg = literal.aggregate
     atoms = [c for c in agg.condition if isinstance(c, Atom)]
@@ -388,60 +374,38 @@ def _range_count_plan(literal: AggregateLiteral,
 
 @dataclass
 class _CompiledRule:
-    """A rule's static join order (body indexes) and what each step needs.
+    """A rule, its plan from the analysis, what each step needs, and the
+    :data:`Record` of the binding its plans are building.
 
-    Every variable has a slot in a list environment. A :data:`Record` holds
-    the supports in the static order of the positive atoms, then the checks
-    in the static order of the other literals, whatever order a plan joins
+    Every variable has a slot in a list environment. A record holds the
+    supports in the static order of the positive atoms, then the checks in
+    the static order of the other literals, whatever order a plan joins
     them in."""
 
     rule: Rule
-    index: int  # in DerivationGraph.rules
-    order: tuple[int, ...]
+    plan: RulePlan
     slots: dict[Variable, int]
-    condition_plans: dict[int, tuple[ConditionLiteral, ...]]
     range_counts: dict[int, _RangeCount]
     records: dict[int, int]  # body index -> its position in a Record
     support_predicates: tuple[str, ...]
+    record: list  # the rule's index in DerivationGraph.rules, then the binding
 
 
-def _compile_rule(rule: Rule, index: int = 0) -> _CompiledRule:
-    conditions = {i: literal.aggregate.condition for i, literal in enumerate(rule.body)
-                  if isinstance(literal, AggregateLiteral)}
-    joined = len(rule.body) + sum(map(len, conditions.values()))
-    if joined > MAX_JOIN_LITERALS:
-        raise EvaluationError(f"rule joins {joined} literals, body and aggregate conditions "
-                              f"together; the limit is {MAX_JOIN_LITERALS}", rule)
-    global_vars = rule_global_variables(rule)
-    order = join_order(rule.body, global_vars, ())
-    slots: dict[Variable, int] = {}
+def _compile_rule(rule: Rule, plan: RulePlan, index: int) -> _CompiledRule:
+    slots: dict[Variable, int] = {}  # the rule is safe: its head's variables are among these
     for literal in rule.body:
         for var in literal_variables(literal):
             slots.setdefault(var, len(slots))
-    for term in rule.head.terms if rule.head is not None else ():
-        for var in term_variables(term):
-            slots.setdefault(var, len(slots))
-    atoms = [i for i in order if isinstance(rule.body[i], Atom)]
-    others = [i for i in order if not isinstance(rule.body[i], Atom)]
+    atoms = [i for i in plan.order if isinstance(rule.body[i], Atom)]
+    others = [i for i in plan.order if not isinstance(rule.body[i], Atom)]
     return _CompiledRule(
-        rule, index, order, slots,
-        # an aggregate runs once the outer variables it shares are bound
-        condition_plans={i: tuple(condition[k]
-                                  for k in join_order(condition, global_vars, global_vars))
-                         for i, condition in conditions.items()},
-        range_counts={i: count for i in conditions
-                      if (count := _range_count_plan(rule.body[i], global_vars)) is not None},
+        rule, plan, slots,
+        range_counts={i: count for i in plan.conditions
+                      if (count := _range_count_plan(rule.body[i], plan.global_variables))
+                      is not None},
         records={i: k for k, i in enumerate(atoms + others, 1)},
-        support_predicates=tuple(rule.body[i].predicate for i in atoms))
-
-
-def _delta_order(rule: Rule, order: tuple[int, ...], position: int) -> tuple[int, ...]:
-    """The join order for a round whose delta sits at body index
-    ``position``: the delta atom first, unless an arithmetic term needs
-    variables bound before it, in which case the static order."""
-    if any(isinstance(t, ArithTerm) for t in rule.body[position].terms):
-        return order
-    return join_order(rule.body, rule_global_variables(rule), (), first=position)
+        support_predicates=tuple(rule.body[i].predicate for i in atoms),
+        record=[index] + [None] * len(rule.body))
 
 
 # -- slot-compiled matchers ------------------------------------------------------
@@ -516,21 +480,6 @@ class _Found(Exception):
     """Stops a join at its first solution."""
 
 
-@dataclass
-class _Frame:
-    """A rule being matched, the :data:`Record` of the binding under
-    construction, and the predicates whose relations grow while it is
-    matched: those of the stratum it derives."""
-
-    compiled: _CompiledRule
-    record: list
-    growing: frozenset[str]
-
-    @classmethod
-    def of(cls, compiled: _CompiledRule, growing: frozenset[str] = frozenset()) -> "_Frame":
-        return cls(compiled, [compiled.index] + [None] * len(compiled.records), growing)
-
-
 class _Evaluator:
     def __init__(self, model: Model, graph: DerivationGraph):
         self.model = model
@@ -542,40 +491,41 @@ class _Evaluator:
 
     # plan compilation
 
-    def _chain(self, frame: _Frame, steps: Sequence[tuple[BodyLiteral, Optional[int]]],
+    def _chain(self, compiled: _CompiledRule, steps: Sequence[tuple[BodyLiteral, Optional[int]]],
                bound: set[int], finish: Callable[[set[int]], Step],
                delta_index: Optional[int] = None) -> Step:
         """Compile steps, each a literal and its body index (None inside an
         aggregate), into closures over a slot environment. Each step calls
         the next one per match; the last calls ``finish(slots bound then)``."""
-        slots, rule = frame.compiled.slots, frame.compiled.rule
+        slots, rule = compiled.slots, compiled.rule
         before: list[set[int]] = []
         for literal, _ in steps:
             before.append(bound)
             bound = bound | {slots[var] for var in literal_binds(literal)}
         step = finish(bound)
         for (literal, index), known in zip(reversed(steps), reversed(before)):
-            record = None if index is None else frame.compiled.records[index]
+            record = None if index is None else compiled.records[index]
             if isinstance(literal, Atom):
-                step = self._scan(frame, literal, known, record, step,
-                                  index is not None and index == delta_index)
+                step = self._scan(compiled, literal, known, record, step,
+                                  index is not None and index == delta_index,
+                                  index in compiled.plan.deltas)
             elif isinstance(literal, NafLiteral):
-                step = self._naf(frame, literal, known, record, step)
+                step = self._naf(compiled, literal, known, record, step)
             elif isinstance(literal, Comparison):
-                step = self._compare(frame, literal, known, record, step)
+                step = self._compare(compiled, literal, known, record, step)
             elif isinstance(literal, AggregateLiteral) and index is not None:
-                step = self._aggregate(frame, literal, index, known, record, step)
+                step = self._aggregate(compiled, literal, index, known, record, step)
             else:
                 raise EvaluationError(f"unsupported body literal {literal!r}", rule)
         return step
 
-    def _plan(self, frame: _Frame, order: Sequence[int],
+    def _plan(self, compiled: _CompiledRule, order: Sequence[int],
               finish: Callable[[set[int]], Step], delta_index: Optional[int] = None) -> Step:
-        body = frame.compiled.rule.body
-        return self._chain(frame, [(body[i], i) for i in order], set(), finish, delta_index)
+        body = compiled.rule.body
+        return self._chain(compiled, [(body[i], i) for i in order], set(), finish, delta_index)
 
-    def _scan(self, frame: _Frame, atom: Atom, bound: set[int], record: Optional[int],
-              step: Step, from_delta: bool) -> Step:
+    def _scan(self, compiled: _CompiledRule, atom: Atom, bound: set[int], record: Optional[int],
+              step: Step, from_delta: bool, in_stratum: bool) -> Step:
         """Join one positive atom: look up the rows that match its bound
         positions in the relation's index on them, then per row check
         repeats within the atom and bind its new slots. Only the rows
@@ -584,7 +534,7 @@ class _Evaluator:
         round's window. Only a model relation of the stratum being evaluated
         grows during a scan, so only its rows are cut to their length at the
         start: a delta window is a copy, and a lower stratum is complete."""
-        slots, rule = frame.compiled.slots, frame.compiled.rule
+        slots, rule = compiled.slots, compiled.rule
         positions: list[int] = []
         key_terms: list[Term] = []
         binds: list[tuple[int, int]] = []
@@ -606,8 +556,8 @@ class _Evaluator:
                         itemgetter(*(q for _, q in repeats))) if repeats else None
         name = (atom.predicate, len(atom.terms))
         relation = None if from_delta else self.model.relation(*name)
-        grows = relation is not None and atom.predicate in frame.growing
-        binding = frame.record
+        grows = relation is not None and in_stratum
+        binding = compiled.record
         index = None
 
         def scan(env: Env) -> None:
@@ -625,11 +575,11 @@ class _Evaluator:
                 step(env)
         return scan
 
-    def _naf(self, frame: _Frame, literal: NafLiteral, bound: set[int], record: int,
+    def _naf(self, compiled: _CompiledRule, literal: NafLiteral, bound: set[int], record: int,
              step: Step) -> Step:
         predicate, terms = literal.atom.predicate, literal.atom.terms
-        ground = _tuple_getter(terms, frame.compiled.slots, bound, frame.compiled.rule)
-        known, binding = self.model.relation(predicate, len(terms)).atoms, frame.record
+        ground = _tuple_getter(terms, compiled.slots, bound, compiled.rule)
+        known, binding = self.model.relation(predicate, len(terms)).atoms, compiled.record
 
         def naf(env: Env) -> None:
             args = ground(env)
@@ -638,12 +588,12 @@ class _Evaluator:
                 step(env)
         return naf
 
-    def _compare(self, frame: _Frame, literal: Comparison, bound: set[int],
+    def _compare(self, compiled: _CompiledRule, literal: Comparison, bound: set[int],
                  record: Optional[int], step: Step) -> Step:
-        slots, rule = frame.compiled.slots, frame.compiled.rule
+        slots, rule = compiled.slots, compiled.rule
         left, right = _getter(literal.left, slots, bound, rule), \
             _getter(literal.right, slots, bound, rule)
-        op, binding = literal.op, frame.record
+        op, binding = literal.op, compiled.record
 
         def compare(env: Env) -> None:
             a, b = left(env), right(env)
@@ -653,13 +603,13 @@ class _Evaluator:
                 step(env)
         return compare
 
-    def _aggregate(self, frame: _Frame, literal: AggregateLiteral, index: int,
+    def _aggregate(self, compiled: _CompiledRule, literal: AggregateLiteral, index: int,
                    bound: set[int], record: int, step: Step) -> Step:
-        count = self._counter(frame, literal, index, bound)
-        op, binding = literal.op, frame.record
+        count = self._counter(compiled, literal, index, bound)
+        op, binding = literal.op, compiled.record
         if literal.is_assignment:
             assert isinstance(literal.bound, Variable)
-            slot = frame.compiled.slots[literal.bound]
+            slot = compiled.slots[literal.bound]
             assigns = slot not in bound
 
             def assign(env: Env) -> None:
@@ -671,7 +621,7 @@ class _Evaluator:
                 binding[record] = AggregateCheck(n, "=", n)
                 step(env)
             return assign
-        threshold = _getter(literal.bound, frame.compiled.slots, bound, frame.compiled.rule)
+        threshold = _getter(literal.bound, compiled.slots, bound, compiled.rule)
 
         def guard(env: Env) -> None:
             n = count(env)
@@ -681,11 +631,10 @@ class _Evaluator:
                 step(env)
         return guard
 
-    def _counter(self, frame: _Frame, literal: AggregateLiteral, index: int,
+    def _counter(self, compiled: _CompiledRule, literal: AggregateLiteral, index: int,
                  bound: set[int]) -> Callable[[Env], int]:
         """The aggregate's count: by bisection when it has a range plan,
         else by joining its condition and collecting distinct elements."""
-        compiled = frame.compiled
         slots, rule = compiled.slots, compiled.rule
         elements: set[tuple[Constant, ...]] = set()
 
@@ -693,8 +642,9 @@ class _Evaluator:
             element = _tuple_getter(literal.aggregate.elements, slots, inner, rule)
             return lambda env: elements.add(element(env))
 
+        literals = literal.aggregate.condition
         condition = self._chain(
-            frame, [(cond, None) for cond in compiled.condition_plans[index]], bound, finish)
+            compiled, [(literals[k], None) for k in compiled.plan.conditions[index]], bound, finish)
 
         def enumerate_count(env: Env) -> int:
             elements.clear()
@@ -748,10 +698,9 @@ class _Evaluator:
 
     # stratum evaluation
 
-    def _emitter(self, frame: _Frame) -> Callable[[set[int]], Step]:
+    def _emitter(self, compiled: _CompiledRule) -> Callable[[set[int]], Step]:
         """The last step of a rule's plans: append the head atom if it is
         new, with the binding's supports and checks as its derivation."""
-        compiled = frame.compiled
         rule = compiled.rule
         head = rule.head
         assert head is not None
@@ -759,7 +708,7 @@ class _Evaluator:
         relation = model.relation(predicate, len(head.terms))
         known, rows, indexes = relation.atoms, relation.rows, relation.indexes
         order = model._order
-        binding = frame.record
+        binding = compiled.record
 
         def finish(bound: set[int]) -> Step:
             head_args = _tuple_getter(head.terms, compiled.slots, bound, rule)
@@ -790,15 +739,10 @@ class _Evaluator:
         firsts: list[tuple[Step, int]] = []
         rounds: list[tuple[Step, int]] = []
         for compiled in compiled_rules:
-            frame, rule, width = _Frame.of(compiled, stratum_predicates), compiled.rule, \
-                len(compiled.slots)
-            finish = self._emitter(frame)
-            firsts.append((self._plan(frame, compiled.order, finish), width))
-            for i in compiled.order:
-                literal = rule.body[i]
-                if isinstance(literal, Atom) and literal.predicate in stratum_predicates:
-                    order = _delta_order(rule, compiled.order, i)
-                    rounds.append((self._plan(frame, order, finish, i), width))
+            finish, width = self._emitter(compiled), len(compiled.slots)
+            firsts.append((self._plan(compiled, compiled.plan.order, finish), width))
+            for i, order in compiled.plan.deltas.items():
+                rounds.append((self._plan(compiled, order, finish, i), width))
         relations = {name: relation for name, relation in self.model._relations.items()
                      if name[0] in stratum_predicates}
         before = {name: len(relation.rows) for name, relation in relations.items()}
@@ -824,7 +768,7 @@ class _Evaluator:
             return found
 
         try:
-            self._plan(_Frame.of(compiled), compiled.order, finish)([None] * len(compiled.slots))
+            self._plan(compiled, compiled.plan.order, finish)([None] * len(compiled.slots))
         except _Found as witness:
             return witness.args[0]
         return None
@@ -850,10 +794,7 @@ def evaluate(program: Program,
     enabled = gc.isenabled()
     gc.disable()
     try:
-        violations = check_safety(program)
-        if violations:
-            raise SafetyError(violations)
-        stratification = stratify(program)
+        analysis = analyze(program)
 
         model = Model()
         graph = DerivationGraph()
@@ -864,15 +805,15 @@ def evaluate(program: Program,
         evaluator = _Evaluator(model, graph)
         by_level: dict[int, list[_CompiledRule]] = {}
         constraints: list[_CompiledRule] = []
-        for index, rule in enumerate(program.rules):
-            compiled = _compile_rule(rule, index)
+        for index, (rule, plan) in enumerate(zip(program.rules, analysis.plans)):
+            compiled = _compile_rule(rule, plan, index)
             graph.rules.append((rule, compiled.support_predicates))
             if rule.head is None:
                 constraints.append(compiled)
             else:
-                level = stratification.level[rule.head.predicate]
+                level = analysis.stratification.level[rule.head.predicate]
                 by_level.setdefault(level, []).append(compiled)
-        for level, predicates in enumerate(stratification.strata):
+        for level, predicates in enumerate(analysis.stratification.strata):
             evaluator.run_stratum(by_level.get(level, []), frozenset(predicates))
 
         for compiled in constraints:

@@ -11,9 +11,11 @@ explanation unfolds to input facts; ``explain`` is run on every atom.
 """
 from __future__ import annotations
 
-from stratalog.engine import AggregateCheck, ComparisonCheck, NafCheck, _compile_rule, explain
+from stratalog.analysis import analyze
+from stratalog.engine import AggregateCheck, ComparisonCheck, NafCheck, explain
 from stratalog.facts import Fact, constant_key
-from stratalog.lang import AggregateLiteral, ArithTerm, Atom, Comparison, NafLiteral, Variable
+from stratalog.lang import (
+    AggregateLiteral, ArithTerm, Atom, Comparison, NafLiteral, Program, Variable)
 
 
 def _value(term, env):
@@ -72,6 +74,7 @@ def check_derivations(model, graph):
     long as no positive atom holds arithmetic (such an atom waits for its
     variables); the programs checked here have none."""
     recorded = set(graph.fact_atoms)
+    plans = analyze(Program(consts={}, rules=[rule for rule, _ in graph.rules], facts=[])).plans
     for atom, derivation in graph.entries.items():
         rule = derivation.rule
         positive = [literal for literal in rule.body if isinstance(literal, Atom)]
@@ -103,7 +106,7 @@ def check_derivations(model, graph):
                 left, right = _value(literal.left, env), _value(literal.right, env)
                 assert _holds(left, literal.op, right), atom
                 checks[i] = ComparisonCheck(left, literal.op, right)
-        static_order = _compile_rule(rule).order
+        static_order = plans[graph.records[atom][0]].order
         assert tuple(checks[i] for i in static_order if i in checks) == derivation.checks, \
             (atom, derivation)
         assert Fact(rule.head.predicate, tuple(_value(t, env) for t in rule.head.terms)) == atom

@@ -1,10 +1,13 @@
 """Static checks: rule safety and stratification of the dependency graph."""
 import hashlib
+import timeit
 
 import pytest
 
-from stratalog.analysis import CycleThroughNegation, check_safety, join_order, stratify
-from stratalog.lang import rule_global_variables
+from stratalog import analysis, engine
+from stratalog.analysis import CycleThroughNegation, analyze, check_safety, join_order, stratify
+from stratalog.engine import evaluate
+from stratalog.lang import AggregateLiteral, ArithTerm, Atom, rule_global_variables
 from stratalog.parser import parse_program
 from stratalog.rules import default_program
 
@@ -106,6 +109,91 @@ class TestJoinOrder:
             for rule in parse_program(text).rules:
                 lines.append(" ".join(map(str, orders(rule, [None, *range(len(rule.body))]))))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.ORDERS_DIGEST
+
+
+class TestAnalysis:
+    """``analyze`` computes each rule's orders once; they are the orders
+    ``join_order`` gives, the ones ``TestJoinOrder`` pins."""
+
+    @staticmethod
+    def expected_plan(rule, stratification):
+        """The rule's orders straight from ``join_order``: static, per
+        condition with the global variables bound, and per body atom of the
+        head's stratum, in static order, that atom first (the static order
+        if it holds arithmetic)."""
+        outer = rule_global_variables(rule)
+        order = join_order(rule.body, outer, ())
+        conditions = {i: join_order(literal.aggregate.condition, outer, outer)
+                      for i, literal in enumerate(rule.body)
+                      if isinstance(literal, AggregateLiteral)}
+        stratum = () if rule.head is None else \
+            stratification.strata[stratification.level[rule.head.predicate]]
+        deltas = [(i, order if any(isinstance(t, ArithTerm) for t in rule.body[i].terms)
+                   else join_order(rule.body, outer, (), i))
+                  for i in order
+                  if isinstance(rule.body[i], Atom) and rule.body[i].predicate in stratum]
+        return outer, order, conditions, deltas
+
+    # progen draws no arithmetic in a recursive atom
+    ARITHMETIC = ["count(0). count(X) :- count(X - 1), limit(X). limit(1).",
+                  "p(1). q(1). p(X) :- p(X - 1), p(X), q(X), #count{Y : q(Y), Y < X} > 0."]
+
+    def test_orders_equal_join_orders(self):
+        deltas = arithmetic = 0
+        for text in [default_program()] + [generate_program(seed) for seed in range(200)] \
+                + self.ARITHMETIC:
+            program = parse_program(text)
+            result = analyze(program)
+            assert result.stratification == stratify(program)
+            assert len(result.plans) == len(program.rules)
+            for rule, plan in zip(program.rules, result.plans):
+                assert (plan.global_variables, plan.order, plan.conditions,
+                        list(plan.deltas.items())) \
+                    == self.expected_plan(rule, result.stratification), str(rule)
+                deltas += len(plan.deltas)
+                arithmetic += sum(any(isinstance(t, ArithTerm) for t in rule.body[i].terms)
+                                  for i in plan.deltas)
+        assert (deltas, arithmetic) == (551, 2)
+
+    @staticmethod
+    def calls(monkeypatch, text):
+        """How often evaluating ``text`` orders a join and collects a rule's
+        global variables, wherever the engine or the analysis does it."""
+        counts = {"join_order": 0, "rule_global_variables": 0}
+        for name in counts:
+            original = getattr(analysis, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            for module in (analysis, engine):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        evaluate(parse_program(text))
+        return counts
+
+    def test_the_engine_orders_nothing_itself(self):
+        for name in ("join_order", "rule_global_variables", "_delta_order"):
+            assert not hasattr(engine, name)
+
+    def test_each_order_is_computed_once(self, monkeypatch):
+        # 12 bodies and 4 count conditions
+        assert self.calls(monkeypatch, default_program()) == \
+            {"join_order": 16, "rule_global_variables": 12}
+
+    def test_each_delta_order_is_computed_once(self, monkeypatch):
+        # 3 bodies and 2 delta orders; the arithmetic atom c(X - 1) takes
+        # the static order
+        text = ("e(1, 2). e(2, 3). lim(1). lim(2). c(0). r(X, Y) :- e(X, Y). "
+                "r(X, Z) :- r(X, Y), r(Y, Z). c(X) :- c(X - 1), lim(X).")
+        assert self.calls(monkeypatch, text) == {"join_order": 5, "rule_global_variables": 3}
+
+    def test_check_safety_takes_linear_time(self):
+        def best(literals):
+            program = parse_program("p(X) :- q(X), " + ", ".join(["p(X)"] * literals) + ".")
+            return min(timeit.repeat(lambda: check_safety(program), number=1, repeat=3))
+        # quadratic time would make this 16
+        assert best(16_000) / best(4_000) < 8
 
 
 class TestStratify:

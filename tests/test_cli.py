@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stratalog
+from stratalog.analysis import MAX_JOIN_LITERALS
 from stratalog.cli import EXIT_ERROR, EXIT_INCONSISTENT, EXIT_OK, main
-from stratalog.engine import MAX_JOIN_LITERALS
 from stratalog.ingest import IngestOptions, read_csv_entries, read_syslog_entries
 from stratalog.lang import format_program
 from stratalog.parser import MAX_TERM_DEPTH, parse_program

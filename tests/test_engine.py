@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratalog.analysis import MAX_JOIN_LITERALS, SafetyError, analyze
 from stratalog.engine import (
-    MAX_JOIN_LITERALS,
     ComparisonCheck,
     Derivation,
     EvaluationError,
@@ -17,9 +17,7 @@ from stratalog.engine import (
     Model,
     NafCheck,
     NotDerivedError,
-    SafetyError,
     _compile_rule,
-    _delta_order,
     evaluate,
     explain,
     query,
@@ -382,7 +380,9 @@ def agrees_with_oracle(text, facts=()):
 
 def range_counted(text):
     """For each rule with an aggregate: whether it compiled to a range count."""
-    return [bool(_compile_rule(rule).range_counts) for rule in parse_program(text).rules
+    program = parse_program(text)
+    return [bool(_compile_rule(rule, plan, index).range_counts)
+            for index, (rule, plan) in enumerate(zip(program.rules, analyze(program).plans))
             if any(isinstance(lit, AggregateLiteral) for lit in rule.body)]
 
 
@@ -603,9 +603,8 @@ class TestRecursivePlans:
     def test_arithmetic_in_the_recursive_atom_keeps_the_static_order(self):
         text = "count(0). count(X) :- count(X - 1), limit(X). " + \
             " ".join(f"limit({i})." for i in range(1, 13))
-        rule = parse_program(text).rules[0]
-        compiled = _compile_rule(rule)
-        assert _delta_order(rule, compiled.order, 0) == compiled.order == (1, 0)
+        plan = analyze(parse_program(text)).plans[0]
+        assert plan.deltas[0] == plan.order == (1, 0)
         model, graph = evaluate(parse_program(text))
         assert set(model) == set(naive_oracle(parse_program(text)))
         assert sorted(model.atoms("count")) == [(i,) for i in range(13)]
