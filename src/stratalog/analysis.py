@@ -104,17 +104,22 @@ def literal_needs(literal: BodyLiteral, outer: AbstractSet[Variable]) -> set[Var
 
 
 def join_order(literals: Sequence[BodyLiteral], outer: AbstractSet[Variable],
-               bound: Iterable[Variable], first: Optional[int] = None) -> tuple[int, ...]:
+               bound: Iterable[Variable], first: Optional[int] = None,
+               needs: Optional[Sequence[AbstractSet[Variable]]] = None) -> tuple[int, ...]:
     """The order a rule's literals (or an aggregate's condition) join in, as
     indexes: ``first`` if given, then repeatedly the first literal as
     written whose needs are bound. Stops when no remaining literal is
     ready, so a shorter result than ``literals`` means they cannot all be
-    ordered.
+    ordered. ``needs``, if given, holds each literal's ``literal_needs``
+    over ``outer``, computed once by a caller that orders the same literals
+    many times; it is read, never changed.
 
     The ready literals wait in a heap, ``first`` ahead of all, so the cost
     is linear in the literals and their variables, times a logarithm."""
     bound = set(bound)
-    needs = [literal_needs(literal, outer) - bound for literal in literals]
+    if needs is None:
+        needs = [literal_needs(literal, outer) for literal in literals]
+    needs = [need - bound for need in needs]
     waiting: dict[Variable, list[int]] = {}  # variable -> the literals needing it
     for index, need in enumerate(needs):
         for var in need:
@@ -390,11 +395,16 @@ def analyze(program: Program) -> Analysis:
                                   f"together; the limit is {MAX_JOIN_LITERALS}", rule)
     level = stratification.level
     for rule, plan in zip(program.rules, plans):
-        for i in plan.order if rule.head is not None else ():
-            literal = rule.body[i]
-            if isinstance(literal, Atom) and level[literal.predicate] == level[rule.head.predicate]:
-                # the delta atom first, unless its arithmetic needs variables bound before it
-                arithmetic = any(isinstance(t, ArithTerm) for t in literal.terms)
-                plan.deltas[i] = plan.order if arithmetic else \
-                    join_order(rule.body, plan.global_variables, (), first=i)
+        if rule.head is None:
+            continue
+        recursive = [i for i in plan.order if isinstance(rule.body[i], Atom)
+                     and level[rule.body[i].predicate] == level[rule.head.predicate]]
+        # each delta order starts from a copy of these, so they are worked out once per rule
+        needs = [literal_needs(literal, plan.global_variables) for literal in rule.body] \
+            if recursive else []
+        for i in recursive:
+            # the delta atom first, unless its arithmetic needs variables bound before it
+            arithmetic = any(isinstance(t, ArithTerm) for t in rule.body[i].terms)
+            plan.deltas[i] = plan.order if arithmetic else \
+                join_order(rule.body, plan.global_variables, (), first=i, needs=needs)
     return Analysis(stratification, tuple(plans))

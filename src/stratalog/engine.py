@@ -23,9 +23,13 @@ constants or arithmetic.
 
 The model holds one relation per predicate and arity, with one kind of
 index: a hash map from the values at a set of positions to exactly the rows
-that hold them. A body atom is looked up in its relation's index on its
-bound positions, built on first use and kept current from then on; a
-compiled scan keeps it, and a delta scan uses the same index of the window.
+that hold them. A relation keeps one entry per atom, its argument tuple
+mapped to its derivation record, and the model's order names the relation
+of each atom; no :class:`Fact` is kept, and iteration and ``query`` build
+one only for an atom they hand out. A body atom is looked up in its
+relation's index on its bound positions, built on first use and kept
+current from then on; a compiled scan keeps it, and a delta scan uses the
+same index of the window.
 A ``#count`` of one range-guarded variable is answered by bisecting the
 sorted values of that variable in each bucket of the index on its group
 positions, sorted once per evaluation; every other aggregate enumerates its
@@ -35,9 +39,11 @@ Every derived atom records the rule and ground supports that first produced
 it, so any alert can be unfolded into a full derivation tree. The record is
 raw: one flat tuple of the rule's index, the supports' argument tuples and
 the checks, with no :class:`Fact` looked up per support and no
-:class:`Rule` in it, so the cyclic collector can untrack it.
-``DerivationGraph.entries`` resolves a record into a :class:`Derivation`
-when it is read, and ``explain`` shares one node per derived atom.
+:class:`Rule` in it, so the cyclic collector can untrack it. It is the
+value of the atom's entry in its relation, None for an input fact. The
+:class:`DerivationGraph` holds the model and reads the records from it:
+``entries`` resolves a record into a :class:`Derivation` when it is read,
+and ``explain`` shares one node per derived atom.
 ``evaluate`` pauses the cyclic collector while it runs, since a run makes
 many tracked objects and almost no cyclic garbage. Iteration never depends
 on hash seeds: atom storage is insertion-ordered and all query output is
@@ -49,11 +55,11 @@ import gc
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Set
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import AbstractSet, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .analysis import EvaluationError, RulePlan, analyze, literal_binds, literal_needs
@@ -85,17 +91,18 @@ Row = tuple[Constant, ...]
 
 class _Relation:
     """One predicate's atoms of one arity: argument tuples in insertion
-    order, the atom of each tuple, and the hash indexes built so far, one
-    per set of bound positions.
+    order, the derivation record of each tuple (None for an input fact),
+    and the hash indexes built so far, one per set of bound positions.
 
     A semi-naive delta is a relation over a copy of a window of another
     relation's rows; its ``atoms`` stay empty, since only scans read it."""
 
-    __slots__ = ("rows", "atoms", "indexes")
+    __slots__ = ("predicate", "rows", "atoms", "indexes")
 
-    def __init__(self, rows: Optional[list[Row]] = None) -> None:
+    def __init__(self, predicate: str, rows: Optional[list[Row]] = None) -> None:
+        self.predicate = predicate
         self.rows: list[Row] = [] if rows is None else rows
-        self.atoms: dict[Row, Fact] = {}
+        self.atoms: dict[Row, Optional[Record]] = {}
         # bound positions -> (their item getter, rows by its value)
         self.indexes: dict[tuple[int, ...], tuple[Callable, dict[object, list[Row]]]] = {}
 
@@ -120,6 +127,11 @@ class Model:
     predicate and arity, each with a hash index per set of bound positions
     that a lookup has used.
 
+    No :class:`Fact` is kept: a relation maps each of its argument tuples
+    to the atom's derivation record, None for an input fact, and the
+    model's order lists the relation of each atom. Iteration rebuilds the
+    atoms in that order, with one cursor per relation over its rows.
+
     A relation's rows only grow, in insertion order, so the atoms one
     semi-naive round derives are the window of rows it appended; the next
     round's delta scans that window."""
@@ -127,17 +139,18 @@ class Model:
     __slots__ = ("_order", "_relations")
 
     def __init__(self) -> None:
-        self._order: list[Fact] = []
+        self._order: list[_Relation] = []
         self._relations: dict[tuple[str, int], _Relation] = {}
 
     def add(self, atom: Fact) -> bool:
+        """Add an atom as an input fact, one with no derivation record."""
         args = atom.args
         relation = self.relation(atom.predicate, len(args))
         if args in relation.atoms:
             return False
-        relation.atoms[args] = atom
+        relation.atoms[args] = None
         relation.rows.append(args)
-        self._order.append(atom)
+        self._order.append(relation)
         for key, index in relation.indexes.values():
             index.setdefault(key(args), []).append(args)
         return True
@@ -147,7 +160,7 @@ class Model:
         is added."""
         relation = self._relations.get((predicate, arity))
         if relation is None:
-            relation = self._relations[predicate, arity] = _Relation()
+            relation = self._relations[predicate, arity] = _Relation(predicate)
         return relation
 
     def __contains__(self, atom: Fact) -> bool:
@@ -158,11 +171,18 @@ class Model:
         return len(self._order)
 
     def __iter__(self) -> Iterator[Fact]:
-        return iter(self._order)
+        for relation, args in self._walk():
+            yield new_tuple(Fact, (relation.predicate, args))
 
     def atoms(self, predicate: str) -> list[Row]:
         """The predicate's argument tuples at every arity, in model order."""
-        return [atom.args for atom in self._order if atom.predicate == predicate]
+        return [args for relation, args in self._walk() if relation.predicate == predicate]
+
+    def _walk(self) -> Iterator[tuple[_Relation, Row]]:
+        """Each atom's relation and argument tuple, in model order: the
+        order names the relation, and that relation's cursor the row."""
+        cursors = {relation: iter(relation.rows) for relation in self._relations.values()}
+        return zip(self._order, map(next, map(cursors.__getitem__, self._order)))
 
 
 # -- derivation bookkeeping --------------------------------------------------
@@ -216,37 +236,99 @@ class Derivation(NamedTuple):
 Record = tuple[Union[int, Row, Check], ...]
 
 
-class _Entries(Mapping[Fact, Derivation]):
-    """Each derived atom's :class:`Derivation`, resolved from its record
-    when read, in derivation order."""
+class _Records(Mapping[Fact, Record]):
+    """Each derived atom's record, read from its relation, in derivation
+    order: the model's order without its input facts."""
 
     def __init__(self, graph: "DerivationGraph") -> None:
         self._graph = graph
 
-    def __getitem__(self, atom: Fact) -> Derivation:
-        return self._graph.resolve(self._graph.records[atom])
+    def __getitem__(self, atom: Fact) -> Record:
+        try:
+            record = self._graph.record(atom)
+        except NotDerivedError:
+            record = None
+        if record is None:
+            raise KeyError(atom)
+        return record
 
     def __iter__(self) -> Iterator[Fact]:
-        return iter(self._graph.records)
+        return self._graph._atoms(derived=True)
 
     def __len__(self) -> int:
-        return len(self._graph.records)
+        return sum(len(relation.atoms) - countOf(relation.atoms.values(), None)
+                   for relation in self._graph.model._relations.values())
 
 
-@dataclass
+class _Entries(_Records):
+    """Each derived atom's :class:`Derivation`, resolved from its record
+    when read, in derivation order."""
+
+    def __getitem__(self, atom: Fact) -> Derivation:  # type: ignore[override]
+        return self._graph.resolve(super().__getitem__(atom))
+
+
+class _FactAtoms(Set[Fact]):
+    """The model's input facts, in model order."""
+
+    def __init__(self, graph: "DerivationGraph") -> None:
+        self._graph = graph
+
+    def __contains__(self, atom: object) -> bool:
+        try:
+            return self._graph.record(atom) is None  # type: ignore[arg-type]
+        except NotDerivedError:
+            return False
+
+    def __iter__(self) -> Iterator[Fact]:
+        return self._graph._atoms(derived=False)
+
+    def __len__(self) -> int:
+        return len(self._graph.model) - len(self._graph.records)
+
+
 class DerivationGraph:
-    """The first derivation of every derived atom, and the input facts.
-    ``rules[i]`` is the rule of index i and its supports' predicates. A
-    record holds no :class:`Rule`, which the collector always tracks, so
-    the collector can untrack it once it has untracked the rows in it."""
+    """The first derivation of every atom of a model, read from the model
+    itself: each relation maps an argument tuple to its record, None for an
+    input fact. ``rules[i]`` is the rule of index i and its supports'
+    predicates. ``records``, ``entries`` and ``fact_atoms`` are read-only
+    views that build each :class:`Fact` as they yield it.
 
-    records: dict[Fact, Record] = field(default_factory=dict)
-    rules: list[tuple[Rule, tuple[str, ...]]] = field(default_factory=list)
-    fact_atoms: set[Fact] = field(default_factory=set)
+    A record holds no :class:`Rule`, which the collector always tracks, so
+    the collector can untrack it once it has untracked the rows in it. The
+    graph references the model; the model does not reference the graph."""
+
+    __slots__ = ("model", "rules")
+
+    def __init__(self, model: Model) -> None:
+        self.model = model
+        self.rules: list[tuple[Rule, tuple[str, ...]]] = []
+
+    @property
+    def records(self) -> Mapping[Fact, Record]:
+        return _Records(self)
 
     @property
     def entries(self) -> Mapping[Fact, Derivation]:
         return _Entries(self)
+
+    @property
+    def fact_atoms(self) -> AbstractSet[Fact]:
+        return _FactAtoms(self)
+
+    def record(self, atom: Fact) -> Optional[Record]:
+        """An atom's record, None for an input fact. Raises
+        :class:`NotDerivedError` for an atom the model does not hold."""
+        try:
+            return self.model._relations[atom.predicate, len(atom.args)].atoms[atom.args]
+        except KeyError:
+            raise NotDerivedError(atom) from None
+
+    def _atoms(self, derived: bool) -> Iterator[Fact]:
+        """The model's derived atoms, or else its input facts, in model order."""
+        for relation, args in self.model._walk():
+            if (relation.atoms[args] is not None) is derived:
+                yield new_tuple(Fact, (relation.predicate, args))
 
     def resolve(self, record: Record) -> Derivation:
         """The derivation a record stands for, its supports as facts."""
@@ -481,9 +563,8 @@ class _Found(Exception):
 
 
 class _Evaluator:
-    def __init__(self, model: Model, graph: DerivationGraph):
+    def __init__(self, model: Model):
         self.model = model
-        self.graph = graph
         # per stratum relation, the rows the last semi-naive round appended
         self.windows: dict[tuple[str, int], _Relation] = {}
         # sorted range indexes, built on first use: group key -> sorted keys
@@ -704,10 +785,9 @@ class _Evaluator:
         rule = compiled.rule
         head = rule.head
         assert head is not None
-        model, records, predicate = self.model, self.graph.records, head.predicate
-        relation = model.relation(predicate, len(head.terms))
+        relation = self.model.relation(head.predicate, len(head.terms))
         known, rows, indexes = relation.atoms, relation.rows, relation.indexes
-        order = model._order
+        order = self.model._order
         binding = compiled.record
 
         def finish(bound: set[int]) -> Step:
@@ -717,16 +797,14 @@ class _Evaluator:
                 args = head_args(env)
                 if args in known:
                     return
-                atom = new_tuple(Fact, (predicate, args))
                 # Model.add without its membership test, inlined: a call per
                 # derived atom costs a few per cent of a recursive evaluation
-                known[args] = atom
+                known[args] = tuple(binding)
                 rows.append(args)
-                order.append(atom)
+                order.append(relation)
                 if indexes:
                     for key, index in indexes.values():
                         index.setdefault(key(args), []).append(args)
-                records[atom] = tuple(binding)
             return emit
         return finish
 
@@ -752,7 +830,7 @@ class _Evaluator:
             after = {name: len(relation.rows) for name, relation in relations.items()}
             if after == before:
                 break
-            self.windows = {name: _Relation(relation.rows[before[name]:after[name]])
+            self.windows = {name: _Relation(name[0], relation.rows[before[name]:after[name]])
                             for name, relation in relations.items()}
             before = after
             for plan, width in rounds:
@@ -797,12 +875,11 @@ def evaluate(program: Program,
         analysis = analyze(program)
 
         model = Model()
-        graph = DerivationGraph()
-        for f in list(program.facts) + list(extra_facts):
-            if model.add(f):
-                graph.fact_atoms.add(f)
+        for atom in chain(program.facts, extra_facts):
+            model.add(atom)
+        graph = DerivationGraph(model)
 
-        evaluator = _Evaluator(model, graph)
+        evaluator = _Evaluator(model)
         by_level: dict[int, list[_CompiledRule]] = {}
         constraints: list[_CompiledRule] = []
         for index, (rule, plan) in enumerate(zip(program.rules, analysis.plans)):
@@ -828,20 +905,20 @@ def evaluate(program: Program,
 
 def query(model: Model, predicate: str) -> list[Fact]:
     """The model's atoms of a predicate at every arity, sorted by arguments
-    in ``constant_key`` order; unknown predicates yield an empty list.
+    in ``constant_key`` order; unknown predicates yield an empty list. The
+    argument tuples are sorted, and each :class:`Fact` is built once sorted.
 
     When every argument is a plain ``int``, or every argument a plain
     ``str``, the values order as their keys do, so the argument tuples are
     the sort key as they are."""
-    atoms = [atom for (name, _), relation in model._relations.items() if name == predicate
-             for atom in relation.atoms.values()]
-    args = itemgetter(1)
-    kinds = set(map(type, chain.from_iterable(map(args, atoms))))
+    rows = [args for (name, _), relation in model._relations.items() if name == predicate
+            for args in relation.rows]
+    kinds = set(map(type, chain.from_iterable(rows)))
     if kinds <= {int} or kinds <= {str}:
-        atoms.sort(key=args)
+        rows.sort()
     else:
-        atoms.sort(key=lambda atom: tuple(map(constant_key, atom.args)))
-    return atoms
+        rows.sort(key=lambda args: tuple(map(constant_key, args)))
+    return [new_tuple(Fact, (predicate, args)) for args in rows]
 
 
 def explain(graph: DerivationGraph, atom: Fact) -> DerivationNode:
@@ -852,14 +929,13 @@ def explain(graph: DerivationGraph, atom: Fact) -> DerivationNode:
     nodes: dict[Fact, DerivationNode] = {}
     roots: list[DerivationNode] = []
     pending: list[tuple[list[DerivationNode], Fact]] = [(roots, atom)]
+    record_of = graph.record
     while pending:  # depth first, supports left to right
         siblings, atom = pending.pop()
         node = nodes.get(atom)
         if node is None:
-            record = graph.records.get(atom)
+            record = record_of(atom)
             if record is None:
-                if atom not in graph.fact_atoms:
-                    raise NotDerivedError(atom)
                 siblings.append(DerivationNode(atom, None, (), []))
                 continue
             entry = graph.resolve(record)

@@ -191,16 +191,16 @@ def detect(entries: Iterable[LogEntry],
     program is inconsistent over these facts.
     """
     facts = entries_to_facts(entries, config.mapping_table)
-    extra = _load_extra_facts(config)
+    facts.extend(_load_extra_facts(config))
     program = load_program(config)
     if config.facts_out:
         try:
             with open(config.facts_out, "w", encoding="utf-8") as sink:
-                write_facts_file(facts + extra, sink)
+                write_facts_file(facts, sink)
         except OSError as exc:
             raise StageError("facts", str(exc)) from exc
     try:
-        result = evaluate(program, facts + extra)
+        result = evaluate(program, facts)
     except ValueError as exc:
         raise StageError("evaluate", str(exc)) from exc
     if isinstance(result, Inconsistent):

@@ -188,6 +188,24 @@ class TestAnalysis:
                 "r(X, Z) :- r(X, Y), r(Y, Z). c(X) :- c(X - 1), lim(X).")
         assert self.calls(monkeypatch, text) == {"join_order": 5, "rule_global_variables": 3}
 
+    def test_delta_orders_share_their_rules_needs(self, monkeypatch):
+        """A recursive rule of k atoms gets k - 1 delta orders, but each
+        literal's needs are worked out a fixed number of times, not once per
+        delta order."""
+        calls = []
+        original = analysis.literal_needs
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(analysis, "literal_needs", counted)
+
+        def needs_calls(atoms):
+            calls.clear()
+            analyze(parse_program("p(X) :- q(X), " + ", ".join(["p(X)"] * (atoms - 1)) + "."))
+            return len(calls)
+        assert needs_calls(40) == 2 * needs_calls(20)  # 1,640 and 420 at the parent
+
     def test_check_safety_takes_linear_time(self):
         def best(literals):
             program = parse_program("p(X) :- q(X), " + ", ".join(["p(X)"] * literals) + ".")

@@ -12,6 +12,7 @@ from stratalog.analysis import MAX_JOIN_LITERALS, SafetyError, analyze
 from stratalog.engine import (
     ComparisonCheck,
     Derivation,
+    DerivationNode,
     EvaluationError,
     Inconsistent,
     Model,
@@ -26,6 +27,7 @@ from stratalog.facts import Fact, Symbol, fact
 from stratalog.lang import AggregateLiteral
 from stratalog.oracle import OracleEvaluationError, naive_oracle
 from stratalog.parser import parse_program
+from stratalog.report import _render_node
 from stratalog.rules import RULES_TEXT
 
 from derivations import check_derivations
@@ -101,16 +103,16 @@ class TestQuery:
                   st.sampled_from([Symbol("a"), Symbol("b")])),
     ]).flatmap(lambda constants: st.lists(st.lists(constants, max_size=3).map(tuple),
                                           max_size=12)))
-    def test_sorted_by_constant_key_and_the_models_own(self, rows):
+    def test_sorted_by_constant_key(self, rows):
         """Plain-int and plain-str relations sort without keys, any other
-        mix by ``constant_key``; arities may differ within a predicate."""
+        mix by ``constant_key``; arities may differ within a predicate. Each
+        atom is a :class:`Fact` built for the result."""
         model = Model()
         for args in rows:
             model.add(Fact("p", args))
         found = query(model, "p")
         assert found == sorted(set(model), key=Fact.sort_key)
-        own = {id(atom) for atom in model}
-        assert all(id(atom) in own for atom in found)
+        assert all(type(atom) is Fact and atom in model for atom in found)
 
 
 class TestAggregateWindows:
@@ -715,6 +717,70 @@ class TestCollector:
         gc.collect()
         assert len(graph.records) > 400
         assert not any(map(gc.is_tracked, graph.records.values()))
+
+
+class TestOneEntryPerAtom:
+    """A relation maps each argument tuple to its derivation record, None
+    for an input fact; the graph's views read the model, and a :class:`Fact`
+    is built only when a view or ``query`` hands one out."""
+
+    TEXT = ("e(1, 2). e(2, 3). r(1, 3). r(X, Y) :- e(X, Y). "
+            "r(X, Z) :- r(X, Y), e(Y, Z). s(X) :- r(X, _).")
+    INPUTS = [fact("e", 1, 2), fact("e", 2, 3), fact("r", 1, 3), fact("e", 3, 4)]
+
+    def evaluate(self):
+        return evaluate(parse_program(self.TEXT), [fact("e", 3, 4)])
+
+    def test_evaluate_builds_no_fact(self):
+        _, edges = shuffled_chain(150, seed=1)  # 11,325 derived atoms
+        program = parse_program(f"reach(X, Y) :- edge(X, Y). {CLOSURES['delta-first']} {edges}")
+
+        def facts():
+            return sum(type(o) is Fact for o in gc.get_objects())
+
+        was = gc.isenabled()
+        gc.disable()  # a collection could untrack facts and hide them
+        try:
+            before = facts()
+            model, _ = evaluate(program)
+            after = facts()
+        finally:
+            if was:
+                gc.enable()
+        assert len(model) == 150 + 150 * 151 // 2
+        assert after == before
+
+    def test_records_follow_the_model_order_without_its_input_facts(self):
+        model, graph = self.evaluate()
+        atoms = list(model)
+        assert atoms[:4] == self.INPUTS
+        derived = atoms[4:]
+        assert list(graph.records) == list(graph.entries) == derived
+        assert len(graph.records) == len(graph.entries) == len(derived) == len(model) - 4
+        assert list(graph.fact_atoms) == self.INPUTS and len(graph.fact_atoms) == 4
+        assert all(atom in graph.fact_atoms and atom not in graph.records
+                   for atom in self.INPUTS)
+        assert not any(atom in graph.fact_atoms for atom in derived)
+        assert all(graph.records[atom] is graph.records[atom] for atom in derived)
+        assert fact("r", 9, 9) not in graph.fact_atoms and fact("r", 9, 9) not in graph.records
+
+    def test_an_input_fact_a_rule_also_derives_stays_an_input_fact(self):
+        _, graph = self.evaluate()
+        assert explain(graph, fact("r", 1, 3)) == DerivationNode(fact("r", 1, 3), None, (), [])
+        node = explain(graph, fact("r", 1, 4))
+        assert [(child.atom, child.is_fact) for child in node.children] == \
+            [(fact("r", 1, 3), True), (fact("e", 3, 4), True)]
+        lines = []
+        _render_node(node, 0, lines)
+        assert lines[1] == "  r(1,3)  [input fact]"
+
+    @pytest.mark.parametrize("atom", [fact("r", 3, 1), fact("r", 1), fact("t", 1, 3)],
+                             ids=["arguments", "arity", "predicate"])
+    def test_explain_raises_for_an_atom_not_in_the_model(self, atom):
+        _, graph = self.evaluate()
+        with pytest.raises(NotDerivedError) as raised:
+            explain(graph, atom)
+        assert raised.value.atom == atom
 
 
 class TestOnePlanner:
