@@ -20,7 +20,6 @@ component means the program has no unique model and is rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -41,8 +40,7 @@ from .lang import (
 )
 
 
-@dataclass(frozen=True)
-class SafetyViolation:
+class SafetyViolation(NamedTuple):
     span: Span
     rule: str
     variable: str
@@ -116,9 +114,12 @@ def join_order(literals: Sequence[BodyLiteral], outer: AbstractSet[Variable],
 
     The ready literals wait in a heap, ``first`` ahead of all, so the cost
     is linear in the literals and their variables, times a logarithm."""
-    bound = set(bound)
     if needs is None:
         needs = [literal_needs(literal, outer) for literal in literals]
+    if not any(needs):  # all ready, so no heap: first, then the others as written
+        others = [index for index in range(len(literals)) if index != first]
+        return tuple(others) if first is None else (first, *others)
+    bound = set(bound)
     needs = [need - bound for need in needs]
     waiting: dict[Variable, list[int]] = {}  # variable -> the literals needing it
     for index, need in enumerate(needs):
@@ -145,8 +146,7 @@ _NEEDS_REASONS = {
 }
 
 
-@dataclass(frozen=True)
-class RulePlan:
+class RulePlan(NamedTuple):
     """A rule's join orders, as indexes: its body's static order; each
     aggregate's condition order once the global variables are bound; and,
     per body atom of the rule's own stratum in static order, the order of a
@@ -319,10 +319,15 @@ def _strongly_connected(nodes: list[str], edges: dict[str, set[str]]) -> list[li
     return components
 
 
-@dataclass
 class Stratification:
-    strata: list[tuple[str, ...]]
-    level: dict[str, int]
+    __slots__ = ("strata", "level")
+
+    def __init__(self, strata: list[tuple[str, ...]], level: dict[str, int]) -> None:
+        self.strata, self.level = strata, level
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Stratification) and \
+            (self.strata, self.level) == (other.strata, other.level)
 
     def __len__(self) -> int:
         return len(self.strata)

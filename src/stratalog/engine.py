@@ -1,53 +1,35 @@
 """Bottom-up evaluation of safe, stratified programs.
 
-The unique stable model is computed stratum by stratum: within a stratum,
-every rule fires once over the model, then recursive rules run semi-naive
-rounds. A round re-joins each recursive rule once per body atom of the
-stratum, scanning there only the atoms new in the previous round. Rows
-only grow, in insertion order, so those atoms are the window of rows the
-previous round appended to the model's relation: the delta is that window,
-and each derived atom is appended once. Every scan visits only the rows
-present when it starts, so a round never joins its own output. Negation
-and aggregates only ever consult strata that are already complete, which
-stratification guarantees.
+The unique stable model is computed stratum by stratum: every rule fires
+once over the model, then recursive rules run semi-naive rounds. A round
+re-joins each recursive rule once per body atom of the stratum, scanning
+there only the atoms new in the previous round. Rows only grow, in
+insertion order, so those atoms are the window of rows the previous round
+appended to the model's relation; every scan visits only the rows present
+when it starts, so a round never joins its own output. Negation and
+aggregates only consult strata that are already complete.
 
-Grounding is on-the-fly: each rule is compiled once into join plans, the
-static one and, per recursive body atom, one that scans the delta atom
-first. The engine orders no join itself: ``evaluate`` calls
-``analysis.analyze`` once, which checks and stratifies the program and
-hands back every rule's orders, those the safety check built included. A
-plan is a chain of closures over a list environment with one slot per
-variable; each step knows at compile time which positions bind a slot,
-which check a bound slot or a repeat within the atom, and which hold
-constants or arithmetic.
+Grounding is on-the-fly: ``evaluate`` takes every rule's join orders from
+one ``analysis.analyze`` call and compiles each into a plan, a chain of
+closures over a list environment with one slot per variable; each step
+knows at compile time which positions bind a slot, which check a bound
+slot or a repeat within the atom, and which hold constants or arithmetic.
 
 The model holds one relation per predicate and arity, with one kind of
 index: a hash map from the values at a set of positions to exactly the rows
-that hold them. A relation keeps one entry per atom, its argument tuple
-mapped to its derivation record, and the model's order names the relation
-of each atom; no :class:`Fact` is kept, and iteration and ``query`` build
-one only for an atom they hand out. A body atom is looked up in its
-relation's index on its bound positions, built on first use and kept
-current from then on; a compiled scan keeps it, and a delta scan uses the
-same index of the window.
-A ``#count`` of one range-guarded variable is answered by bisecting the
-sorted values of that variable in each bucket of the index on its group
-positions, sorted once per evaluation; every other aggregate enumerates its
-matches.
+that hold them, built on first use and kept current. A ``#count`` of one
+range-guarded variable is answered by bisecting the sorted values of that
+variable in each bucket of the index on its group positions; every other
+aggregate enumerates its matches.
 
-Every derived atom records the rule and ground supports that first produced
-it, so any alert can be unfolded into a full derivation tree. The record is
-raw: one flat tuple of the rule's index, the supports' argument tuples and
-the checks, with no :class:`Fact` looked up per support and no
-:class:`Rule` in it, so the cyclic collector can untrack it. It is the
-value of the atom's entry in its relation, None for an input fact. The
-:class:`DerivationGraph` holds the model and reads the records from it:
-``entries`` resolves a record into a :class:`Derivation` when it is read,
-and ``explain`` shares one node per derived atom.
-``evaluate`` pauses the cyclic collector while it runs, since a run makes
-many tracked objects and almost no cyclic garbage. Iteration never depends
-on hash seeds: atom storage is insertion-ordered and all query output is
-sorted.
+A relation maps each argument tuple to its :data:`Record`: the rule and
+supports that first derived the atom, from which any alert unfolds into
+its derivation, in one flat tuple of constants and plain tuples that the
+cyclic collector can untrack. :class:`DerivationGraph` resolves a record
+when it is read. Checks, derivations, nodes and :class:`Inconsistent` are
+named tuples, as facts are. ``evaluate`` pauses the cyclic collector while
+it runs. Iteration never depends on hash seeds: atom storage is
+insertion-ordered and all query output is sorted.
 """
 from __future__ import annotations
 
@@ -56,10 +38,9 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Set
-from dataclasses import dataclass
-from functools import cache
-from itertools import chain, islice
-from operator import countOf, itemgetter
+from functools import cache, partial
+from itertools import chain, islice, repeat
+from operator import call, countOf, itemgetter
 from typing import AbstractSet, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .analysis import EvaluationError, RulePlan, analyze, literal_binds, literal_needs
@@ -188,16 +169,14 @@ class Model:
 # -- derivation bookkeeping --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NafCheck:
+class NafCheck(NamedTuple):
     atom: Fact
 
     def __str__(self) -> str:
         return f"not {self.atom} holds"
 
 
-@dataclass(frozen=True)
-class ComparisonCheck:
+class ComparisonCheck(NamedTuple):
     left: Constant
     op: str
     right: Constant
@@ -206,8 +185,7 @@ class ComparisonCheck:
         return f"{format_constant(self.left)} {self.op} {format_constant(self.right)}"
 
 
-@dataclass(frozen=True)
-class AggregateCheck:
+class AggregateCheck(NamedTuple):
     count: int
     op: str  # '=' when the count was assigned to a variable
     bound: Constant
@@ -232,8 +210,16 @@ class Derivation(NamedTuple):
 
 
 #: A derivation as ``emit`` records it, one flat tuple: the rule's index in
-#: :attr:`DerivationGraph.rules`, the supports' argument tuples, the checks.
-Record = tuple[Union[int, Row, Check], ...]
+#: :attr:`DerivationGraph.rules`, the supports' argument tuples, and each
+#: check as the plain tuple of its fields (a negation's: its atom's pair).
+Record = tuple[Union[int, Row, tuple], ...]
+
+#: Each kind of body literal's check, built from its plain tuple in a record.
+_CHECK_OF: dict[type, Callable[[tuple], Check]] = {
+    NafLiteral: lambda raw: new_tuple(NafCheck, (new_tuple(Fact, raw),)),
+    Comparison: partial(new_tuple, ComparisonCheck),
+    AggregateLiteral: partial(new_tuple, AggregateCheck),
+}
 
 
 class _Records(Mapping[Fact, Record]):
@@ -294,15 +280,17 @@ class DerivationGraph:
     predicates. ``records``, ``entries`` and ``fact_atoms`` are read-only
     views that build each :class:`Fact` as they yield it.
 
-    A record holds no :class:`Rule`, which the collector always tracks, so
-    the collector can untrack it once it has untracked the rows in it. The
-    graph references the model; the model does not reference the graph."""
+    A record holds no :class:`Rule` and no check object, which the collector
+    always tracks, so the collector can untrack it once it has untracked the
+    tuples in it; ``checks[i]`` builds rule i's checks from those tuples.
+    The graph references the model; the model does not reference the graph."""
 
-    __slots__ = ("model", "rules")
+    __slots__ = ("model", "rules", "checks")
 
     def __init__(self, model: Model) -> None:
         self.model = model
         self.rules: list[tuple[Rule, tuple[str, ...]]] = []
+        self.checks: list[tuple[Callable[[tuple], Check], ...]] = []
 
     @property
     def records(self) -> Mapping[Fact, Record]:
@@ -335,11 +323,11 @@ class DerivationGraph:
         rule, predicates = self.rules[record[0]]
         end = 1 + len(predicates)
         supports = tuple([new_tuple(Fact, support) for support in zip(predicates, record[1:end])])
-        return new_tuple(Derivation, (rule, supports, record[end:]))
+        checks = tuple(map(call, self.checks[record[0]], record[end:]))
+        return new_tuple(Derivation, (rule, supports, checks))
 
 
-@dataclass
-class DerivationNode:
+class DerivationNode(NamedTuple):
     atom: Fact
     rule: Optional[Rule]
     checks: tuple[Check, ...]
@@ -350,8 +338,7 @@ class DerivationNode:
         return self.rule is None
 
 
-@dataclass
-class Inconsistent:
+class Inconsistent(NamedTuple):
     """A headless constraint fired; no model exists for this fact base."""
 
     constraint: Rule
@@ -392,8 +379,7 @@ def compare_constants(left: Constant, op: str, right: Constant) -> bool:
 _FLIPPED = {">=": "<=", "<=": ">=", ">": "<", "<": ">"}
 
 
-@dataclass(frozen=True)
-class _RangeCount:
+class _RangeCount(NamedTuple):
     """A ``#count{T : p(...), T >= lo, T <= hi}`` answered by bisecting the
     sorted distinct ``constant_key(T)`` values of the matching group.
 
@@ -454,8 +440,7 @@ def _range_count_plan(literal: AggregateLiteral,
     return _RangeCount(index, tuple(key_terms), tuple(guards))
 
 
-@dataclass
-class _CompiledRule:
+class _CompiledRule(NamedTuple):
     """A rule, its plan from the analysis, what each step needs, and the
     :data:`Record` of the binding its plans are building.
 
@@ -470,6 +455,7 @@ class _CompiledRule:
     range_counts: dict[int, _RangeCount]
     records: dict[int, int]  # body index -> its position in a Record
     support_predicates: tuple[str, ...]
+    checks: tuple[Callable[[tuple], Check], ...]  # per check in a Record, what makes it
     record: list  # the rule's index in DerivationGraph.rules, then the binding
 
 
@@ -487,6 +473,7 @@ def _compile_rule(rule: Rule, plan: RulePlan, index: int) -> _CompiledRule:
                       is not None},
         records={i: k for k, i in enumerate(atoms + others, 1)},
         support_predicates=tuple(rule.body[i].predicate for i in atoms),
+        checks=tuple(_CHECK_OF[type(rule.body[i])] for i in others),
         record=[index] + [None] * len(rule.body))
 
 
@@ -665,7 +652,7 @@ class _Evaluator:
         def naf(env: Env) -> None:
             args = ground(env)
             if args not in known:
-                binding[record] = NafCheck(Fact(predicate, args))
+                binding[record] = (predicate, args)
                 step(env)
         return naf
 
@@ -680,7 +667,7 @@ class _Evaluator:
             a, b = left(env), right(env)
             if compare_constants(a, op, b):
                 if record is not None:
-                    binding[record] = ComparisonCheck(a, op, b)
+                    binding[record] = (a, op, b)
                 step(env)
         return compare
 
@@ -699,7 +686,7 @@ class _Evaluator:
                     env[slot] = n
                 elif env[slot] != n:
                     return
-                binding[record] = AggregateCheck(n, "=", n)
+                binding[record] = (n, "=", n)
                 step(env)
             return assign
         threshold = _getter(literal.bound, compiled.slots, bound, compiled.rule)
@@ -708,7 +695,7 @@ class _Evaluator:
             n = count(env)
             value = threshold(env)
             if isinstance(value, int) and compare_constants(n, op, value):
-                binding[record] = AggregateCheck(n, op, value)
+                binding[record] = (n, op, value)
                 step(env)
         return guard
 
@@ -885,6 +872,7 @@ def evaluate(program: Program,
         for index, (rule, plan) in enumerate(zip(program.rules, analysis.plans)):
             compiled = _compile_rule(rule, plan, index)
             graph.rules.append((rule, compiled.support_predicates))
+            graph.checks.append(compiled.checks)
             if rule.head is None:
                 constraints.append(compiled)
             else:
@@ -918,7 +906,7 @@ def query(model: Model, predicate: str) -> list[Fact]:
         rows.sort()
     else:
         rows.sort(key=lambda args: tuple(map(constant_key, args)))
-    return [new_tuple(Fact, (predicate, args)) for args in rows]
+    return list(map(new_tuple, repeat(Fact), zip(repeat(predicate), rows)))
 
 
 def explain(graph: DerivationGraph, atom: Fact) -> DerivationNode:
@@ -936,10 +924,10 @@ def explain(graph: DerivationGraph, atom: Fact) -> DerivationNode:
         if node is None:
             record = record_of(atom)
             if record is None:
-                siblings.append(DerivationNode(atom, None, (), []))
+                siblings.append(new_tuple(DerivationNode, (atom, None, (), [])))
                 continue
             entry = graph.resolve(record)
-            node = nodes[atom] = DerivationNode(atom, entry.rule, entry.checks, [])
+            node = nodes[atom] = new_tuple(DerivationNode, (atom, entry.rule, entry.checks, []))
             pending.extend((node.children, support) for support in reversed(entry.supports))
         siblings.append(node)
     return roots[0]

@@ -21,8 +21,7 @@ content, with the outcome of trying every row through
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .facts import Fact, Symbol
 from .ingest import LogEntry
@@ -76,15 +75,7 @@ class MappingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MappingRule:
-    """One row of the mapping table.
-
-    Empty ``component_prefix``/``content_contains`` match anything. ``status``
-    feeds the symbolic status/type argument of login_attempt and session rows.
-    ``require_ip`` suppresses the unknown-IP fallback: no address, no fact.
-    """
-
+class _MappingFields(NamedTuple):
     name: str
     predicate: str
     component_prefix: str = ""
@@ -93,13 +84,26 @@ class MappingRule:
     require_ip: bool = False
     status: str = ""
 
-    def __post_init__(self) -> None:
+
+class MappingRule(_MappingFields):
+    """One row of the mapping table, checked when built.
+
+    Empty ``component_prefix``/``content_contains`` match anything. ``status``
+    feeds the symbolic status/type argument of login_attempt and session rows.
+    ``require_ip`` suppresses the unknown-IP fallback: no address, no fact.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> MappingRule:
+        self = super().__new__(cls, *args, **kwargs)
         if self.predicate not in SCHEMAS:
             raise MappingError(f"row {self.name!r}: unknown fact schema {self.predicate!r}")
         if self.predicate not in LOG_SOURCED:
             raise MappingError(
                 f"row {self.name!r}: {self.predicate} facts cannot be derived from "
                 "log lines; supply them in a supplemental facts file")
+        return self
 
     def matches(self, component: str, content: str) -> bool:
         if self.case_insensitive:

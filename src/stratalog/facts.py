@@ -15,21 +15,26 @@ own, since it validates its name and must not equal ``("name",)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Union
 
 _SYMBOL_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True, slots=True)
 class Symbol:
     """A bare lowercase identifier constant, distinct from the string kind."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not _SYMBOL_RE.match(self.name):
-            raise ValueError(f"invalid symbol: {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if not _SYMBOL_RE.match(name):
+            raise ValueError(f"invalid symbol: {name!r}")
+        self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        return self.name == other.name if other.__class__ is Symbol else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone, tzinfo
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -106,19 +105,19 @@ class LogEntry(NamedTuple):
     timestamp: int
 
 
-@dataclass(frozen=True)
-class IngestOptions:
+class IngestOptions(NamedTuple):
     base_year: int = DEFAULT_BASE_YEAR
     zone: tzinfo = timezone.utc
 
 
-@dataclass
 class IngestResult:
-    #: The entries kept: the very list ``read_csv_entries`` and
-    #: ``read_syslog_entries`` fill and return beside this result. The
-    #: ``iter_*`` generators, and so the command line, leave it empty.
-    records: list[LogEntry] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
+    """A reader's skip reasons, in ``errors``, and the entries it kept, in
+    ``records``, which the ``iter_*`` generators (so the CLI) leave empty."""
+
+    __slots__ = ("records", "errors")
+
+    def __init__(self) -> None:
+        self.records, self.errors = [], []  # type: list[LogEntry], list[str]
 
     @property
     def skipped(self) -> int:
@@ -288,7 +287,7 @@ def iter_csv_entries(stream: IO[str], options: IngestOptions | None,
     missing cells are ``None``, and a header name that occurs twice names
     its last column.
     """
-    opts = options or IngestOptions()
+    year, zone = options or IngestOptions()
     last_line = [""]
     lines = _remembering(stream, last_line)
     rows = csv.reader(lines)
@@ -305,8 +304,7 @@ def iter_csv_entries(stream: IO[str], options: IngestOptions | None,
     level_at = position.get("Level")
     width = len(header)
 
-    year = opts.base_year
-    timestamp = _timestamper(year, opts.zone)
+    timestamp = _timestamper(year, zone)
     errors = result.errors
     date_errors: list[str] = []
     row_number = 1
@@ -376,9 +374,8 @@ def iter_syslog_entries(lines: Iterable[str], options: IngestOptions | None,
     lacks are skipped and counted, the date skips listed last, when the
     input ends. A year out of range raises ``ValueError`` at the first
     dated line."""
-    opts = options or IngestOptions()
-    year = opts.base_year
-    timestamp = _timestamper(year, opts.zone)
+    year, zone = options or IngestOptions()
+    timestamp = _timestamper(year, zone)
     errors = result.errors
     date_errors: list[str] = []
     line_id = 0

@@ -3,13 +3,12 @@
 The language covers exactly what the bundled detection programs need:
 ``#const`` directives, rules with negation-as-failure, comparison guards,
 ``#count`` aggregates (guard or assignment form), and headless constraints.
-Nodes are immutable; rule spans are excluded from structural equality so a
-parse / pretty-print / re-parse round trip compares equal.
+Nodes are named tuples, except :class:`Rule`, whose span stays out of
+equality so that a parse / pretty-print / re-parse round trip compares equal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .facts import Fact, Symbol, format_constant
 
@@ -18,8 +17,7 @@ from .facts import Fact, Symbol, format_constant
 ANON_PREFIX = "_#"
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
 
     @property
@@ -30,8 +28,7 @@ class Variable:
         return "_" if self.is_anonymous else self.name
 
 
-@dataclass(frozen=True, slots=True)
-class ArithTerm:
+class ArithTerm(NamedTuple):
     """Integer arithmetic over two terms; only ``+`` and ``-`` exist."""
 
     op: str  # '+' or '-'
@@ -45,8 +42,7 @@ class ArithTerm:
 Term = Union[Variable, ArithTerm, int, Symbol, str]
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     predicate: str
     terms: tuple[Term, ...] = ()
 
@@ -56,8 +52,7 @@ class Atom:
         return f"{self.predicate}({', '.join(format_term(t) for t in self.terms)})"
 
 
-@dataclass(frozen=True, slots=True)
-class NafLiteral:
+class NafLiteral(NamedTuple):
     """Negation-as-failure: holds when the atom is not derivable."""
 
     atom: Atom
@@ -66,8 +61,7 @@ class NafLiteral:
         return f"not {self.atom}"
 
 
-@dataclass(frozen=True, slots=True)
-class Comparison:
+class Comparison(NamedTuple):
     left: Term
     op: str
     right: Term
@@ -79,8 +73,7 @@ class Comparison:
 ConditionLiteral = Union[Atom, Comparison]
 
 
-@dataclass(frozen=True, slots=True)
-class CountAggregate:
+class CountAggregate(NamedTuple):
     """``#count{elem, ... : cond, ...}`` counting distinct element tuples."""
 
     elements: tuple[Term, ...]
@@ -92,8 +85,7 @@ class CountAggregate:
         return f"#count{{{elems} : {conds}}}"
 
 
-@dataclass(frozen=True, slots=True)
-class AggregateLiteral:
+class AggregateLiteral(NamedTuple):
     """Aggregate in guard form (``#count{...} >= k``) or assignment form
     (``Var = #count{...}``, where op is ``=`` and bound is the variable)."""
 
@@ -114,8 +106,7 @@ class AggregateLiteral:
 BodyLiteral = Union[Atom, NafLiteral, Comparison, AggregateLiteral]
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
+class Span(NamedTuple):
     line: int
     column: int
 
@@ -126,11 +117,23 @@ class Span:
 _NO_SPAN = Span(0, 0)
 
 
-@dataclass(frozen=True)
 class Rule:
-    head: Optional[Atom]  # None = constraint
-    body: tuple[BodyLiteral, ...]
-    span: Span = field(default=_NO_SPAN, compare=False)
+    """A rule, or a constraint when ``head`` is None."""
+
+    __slots__ = ("head", "body", "span")
+
+    def __init__(self, head: Optional[Atom], body: tuple[BodyLiteral, ...],
+                 span: Span = _NO_SPAN) -> None:
+        self.head, self.body, self.span = head, body, span
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Rule) and (self.head, self.body) == (other.head, other.body)
+
+    def __hash__(self) -> int:
+        return hash((self.head, self.body))
+
+    def __repr__(self) -> str:
+        return f"Rule(head={self.head!r}, body={self.body!r}, span={self.span!r})"
 
     def __str__(self) -> str:
         body = ", ".join(str(lit) for lit in self.body)
@@ -141,8 +144,7 @@ class Rule:
         return f"{self.head} :- {body}."
 
 
-@dataclass
-class Program:
+class Program(NamedTuple):
     consts: dict[str, int]
     rules: list[Rule]
     facts: list[Fact]

@@ -13,10 +13,10 @@ a violated constraint is not an error but a distinguished result
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone, tzinfo
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .engine import (
     AggregateCheck,
@@ -60,13 +60,12 @@ class StageError(Exception):
         super().__init__(f"{stage}: {message}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     input_path: str
     input_format: str = "csv"  # csv | syslog
     base_year: int = DEFAULT_BASE_YEAR
     zone: tzinfo = timezone.utc
-    overrides: dict[str, int] = field(default_factory=dict)
+    overrides: Mapping[str, int] = MappingProxyType({})
     rules_path: Optional[str] = None
     extra_facts_path: Optional[str] = None
     facts_out: Optional[str] = None
@@ -75,15 +74,20 @@ class RunConfig:
     group: bool = False
     mapping_table: MappingTable = DEFAULT_TABLE
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.input_format not in ("csv", "syslog"):
             raise ValueError(f"input_format must be csv or syslog, got {self.input_format!r}")
         if self.output not in ("text", "json"):
             raise ValueError(f"output must be text or json, got {self.output!r}")
+        return self
 
 
-@dataclass
-class Alert:
+class Alert(NamedTuple):
     kind: str
     entities: dict[str, Constant]
     timestamps: list[int]
@@ -96,8 +100,7 @@ class Alert:
                 tuple(self.timestamps))
 
 
-@dataclass
-class GroupedAlert:
+class GroupedAlert(NamedTuple):
     kind: str
     entities: dict[str, Constant]
     count: int
@@ -131,10 +134,10 @@ def load_entries(config: RunConfig) -> tuple[list[LogEntry], IngestResult]:
     return result.records, result
 
 
-def _program_source(config: RunConfig) -> tuple[str, dict[str, int]]:
+def _program_source(config: RunConfig) -> tuple[str, Mapping[str, int]]:
     """The rule text and the ``#const`` values to set in it."""
     if config.rules_path is None:
-        return RULES_TEXT, asdict(Thresholds().with_overrides(**config.overrides))
+        return RULES_TEXT, Thresholds().with_overrides(**config.overrides)._asdict()
     return Path(config.rules_path).read_text(encoding="utf-8"), config.overrides
 
 
@@ -211,20 +214,15 @@ def detect(entries: Iterable[LogEntry],
 
 def group_alerts(alerts: Sequence[Alert]) -> list[GroupedAlert]:
     """Collapse alerts sharing (kind, entities) into one summary each."""
-    groups: dict[tuple, GroupedAlert] = {}
+    groups: dict[tuple, list[Alert]] = {}
     for alert in alerts:
-        key = (alert.kind, tuple(alert.entities.items()))
-        summary = groups.get(key)
-        if summary is None:
-            groups[key] = summary = GroupedAlert(
-                alert.kind, dict(alert.entities), 0, None, None)
-        summary.count += 1
-        for ts in alert.timestamps:
-            if summary.first_timestamp is None or ts < summary.first_timestamp:
-                summary.first_timestamp = ts
-            if summary.last_timestamp is None or ts > summary.last_timestamp:
-                summary.last_timestamp = ts
-    return list(groups.values())
+        groups.setdefault((alert.kind, tuple(alert.entities.items())), []).append(alert)
+    summaries = []
+    for members in groups.values():
+        stamps = [ts for alert in members for ts in alert.timestamps]
+        summaries.append(GroupedAlert(members[0].kind, dict(members[0].entities), len(members),
+                                      min(stamps, default=None), max(stamps, default=None)))
+    return summaries
 
 
 # -- rendering -----------------------------------------------------------------

@@ -9,8 +9,7 @@ so the rules an operator audits are exactly the rules that run.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .parser import override_consts
 
@@ -80,37 +79,39 @@ system_issue(xinetd_connection_reset, Time) :-
 """
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Tunable constants of the bundled program; all strictly positive."""
-
+class _ThresholdFields(NamedTuple):
     login_time_window: int = 600
     failed_login_threshold: int = 5
     connection_threshold: int = 10
     klogind_failure_threshold: int = 5
     gdm_failure_threshold: int = 3
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise ValueError(
-                    f"{f.name} must be a strictly positive integer, got {value!r}")
 
-    def with_overrides(self, **overrides: int) -> "Thresholds":
-        unknown = set(overrides) - {f.name for f in fields(self)}
+class Thresholds(_ThresholdFields):
+    """Tunable constants of the bundled program; all strictly positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Thresholds:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+                raise ValueError(f"{name} must be a strictly positive integer, got {value!r}")
+        return self
+
+    def with_overrides(self, **overrides: int) -> Thresholds:
+        unknown = set(overrides).difference(self._fields)
         if unknown:
             raise ValueError(f"unknown threshold name(s): {', '.join(sorted(unknown))}")
-        return replace(self, **overrides)
+        return Thresholds(**{**self._asdict(), **overrides})  # checked, as _replace is not
 
 
 def default_program(thresholds: Optional[Thresholds] = None) -> str:
     """The bundled program text with ``#const`` values set from thresholds."""
-    return override_consts(RULES_TEXT, asdict(thresholds or Thresholds()))
+    return override_consts(RULES_TEXT, (thresholds or Thresholds())._asdict())
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One anomaly output predicate.
 
     ``arg_roles`` labels each argument position; the role "timestamp"

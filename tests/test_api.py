@@ -65,6 +65,16 @@ def test_import_leaves_the_oracle_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_loads_no_dataclasses():
+    """No value type is built by the dataclass generator, so importing the
+    command line loads neither ``dataclasses`` nor ``inspect``, which it
+    imports."""
+    proc = run_python("-c", "import sys, stratalog.cli; "
+                            "print(sorted({'dataclasses', 'inspect'}.intersection(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     proc = run_python(str(demo))

@@ -707,12 +707,18 @@ class TestCollector:
                 gc.disable()
         assert starts == []
 
-    @pytest.mark.parametrize("name", CLOSURES)
+    # a #count guard and an integer comparison: checks of integers and operators
+    CHECKED = "big(X) :- n(X), X >= 0, #count{Y : n(Y)} >= 1. " + \
+        " ".join(f"n({i})." for i in range(450))
+
+    @pytest.mark.parametrize("name", [*CLOSURES, "checks"])
     def test_records_are_untracked_once_collected(self, name):
-        """A record of integer rows holds nothing the collector must track.
-        One collection untracks the rows, but it may meet a record before
-        the rows in it; the next then untracks the record."""
-        _, graph = evaluate(parse_program(semi_naive_programs()[name]))
+        """A record of integer rows and of checks of integers holds nothing
+        the collector must track. One collection untracks the rows and the
+        checks, but it may meet a record before what it holds; the next
+        then untracks the record."""
+        text = self.CHECKED if name == "checks" else semi_naive_programs()[name]
+        _, graph = evaluate(parse_program(text))
         gc.collect()
         gc.collect()
         assert len(graph.records) > 400

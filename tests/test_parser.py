@@ -1,5 +1,6 @@
 """Rule-language parsing: syntax, const resolution, errors, round-trips."""
 import hashlib
+import pickle
 import sys
 
 import pytest
@@ -12,6 +13,8 @@ from stratalog.lang import (
     Atom,
     Comparison,
     NafLiteral,
+    Rule,
+    Span,
     Variable,
     format_program,
 )
@@ -372,3 +375,29 @@ class TestRoundTrip:
         program = parse_program('p("a\\"b\\\\c\\nd\\te").')
         assert program.facts == [fact("p", 'a"b\\c\nd\te')]
         assert parse_program(format_program(program)) == program
+
+
+class TestValueTypes:
+    """Variables are named tuples; a rule is a class of its own, since its
+    span stays out of equality."""
+
+    def test_hashing_a_variable_runs_no_python_frame(self):
+        table, same, events = {Variable("X"): 1}, Variable("X"), []
+        sys.setprofile(lambda frame, event, arg: events.append(event))
+        try:
+            found = table[same]  # a hash, then an equality test
+        finally:
+            sys.setprofile(None)
+        assert found == 1 and "call" not in events
+
+    def test_rule_span_is_left_out_of_equality(self):
+        (rule,) = parse_program("p(X) :- q(X).").rules
+        moved = Rule(rule.head, rule.body, Span(7, 3))
+        assert moved == rule and hash(moved) == hash(rule) and moved.span != rule.span
+        assert rule != (rule.head, rule.body) and rule != Rule(rule.head, ())
+
+    def test_rule_and_symbol_pickle(self):
+        (rule,) = parse_program("p(X) :- q(X, a).").rules
+        for value in (rule, Symbol("a")):
+            again = pickle.loads(pickle.dumps(value))
+            assert again == value and repr(again) == repr(value)
