@@ -277,45 +277,37 @@ def _strongly_connected(nodes: list[str], edges: dict[str, set[str]]) -> list[li
     on_stack: set[str] = set()
     stack: list[str] = []
     components: list[list[str]] = []
-    counter = 0
+    work: list[tuple[str, Iterator[str]]] = []  # each vertex being visited and its successors left
+
+    def visit(v: str) -> None:
+        index[v] = lowlink[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(sorted(edges.get(v, ())))))
 
     for root in nodes:
         if root in index:
             continue
-        work: list[tuple[str, Iterator[str]]] = [(root, iter(sorted(edges.get(root, ()))))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
+        visit(root)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(edges.get(w, ())))))
-                    advanced = True
+                    visit(w)
                     break
                 if w in on_stack:
                     lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
+            else:  # every successor is visited: v is done
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        on_stack.remove(component[-1])
+                    components.append(component)
     return components
 
 
@@ -331,6 +323,9 @@ class Stratification:
 
     def __len__(self) -> int:
         return len(self.strata)
+
+    def __repr__(self) -> str:
+        return f"Stratification(strata={self.strata!r}, level={self.level!r})"
 
 
 def stratify(program: Program) -> Stratification:

@@ -26,10 +26,11 @@ A relation maps each argument tuple to its :data:`Record`: the rule and
 supports that first derived the atom, from which any alert unfolds into
 its derivation, in one flat tuple of constants and plain tuples that the
 cyclic collector can untrack. :class:`DerivationGraph` resolves a record
-when it is read. Checks, derivations, nodes and :class:`Inconsistent` are
-named tuples, as facts are. ``evaluate`` pauses the cyclic collector while
-it runs. Iteration never depends on hash seeds: atom storage is
-insertion-ordered and all query output is sorted.
+when it is read. Checks, derivations and nodes are named tuples, as facts
+are; :class:`Inconsistent` is a class, so it cannot unpack as a result.
+``evaluate`` pauses the cyclic collector while it runs. Iteration never
+depends on hash seeds: atom storage is insertion-ordered and all query
+output is sorted.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Set
 from functools import cache, partial
 from itertools import chain, islice, repeat
-from operator import call, countOf, itemgetter
+from operator import countOf, ge, gt, itemgetter, le, lt
 from typing import AbstractSet, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .analysis import EvaluationError, RulePlan, analyze, literal_binds, literal_needs
@@ -276,21 +277,20 @@ class _FactAtoms(Set[Fact]):
 class DerivationGraph:
     """The first derivation of every atom of a model, read from the model
     itself: each relation maps an argument tuple to its record, None for an
-    input fact. ``rules[i]`` is the rule of index i and its supports'
-    predicates. ``records``, ``entries`` and ``fact_atoms`` are read-only
-    views that build each :class:`Fact` as they yield it.
+    input fact. ``rules[i]`` is rule i, its supports' predicates and what
+    builds each of its checks. ``records``, ``entries`` and ``fact_atoms``
+    are read-only views that build each :class:`Fact` as they yield it.
 
     A record holds no :class:`Rule` and no check object, which the collector
     always tracks, so the collector can untrack it once it has untracked the
-    tuples in it; ``checks[i]`` builds rule i's checks from those tuples.
+    tuples in it; ``resolve`` builds the checks from those tuples.
     The graph references the model; the model does not reference the graph."""
 
-    __slots__ = ("model", "rules", "checks")
+    __slots__ = ("model", "rules")
 
     def __init__(self, model: Model) -> None:
         self.model = model
-        self.rules: list[tuple[Rule, tuple[str, ...]]] = []
-        self.checks: list[tuple[Callable[[tuple], Check], ...]] = []
+        self.rules: list[tuple[Rule, tuple[str, ...], tuple[Callable[[tuple], Check], ...]]] = []
 
     @property
     def records(self) -> Mapping[Fact, Record]:
@@ -320,10 +320,10 @@ class DerivationGraph:
 
     def resolve(self, record: Record) -> Derivation:
         """The derivation a record stands for, its supports as facts."""
-        rule, predicates = self.rules[record[0]]
+        rule, predicates, makers = self.rules[record[0]]
         end = 1 + len(predicates)
         supports = tuple([new_tuple(Fact, support) for support in zip(predicates, record[1:end])])
-        checks = tuple(map(call, self.checks[record[0]], record[end:]))
+        checks = tuple([make(raw) for make, raw in zip(makers, record[end:])])
         return new_tuple(Derivation, (rule, supports, checks))
 
 
@@ -338,11 +338,21 @@ class DerivationNode(NamedTuple):
         return self.rule is None
 
 
-class Inconsistent(NamedTuple):
-    """A headless constraint fired; no model exists for this fact base."""
+class Inconsistent:
+    """A headless constraint fired; no model exists for this fact base.
+    Not a tuple, so ``model, graph = evaluate(...)`` raises at once."""
 
-    constraint: Rule
-    witness: dict[str, Constant]
+    __slots__ = ("constraint", "witness")
+
+    def __init__(self, constraint: Rule, witness: dict[str, Constant]) -> None:
+        self.constraint, self.witness = constraint, witness
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Inconsistent) and \
+            (self.constraint, self.witness) == (other.constraint, other.witness)
+
+    def __repr__(self) -> str:
+        return f"Inconsistent(constraint={self.constraint!r}, witness={self.witness!r})"
 
     def __str__(self) -> str:
         binding = ", ".join(f"{name}={format_constant(value)}"
@@ -352,7 +362,7 @@ class Inconsistent(NamedTuple):
 
 # -- comparison and arithmetic ------------------------------------------------
 
-_ORDERED = {">=", "<=", ">", "<"}
+_ORDERED = {">=": ge, "<=": le, ">": gt, "<": lt}
 
 
 def compare_constants(left: Constant, op: str, right: Constant) -> bool:
@@ -364,14 +374,7 @@ def compare_constants(left: Constant, op: str, right: Constant) -> bool:
         return left != right
     if op not in _ORDERED:
         raise ValueError(f"unknown comparison operator {op!r}")
-    lk, rk = constant_key(left), constant_key(right)
-    if op == ">=":
-        return lk >= rk
-    if op == "<=":
-        return lk <= rk
-    if op == ">":
-        return lk > rk
-    return lk < rk
+    return _ORDERED[op](constant_key(left), constant_key(right))
 
 
 # -- body planning -------------------------------------------------------------
@@ -871,8 +874,7 @@ def evaluate(program: Program,
         constraints: list[_CompiledRule] = []
         for index, (rule, plan) in enumerate(zip(program.rules, analysis.plans)):
             compiled = _compile_rule(rule, plan, index)
-            graph.rules.append((rule, compiled.support_predicates))
-            graph.checks.append(compiled.checks)
+            graph.rules.append((rule, compiled.support_predicates, compiled.checks))
             if rule.head is None:
                 constraints.append(compiled)
             else:

@@ -20,7 +20,23 @@ from typing import IO, Iterable, NamedTuple, Union
 _SYMBOL_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
 
-class Symbol:
+class Frozen:
+    """A slotted class whose fields ``__init__`` sets once, through
+    ``object.__setattr__``: its instances are hashed, so none may change."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class Symbol(Frozen):
     """A bare lowercase identifier constant, distinct from the string kind."""
 
     __slots__ = ("name",)
@@ -28,7 +44,7 @@ class Symbol:
     def __init__(self, name: str) -> None:
         if not _SYMBOL_RE.match(name):
             raise ValueError(f"invalid symbol: {name!r}")
-        self.name = name
+        object.__setattr__(self, "name", name)
 
     def __eq__(self, other: object) -> bool:
         return self.name == other.name if other.__class__ is Symbol else NotImplemented

@@ -123,6 +123,9 @@ class IngestResult:
     def skipped(self) -> int:
         return len(self.errors)
 
+    def __repr__(self) -> str:
+        return f"IngestResult(records={self.records!r}, errors={self.errors!r})"
+
 
 def _plain_seconds(time_of_day: str) -> Optional[int]:
     """Seconds since midnight of a plain time, ASCII ``hh:mm:ss`` in range;

@@ -3,14 +3,15 @@
 The language covers exactly what the bundled detection programs need:
 ``#const`` directives, rules with negation-as-failure, comparison guards,
 ``#count`` aggregates (guard or assignment form), and headless constraints.
-Nodes are named tuples, except :class:`Rule`, whose span stays out of
-equality so that a parse / pretty-print / re-parse round trip compares equal.
+Nodes are immutable named tuples, except :class:`Rule`, an immutable
+slotted class whose span stays out of equality so that a parse /
+pretty-print / re-parse round trip compares equal.
 """
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .facts import Fact, Symbol, format_constant
+from .facts import Fact, Frozen, Symbol, format_constant
 
 #: Variables created for each anonymous ``_`` occurrence use this prefix;
 #: it cannot collide with surface syntax, and they print back as ``_``.
@@ -117,14 +118,15 @@ class Span(NamedTuple):
 _NO_SPAN = Span(0, 0)
 
 
-class Rule:
+class Rule(Frozen):
     """A rule, or a constraint when ``head`` is None."""
 
     __slots__ = ("head", "body", "span")
 
     def __init__(self, head: Optional[Atom], body: tuple[BodyLiteral, ...],
                  span: Span = _NO_SPAN) -> None:
-        self.head, self.body, self.span = head, body, span
+        for name, value in zip(self.__slots__, (head, body, span)):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Rule) and (self.head, self.body) == (other.head, other.body)

@@ -13,6 +13,7 @@ a violated constraint is not an error but a distinguished result
 from __future__ import annotations
 
 import json
+from collections import Counter
 from datetime import datetime, timezone, tzinfo
 from pathlib import Path
 from types import MappingProxyType
@@ -289,14 +290,10 @@ def _header(kind: str, entities: dict[str, Constant], parts: Sequence[str]) -> s
 
 
 def _summary_line(kinds: Sequence[str]) -> str:
-    counts: dict[str, int] = {}
-    for kind in kinds:
-        counts[kind] = counts.get(kind, 0) + 1
-    total = len(kinds)
-    if not total:
+    if not kinds:
         return "total: 0"
-    detail = ", ".join(f"{kind}: {n}" for kind, n in sorted(counts.items()))
-    return f"total: {total} ({detail})"
+    detail = ", ".join(f"{kind}: {n}" for kind, n in sorted(Counter(kinds).items()))
+    return f"total: {len(kinds)} ({detail})"
 
 
 def _json_value(value: Constant):

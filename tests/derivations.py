@@ -74,7 +74,7 @@ def check_derivations(model, graph):
     long as no positive atom holds arithmetic (such an atom waits for its
     variables); the programs checked here have none."""
     recorded = set(graph.fact_atoms)
-    plans = analyze(Program(consts={}, rules=[rule for rule, _ in graph.rules], facts=[])).plans
+    plans = analyze(Program(consts={}, rules=[rule for rule, *_ in graph.rules], facts=[])).plans
     for atom, derivation in graph.entries.items():
         rule = derivation.rule
         positive = [literal for literal in rule.body if isinstance(literal, Atom)]

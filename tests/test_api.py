@@ -22,6 +22,8 @@ from stratalog import (
     parse_program,
     render_alerts,
 )
+from stratalog.analysis import Stratification
+from stratalog.ingest import IngestResult
 from conftest import SYSLOG_SAMPLE, make_csv_sample
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
@@ -73,6 +75,12 @@ def test_cli_import_loads_no_dataclasses():
                             "print(sorted({'dataclasses', 'inspect'}.intersection(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_slotted_results_print_their_fields():
+    assert repr(Stratification([("p",)], {"p": 0})) == \
+        "Stratification(strata=[('p',)], level={'p': 0})"
+    assert repr(IngestResult()) == "IngestResult(records=[], errors=[])"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -202,6 +202,13 @@ class TestConstraints:
             "q(X) :- p(X). p(7). :- q(X), X == 7."))
         assert isinstance(result, Inconsistent)
 
+    def test_an_inconsistent_result_does_not_unpack(self):
+        with pytest.raises(TypeError):
+            model, graph = evaluate(parse_program("p(5).\n:- p(X), X > 3."))
+        result = evaluate(parse_program("p(5).\n:- p(X), X > 3."))
+        assert not isinstance(result, tuple)
+        assert repr(result) == f"Inconsistent(constraint={result.constraint!r}, witness={{'X': 5}})"
+
 
 class TestExplain:
     def test_rule_node_with_naf_check(self, birds_program):

@@ -396,6 +396,18 @@ class TestValueTypes:
         assert moved == rule and hash(moved) == hash(rule) and moved.span != rule.span
         assert rule != (rule.head, rule.body) and rule != Rule(rule.head, ())
 
+    def test_rule_and_symbol_are_immutable(self):
+        (rule,) = parse_program("p(X) :- q(X, a).").rules
+        symbol = rule.body[0].terms[1]
+        for value, name in ((rule, "head"), (rule, "span"), (symbol, "name")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            symbol.extra = 1
+        assert symbol == Symbol("a") and str(rule) == "p(X) :- q(X, a)."
+
     def test_rule_and_symbol_pickle(self):
         (rule,) = parse_program("p(X) :- q(X, a).").rules
         for value in (rule, Symbol("a")):
