@@ -58,8 +58,7 @@ print("same second x5      :", flags(failed("1.2.3.4", 7, 7, 7, 7, 7)))
 
 # --- tuning ------------------------------------------------------------------
 # Thresholds are plain #const values; override them without editing rules.
-strict = parse_program(default_program(
-    Thresholds().with_overrides(failed_login_threshold=2)))
+strict = parse_program(default_program(Thresholds(failed_login_threshold=2)))
 model, graph = evaluate(strict, failed("9.9.9.9", 5, 10))
 (alert,) = query(model, "potential_brute_force")
 print("\nthreshold lowered to 2:", alert)

@@ -401,8 +401,17 @@ def override_consts(text: str, overrides: Mapping[str, int]) -> str:
     character of the text. Statements are found by the lexer, so a
     ``#const`` inside a comment or a string is never rewritten.
 
-    Raises ValueError for a name the text defines no ``#const`` for.
+    Any integer the parser can read is a legal value. With nothing to set,
+    the text comes back as it is, unlexed.
+
+    Raises ValueError for a value whose type is not ``int`` (so for a
+    ``bool`` too) and for a name the text defines no ``#const`` for.
     """
+    for name, value in overrides.items():
+        if type(value) is not int:
+            raise ValueError(f"#const {name} must be set to an integer, got {value!r}")
+    if not overrides:
+        return text
     tokens = _tokenize(text)
     edits = [(tokens[name], tokens[name + 2], tokens[last])
              for name, last in _const_statements(tokens) if tokens[name].value in overrides]

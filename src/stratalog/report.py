@@ -49,7 +49,7 @@ from .ingest import (
 )
 from .lang import Program
 from .parser import override_consts, parse_facts, parse_program
-from .rules import ANOMALY_CATALOG, RULES_TEXT, Thresholds
+from .rules import ANOMALY_CATALOG, RULES_TEXT
 
 
 class StageError(Exception):
@@ -135,19 +135,15 @@ def load_entries(config: RunConfig) -> tuple[list[LogEntry], IngestResult]:
     return result.records, result
 
 
-def _program_source(config: RunConfig) -> tuple[str, Mapping[str, int]]:
-    """The rule text and the ``#const`` values to set in it."""
-    if config.rules_path is None:
-        return RULES_TEXT, Thresholds().with_overrides(**config.overrides)._asdict()
-    return Path(config.rules_path).read_text(encoding="utf-8"), config.overrides
-
-
 def load_program(config: RunConfig) -> Program:
-    """Resolve and parse the rule program ("rules" stage): the rule text
-    with the configured ``#const`` values set in it, which is also the text
-    ``emit_rules`` receives."""
+    """Resolve and parse the rule program ("rules" stage): the rule text,
+    ``RULES_TEXT`` or the ``rules_path`` file, with the configured
+    ``#const`` values set in it, which is also the text ``emit_rules``
+    receives."""
     try:
-        text = override_consts(*_program_source(config))
+        text = (RULES_TEXT if config.rules_path is None
+                else Path(config.rules_path).read_text(encoding="utf-8"))
+        text = override_consts(text, config.overrides)
         if config.emit_rules:
             Path(config.emit_rules).write_text(text, encoding="utf-8")
         return parse_program(text)

@@ -3,9 +3,11 @@
 Seven packages ship as one program: brute-force logins, privilege
 escalation, frequent network connections, account anomalies, klogind
 brute force, GDM authentication failures, and system-level issues. The
-rule text is embedded as-is and never edited programmatically; threshold
-overrides are applied by rewriting the values of ``#const`` statements only,
-so the rules an operator audits are exactly the rules that run.
+rule text is embedded as-is and never edited programmatically. It is read
+like a ``--rules`` file: an override rewrites the value of a ``#const``
+statement only, through the same :func:`stratalog.parser.override_consts`,
+so the rules an operator audits are exactly the rules that run, and a value
+is legal here exactly when it is legal in a rules file.
 """
 from __future__ import annotations
 
@@ -79,7 +81,11 @@ system_issue(xinetd_connection_reset, Time) :-
 """
 
 
-class _ThresholdFields(NamedTuple):
+class Thresholds(NamedTuple):
+    """The values of the bundled program's ``#const`` statements, as
+    ``RULES_TEXT`` defines them. :func:`default_program` sets any of them
+    through :func:`stratalog.parser.override_consts`, which checks them."""
+
     login_time_window: int = 600
     failed_login_threshold: int = 5
     connection_threshold: int = 10
@@ -87,28 +93,9 @@ class _ThresholdFields(NamedTuple):
     gdm_failure_threshold: int = 3
 
 
-class Thresholds(_ThresholdFields):
-    """Tunable constants of the bundled program; all strictly positive."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> Thresholds:
-        self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise ValueError(f"{name} must be a strictly positive integer, got {value!r}")
-        return self
-
-    def with_overrides(self, **overrides: int) -> Thresholds:
-        unknown = set(overrides).difference(self._fields)
-        if unknown:
-            raise ValueError(f"unknown threshold name(s): {', '.join(sorted(unknown))}")
-        return Thresholds(**{**self._asdict(), **overrides})  # checked, as _replace is not
-
-
 def default_program(thresholds: Optional[Thresholds] = None) -> str:
     """The bundled program text with ``#const`` values set from thresholds."""
-    return override_consts(RULES_TEXT, (thresholds or Thresholds())._asdict())
+    return override_consts(RULES_TEXT, {} if thresholds is None else thresholds._asdict())
 
 
 class CatalogEntry(NamedTuple):

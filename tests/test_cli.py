@@ -14,14 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stratalog
+import stratalog.parser
 from stratalog.analysis import MAX_JOIN_LITERALS
 from stratalog.cli import EXIT_ERROR, EXIT_INCONSISTENT, EXIT_OK, main
 from stratalog.ingest import IngestOptions, read_csv_entries, read_syslog_entries
 from stratalog.lang import format_program
 from stratalog.parser import MAX_TERM_DEPTH, parse_program
 from stratalog.report import MAX_INDENT
+from stratalog.rules import RULES_TEXT, Thresholds
 
-from conftest import SYSLOG_SAMPLE, make_csv_sample
+from conftest import REPO_ROOT, SYSLOG_SAMPLE, make_csv_sample
 from hostile import hostile_rules
 from test_ingest import _both_shapes, csv_texts, log_lines
 
@@ -249,6 +251,76 @@ class TestFlags:
         code, out, _ = run_main(capsys, argv + ["--set", "limit=5"])
         assert code == EXIT_OK
         assert 'network_anomaly: ip="218.188.2.4"' in out
+
+
+DEMO_LOG = REPO_ROOT / "demos" / "data" / "sample.log"
+
+
+class TestOneOverridePath:
+    """The bundled rules are read like a ``--rules`` file holding
+    ``RULES_TEXT``: the same ``--set`` pairs give the same run, byte for
+    byte, and the rule text is lexed once when nothing is set."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("override")
+        (folder / "bundled.lp").write_text(RULES_TEXT, encoding="utf-8")
+        return folder
+
+    @staticmethod
+    def run(folder, rules, pairs, flags):
+        emitted = folder / "emitted.lp"
+        emitted.unlink(missing_ok=True)
+        argv = ["detect", str(DEMO_LOG), "--emit-rules", str(emitted), *rules, *flags, *BASE]
+        for pair in pairs:
+            argv += ["--set", pair]
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            code = main(argv, env={})
+        text = emitted.read_text(encoding="utf-8") if emitted.exists() else None
+        return code, out.getvalue(), err.getvalue(), text
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.dictionaries(st.sampled_from(Thresholds._fields), st.integers(-5, 5)),
+           st.sampled_from([[], ["nosuch=3"]]),
+           st.sampled_from([[], ["--output", "json"], ["--group"]]))
+    def test_bundled_rules_run_as_a_rules_file(self, folder, values, undefined, flags):
+        pairs = [f"{name}={value}" for name, value in values.items()] + undefined
+        bundled = self.run(folder, [], pairs, flags)
+        assert bundled == self.run(folder, ["--rules", str(folder / "bundled.lp")], pairs,
+                                   flags)
+        assert bundled[3] == (None if undefined else
+                              stratalog.parser.override_consts(RULES_TEXT, values))
+
+    def tokenize_calls(self, monkeypatch, folder, rules, pairs):
+        calls = []
+        tokenize = stratalog.parser._tokenize
+
+        def counted(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(stratalog.parser, "_tokenize", counted)
+        code, _, _, _ = self.run(folder, rules, pairs, [])
+        assert code == EXIT_OK
+        return len(calls)
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["bundled", "rules-file"])
+    def test_rule_text_is_lexed_once_without_set(self, monkeypatch, folder, from_file):
+        rules = ["--rules", str(folder / "bundled.lp")] if from_file else []
+        assert self.tokenize_calls(monkeypatch, folder, rules, []) == 1
+        assert self.tokenize_calls(monkeypatch, folder, rules,
+                                   ["failed_login_threshold=6", "gdm_failure_threshold=1"]) <= 2
+
+    def test_rules_file_that_fails_to_lex_is_still_emitted(self, folder):
+        rules = folder / "unlexable.lp"
+        rules.write_text('#const k = 1.\np("open).\n', encoding="utf-8")
+        code, out, err, text = self.run(folder, ["--rules", str(rules)], [], [])
+        assert (code, out, text) == (EXIT_ERROR, "", rules.read_text(encoding="utf-8"))
+        assert err.startswith("error in rules stage: 2:3: ")
+        # with a --set, the override lexes the text and fails before the copy
+        code, _, err, text = self.run(folder, ["--rules", str(rules)], ["k=2"], [])
+        assert (code, text) == (EXIT_ERROR, None)
+        assert err.startswith("error in rules stage: 2:3: ")
 
 
 class TestDeepDerivation:

@@ -175,6 +175,11 @@ class TestOverrideConsts:
         with pytest.raises(ValueError, match="no #const tune"):
             override_consts(self.TEXT, {"tune": 1})  # named only in a comment
 
+    @pytest.mark.parametrize("value", ["1. system_issue(injected, 2)", True, 2.5])
+    def test_value_that_is_not_an_integer_raises(self, value):
+        with pytest.raises(ValueError, match="#const limit must be set to an integer"):
+            override_consts(self.TEXT, {"limit": value})
+
     @pytest.mark.parametrize("text", [
         TEXT,
         "#const a = 1. #const b = -22. p(X) :- q(X), X > a, X < b.\n#const c = 3. r(c).",

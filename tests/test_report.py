@@ -290,6 +290,17 @@ class TestStageErrors:
                                    rules_path=rules, overrides={"missing": 5}))
         assert err.value.stage == "rules"
 
+    def test_override_value_that_is_not_an_integer_is_rules_stage(self, sample_path,
+                                                                  tmp_path):
+        rules = tmp_path / "ok.rules"
+        rules.write_text("#const limit = 1.\np(X) :- q(X), X >= limit.\n")
+        config = RunConfig(input_path=sample_path, input_format="syslog",
+                           rules_path=rules, overrides={"limit": "1. p(2)"})
+        entries, _ = load_entries(config)
+        with pytest.raises(StageError, match="limit must be set to an integer") as err:
+            detect(entries, config)
+        assert err.value.stage == "rules"
+
     def test_bad_extra_facts_is_facts_stage(self, sample_path, tmp_path):
         extra = tmp_path / "extra.facts"
         extra.write_text("p(X) :- q(X).")

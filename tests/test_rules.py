@@ -46,8 +46,7 @@ class TestProgramText:
         }
 
     def test_override_rewrites_const_lines(self):
-        text = default_program(Thresholds().with_overrides(
-            failed_login_threshold=2, connection_threshold=99))
+        text = default_program(Thresholds(failed_login_threshold=2, connection_threshold=99))
         consts = parse_program(text).consts
         assert consts["failed_login_threshold"] == 2
         assert consts["connection_threshold"] == 99
@@ -56,19 +55,21 @@ class TestProgramText:
 
 class TestThresholds:
     def test_defaults(self):
-        t = Thresholds()
-        assert (t.login_time_window, t.failed_login_threshold,
-                t.connection_threshold, t.klogind_failure_threshold,
-                t.gdm_failure_threshold) == (600, 5, 10, 5, 3)
+        assert Thresholds()._asdict() == parse_program(RULES_TEXT).consts
 
-    @pytest.mark.parametrize("bad", [0, -1, True, "5", 2.5])
+    @pytest.mark.parametrize("bad", [True, "5", 2.5])
     def test_invalid_values_rejected(self, bad):
-        with pytest.raises((TypeError, ValueError)):
-            Thresholds(failed_login_threshold=bad)
+        with pytest.raises(ValueError, match="failed_login_threshold must be set to an integer"):
+            default_program(Thresholds(failed_login_threshold=bad))
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_nonpositive_values_are_legal(self, value):
+        text = default_program(Thresholds(failed_login_threshold=value))
+        assert parse_program(text).consts["failed_login_threshold"] == value
 
     def test_unknown_override_name_rejected(self):
-        with pytest.raises(ValueError, match="no_such_threshold"):
-            Thresholds().with_overrides(no_such_threshold=1)
+        with pytest.raises(TypeError, match="no_such_threshold"):
+            Thresholds(no_such_threshold=1)
 
 
 class TestBruteForce:
@@ -102,7 +103,7 @@ class TestBruteForce:
         assert model.atoms("potential_brute_force") == []
 
     def test_lowered_threshold_fires_on_single_failure(self):
-        thresholds = Thresholds().with_overrides(failed_login_threshold=1)
+        thresholds = Thresholds(failed_login_threshold=1)
         model = run(failed_logins("1.2.3.4", [7]), thresholds)
         assert fact("potential_brute_force", "1.2.3.4", 7) in set(model)
 
@@ -144,9 +145,10 @@ class TestNetworkAnomaly:
         model = run(facts)
         assert model.atoms("network_anomaly") == []
 
-    def test_zero_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            Thresholds().with_overrides(connection_threshold=0)
+    def test_zero_threshold_fires_on_one_connection(self):
+        model = run([fact("network_connection", "5.6.7.8", 0)],
+                    Thresholds(connection_threshold=0))
+        assert model.atoms("network_anomaly") == [("5.6.7.8",)]
 
 
 class TestAccountAnomaly:
