@@ -366,9 +366,15 @@ def stratify(program: Program) -> Stratification:
 
 
 #: The most literals one rule may join, its body and its aggregates'
-#: conditions together: a compiled join takes one stack frame per literal,
-#: and a recursive rule takes one delta order per body atom.
+#: conditions together: each literal is a nested block of generated code,
+#: and every 16 levels a helper function call, so the compiled size and the
+#: depth of calls grow with the rule.
 MAX_JOIN_LITERALS = 500
+
+#: The most body atoms of its own stratum one rule may have. Each gets a
+#: delta order, and a semi-naive plan of the whole body, so the code
+#: compiled for the rule grows with this number times its length.
+MAX_STRATUM_ATOMS = 40
 
 
 class Analysis(NamedTuple):
@@ -382,7 +388,9 @@ def analyze(program: Program) -> Analysis:
     """Check, stratify and plan a program, computing each join order once.
     Raises :class:`SafetyError`, then :class:`CycleThroughNegation`, then
     :class:`EvaluationError` for the first rule that joins more than
-    ``MAX_JOIN_LITERALS`` literals, before any delta order is built."""
+    ``MAX_JOIN_LITERALS`` literals, before any delta order is built, and
+    for the first rule with more than ``MAX_STRATUM_ATOMS`` body atoms of
+    its own stratum, before its delta orders are built."""
     violations, plans = _check(program)
     if violations:
         raise SafetyError(violations)
@@ -399,6 +407,10 @@ def analyze(program: Program) -> Analysis:
             continue
         recursive = [i for i in plan.order if isinstance(rule.body[i], Atom)
                      and level[rule.body[i].predicate] == level[rule.head.predicate]]
+        if len(recursive) > MAX_STRATUM_ATOMS:
+            raise EvaluationError(f"rule has {len(recursive)} body atoms of its own stratum, "
+                                  f"each joined first in a plan of its own; the limit is "
+                                  f"{MAX_STRATUM_ATOMS}", rule)
         # each delta order starts from a copy of these, so they are worked out once per rule
         needs = [literal_needs(literal, plan.global_variables) for literal in rule.body] \
             if recursive else []

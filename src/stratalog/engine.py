@@ -10,10 +10,13 @@ when it starts, so a round never joins its own output. Negation and
 aggregates only consult strata that are already complete.
 
 Grounding is on-the-fly: ``evaluate`` takes every rule's join orders from
-one ``analysis.analyze`` call and compiles each into a plan, a chain of
-closures over a list environment with one slot per variable; each step
-knows at compile time which positions bind a slot, which check a bound
-slot or a repeat within the atom, and which hold constants or arithmetic.
+one ``analysis.analyze`` call and writes each as Python source, one
+function per plan with a nested ``for`` loop per scan and an ``if`` per
+check, a local per variable, and the head atom and its record built inline
+where it is emitted. All static plans compile in one ``compile`` call, and
+a stratum's round plans in one more when its first round starts; the code
+lives only as long as that ``evaluate`` call. The source names every
+constant, relation and helper by reference, never by value.
 
 The model holds one relation per predicate and arity, with one kind of
 index: a hash map from the values at a set of positions to exactly the rows
@@ -36,12 +39,14 @@ from __future__ import annotations
 
 import gc
 import math
+import re
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Set
 from functools import cache, partial
-from itertools import chain, islice, repeat
-from operator import countOf, ge, gt, itemgetter, le, lt
+from itertools import chain, count, islice, repeat
+from operator import countOf, itemgetter
+from types import CodeType
 from typing import AbstractSet, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .analysis import EvaluationError, RulePlan, analyze, literal_binds, literal_needs
@@ -360,25 +365,9 @@ class Inconsistent:
         return f"constraint at {self.constraint.span} violated ({binding or 'ground'})"
 
 
-# -- comparison and arithmetic ------------------------------------------------
-
-_ORDERED = {">=": ge, "<=": le, ">": gt, "<": lt}
-
-
-def compare_constants(left: Constant, op: str, right: Constant) -> bool:
-    """``==``/``!=`` across kinds are plain inequality; ordering comparisons
-    use the kind-first total order (integers < symbols < strings)."""
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op not in _ORDERED:
-        raise ValueError(f"unknown comparison operator {op!r}")
-    return _ORDERED[op](constant_key(left), constant_key(right))
-
-
 # -- body planning -------------------------------------------------------------
 
+#: Each ordering comparison, and the one that holds with its sides swapped.
 _FLIPPED = {">=": "<=", "<=": ">=", ">": "<", "<": ">"}
 
 
@@ -428,7 +417,7 @@ def _range_count_plan(literal: AggregateLiteral,
     for cond in agg.condition:
         if cond is atom:
             continue
-        if cond.op not in _ORDERED:
+        if cond.op not in _FLIPPED:
             return None
         if cond.left == element:
             op, other = cond.op, cond.right
@@ -444,22 +433,22 @@ def _range_count_plan(literal: AggregateLiteral,
 
 
 class _CompiledRule(NamedTuple):
-    """A rule, its plan from the analysis, what each step needs, and the
-    :data:`Record` of the binding its plans are building.
+    """A rule, its index in :attr:`DerivationGraph.rules`, its plan from the
+    analysis, and what each step of a plan needs.
 
-    Every variable has a slot in a list environment. A record holds the
-    supports in the static order of the positive atoms, then the checks in
-    the static order of the other literals, whatever order a plan joins
-    them in."""
+    Every variable has a slot, a local of each generated plan. A record
+    holds the supports in the static order of the positive atoms, then the
+    checks in the static order of the other literals, whatever order a plan
+    joins them in."""
 
     rule: Rule
+    index: int
     plan: RulePlan
     slots: dict[Variable, int]
     range_counts: dict[int, _RangeCount]
     records: dict[int, int]  # body index -> its position in a Record
     support_predicates: tuple[str, ...]
     checks: tuple[Callable[[tuple], Check], ...]  # per check in a Record, what makes it
-    record: list  # the rule's index in DerivationGraph.rules, then the binding
 
 
 def _compile_rule(rule: Rule, plan: RulePlan, index: int) -> _CompiledRule:
@@ -470,20 +459,29 @@ def _compile_rule(rule: Rule, plan: RulePlan, index: int) -> _CompiledRule:
     atoms = [i for i in plan.order if isinstance(rule.body[i], Atom)]
     others = [i for i in plan.order if not isinstance(rule.body[i], Atom)]
     return _CompiledRule(
-        rule, plan, slots,
+        rule, index, plan, slots,
         range_counts={i: count for i in plan.conditions
                       if (count := _range_count_plan(rule.body[i], plan.global_variables))
                       is not None},
         records={i: k for k, i in enumerate(atoms + others, 1)},
         support_predicates=tuple(rule.body[i].predicate for i in atoms),
-        checks=tuple(_CHECK_OF[type(rule.body[i])] for i in others),
-        record=[index] + [None] * len(rule.body))
+        checks=tuple(_CHECK_OF[type(rule.body[i])] for i in others))
 
 
-# -- slot-compiled matchers ------------------------------------------------------
+# -- generated join code ---------------------------------------------------------
 
-Env = list  # slot -> bound constant
-Step = Callable[[Env], None]
+#: The nesting one generated function may reach before the rest of a plan
+#: moves into a helper function that it calls. CPython refuses more than 20
+#: statically nested blocks and 100 levels of indentation, and a literal
+#: opens at most a few more levels below this one.
+_MAX_DEPTH = 16
+
+#: The comparisons of the rule language, each spelled as in Python.
+_COMPARISONS = frozenset(("==", "!=", ">=", "<=", ">", "<"))
+
+#: A name the generator gives a referenced object (``k``) or a function
+#: (``f``); compiled by ``re`` on first use, not at import.
+_REFERENCE = r"\b[kf]\d+\b"
 
 
 @cache
@@ -492,64 +490,447 @@ def _integer_limit(digits: int) -> Union[int, float]:
     return 10 ** digits if digits else math.inf
 
 
-def _getter(term: Term, slots: dict[Variable, int], bound: set[int],
-            rule: Rule) -> Callable[[Env], Constant]:
-    """A term's value in an environment whose bound slots are ``bound``."""
-    if isinstance(term, Variable):
-        if slots[term] in bound:
-            return itemgetter(slots[term])
-
-        def unbound(env: Env) -> Constant:
-            raise EvaluationError(f"unbound variable {term}", rule)
-        return unbound
-    if isinstance(term, ArithTerm):
-        left = _getter(term.left, slots, bound, rule)
-        right = _getter(term.right, slots, bound, rule)
-        op = term.op
-        digits = sys.get_int_max_str_digits()
-        limit = _integer_limit(digits)
-
-        def arith(env: Env) -> Constant:
-            a, b = left(env), right(env)
-            if not isinstance(a, int) or not isinstance(b, int):
-                raise EvaluationError(
-                    "arithmetic on non-integer constant "
-                    f"({format_constant(a)} {op} {format_constant(b)})", rule)
-            value = a + b if op == "+" else a - b
-            if -limit < value < limit:
-                return value
-            raise EvaluationError(f"'{op}' gives an integer of more than {digits} digits, "
-                                  "the interpreter's limit for writing one out", rule)
-        return arith
-    return lambda env: term
+def _unbound(variable: Variable, rule: Rule) -> None:
+    raise EvaluationError(f"unbound variable {variable}", rule)
 
 
-def _tuple_getter(terms: Sequence[Term], slots: dict[Variable, int], bound: set[int],
-                  rule: Rule) -> Callable[[Env], tuple[Constant, ...]]:
-    """The terms' values as a tuple; a C-level item getter when all of them
-    are bound variables."""
-    if all(isinstance(t, Variable) and slots[t] in bound for t in terms):
-        if len(terms) > 1:
-            return itemgetter(*(slots[t] for t in terms))
-        if terms:
-            slot = slots[terms[0]]
-            return lambda env: (env[slot],)
-        return lambda env: ()
-    getters = [_getter(t, slots, bound, rule) for t in terms]
-    return lambda env: tuple([get(env) for get in getters])
+def _sum(rule: Rule, op: str, digits: int, a: Constant, b: Constant) -> int:
+    """``a op b`` for two integers whose result can be written out in at
+    most ``digits`` digits; any other operands end in an EvaluationError."""
+    if not isinstance(a, int) or not isinstance(b, int):
+        raise EvaluationError("arithmetic on non-integer constant "
+                              f"({format_constant(a)} {op} {format_constant(b)})", rule)
+    value = a + b if op == "+" else a - b
+    limit = _integer_limit(digits)
+    if -limit < value < limit:
+        return value
+    raise EvaluationError(f"'{op}' gives an integer of more than {digits} digits, "
+                          "the interpreter's limit for writing one out", rule)
 
 
-def _key_getter(terms: Sequence[Term], slots: dict[Variable, int], bound: set[int],
-                rule: Rule) -> Callable[[Env], object]:
-    """The terms' values as a key of :meth:`_Relation.index` on their
-    positions: the value itself for one term, a tuple otherwise."""
-    if len(terms) == 1:
-        return _getter(terms[0], slots, bound, rule)
-    return _tuple_getter(terms, slots, bound, rule)
+def _tuple(items: Sequence[str]) -> str:
+    """Source of a tuple display of the given expressions."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _compile(source: str) -> CodeType:
+    """The one place generated source is compiled, so a test can read it."""
+    return compile(source, "<plans>", "exec")
 
 
 class _Found(Exception):
     """Stops a join at its first solution."""
+
+
+class _Function:
+    """A generated function: its name, its parameters, its body as indented
+    lines, and its locals that start as None, each an index that its scan
+    fetches the first time it runs."""
+
+    __slots__ = ("name", "params", "lines", "lazy")
+
+    def __init__(self, name: str, params: Sequence[str]) -> None:
+        self.name, self.params = name, tuple(params)
+        self.lines: list[str] = []
+        self.lazy: list[str] = []
+
+    def write(self, depth: int, line: str) -> None:
+        self.lines.append("    " * (depth + 1) + line)
+
+
+class _Source:
+    """The Python source of a batch of plans, compiled with one ``compile``
+    call. The source holds only names it makes and small integers: every
+    constant, relation and helper is a default argument named ``k<n>``, so
+    no value or name of the program is ever written into it."""
+
+    def __init__(self, evaluator: _Evaluator) -> None:
+        self.evaluator = evaluator
+        self.functions: list[_Function] = []
+        self.namespace: dict[str, object] = {}
+        self.names: dict[int, str] = {}  # id of a referenced object -> its name
+        self.counter = count()
+
+    def local(self, prefix: str) -> str:
+        return f"{prefix}{next(self.counter)}"
+
+    def ref(self, value: object) -> str:
+        """The name a generated function reads the object by."""
+        name = self.names.get(id(value))
+        if name is None:
+            name = self.names[id(value)] = self.local("k")
+            self.namespace[name] = value
+        return name
+
+    def function(self, params: Sequence[str]) -> _Function:
+        function = _Function(self.local("f"), params)
+        self.functions.append(function)
+        return function
+
+    def build(self, names: Sequence[str]) -> list[Callable[[], None]]:
+        """Compile every function and return the named ones. A function
+        takes each name it reads as a default argument, so once they are
+        defined the namespace is emptied and holds no reference cycle."""
+        lines: list[str] = []
+        for function in reversed(self.functions):  # a helper before its caller
+            used = dict.fromkeys(re.findall(_REFERENCE, "\n".join(function.lines)))
+            params = [*function.params, *(f"{name}={name}" for name in used)]
+            lines.append(f"def {function.name}({', '.join(params)}):")
+            if function.lazy:
+                lines.append(f"    {' = '.join(function.lazy)} = None")
+            lines.extend(function.lines)
+        exec(_compile("\n".join(lines)), self.namespace)
+        built = [self.namespace[name] for name in names]
+        self.namespace.clear()
+        return built  # type: ignore[return-value]
+
+
+class _PlanWriter:
+    """Writes one plan of a rule as one function of a :class:`_Source`,
+    with one nested ``for`` loop per scan and one ``if`` per check. A
+    variable's slot ``s`` is the local ``v<s>``; a record is built from the
+    locals that hold each support row and each check's values. Past
+    ``_MAX_DEPTH`` levels the rest of the steps go into a helper function,
+    which takes the bound slots that they read and, in a rule's body, the
+    record's entries so far packed into one tuple, so the source stays
+    linear in the rule."""
+
+    def __init__(self, source: _Source, compiled: _CompiledRule,
+                 delta_index: Optional[int]) -> None:
+        self.source, self.compiled, self.delta_index = source, compiled, delta_index
+        self.ref, self.local = source.ref, source.local
+        self.slots, self.rule = compiled.slots, compiled.rule
+        self.entries: dict[int, str] = {}  # body index -> its entry in a record
+        self.pack: Optional[str] = None  # the local holding the entries packed at splits
+        self.packs: list[tuple[bool, list[int]]] = []  # per split: chained?, body indexes
+
+    def write(self) -> str:
+        """Write the plan; return its function's name."""
+        function = self.source.function(())
+        body, plan = self.rule.body, self.compiled.plan
+        order = plan.order if self.delta_index is None else plan.deltas[self.delta_index]
+        steps = [(body[i], i) for i in order]
+        if self.rule.head is None:
+            named = {slot for var, slot in self.slots.items() if not var.is_anonymous}
+            self.steps(function, 0, steps, frozenset(), self.found, named, (), True)
+        else:
+            self.steps(function, 0, steps, frozenset(), self.emit,
+                       self.slots_of(self.rule.head.terms), (), True)
+        return function.name
+
+    def slots_of(self, terms: Sequence[Term]) -> set[int]:
+        return {self.slots[var] for term in terms for var in term_variables(term)}
+
+    def slots_of_literal(self, literal: BodyLiteral) -> set[int]:
+        return {self.slots[var] for var in literal_variables(literal)}
+
+    def steps(self, function: _Function, depth: int,
+              steps: Sequence[tuple[BodyLiteral, Optional[int]]], bound: frozenset[int],
+              finish: Callable[[_Function, int, frozenset[int]], None], reads: AbstractSet[int],
+              extra: tuple[str, ...], body: bool) -> None:
+        """Write steps, each a literal and its body index (None inside an
+        aggregate), nested from ``depth``; then ``finish`` at the innermost
+        level, given the slots bound there. ``finish`` reads the slots
+        ``reads`` and the locals ``extra``; ``body`` says whether the steps
+        are a rule's body, whose entries a record holds."""
+        last: dict[int, int] = {}  # slot -> the last step that reads or binds it
+        for position, (literal, _) in enumerate(steps):
+            last.update(dict.fromkeys(self.slots_of_literal(literal), position))
+        for position, (literal, index) in enumerate(steps):
+            if depth >= _MAX_DEPTH:
+                used = {slot for slot in bound if slot in reads or last.get(slot, -1) >= position}
+                function, depth = self.split(function, depth, used, extra, body), 0
+            if isinstance(literal, Atom):
+                depth = self.scan(function, depth, literal, index, bound)
+            elif isinstance(literal, NafLiteral):
+                depth = self.naf(function, depth, literal, index, bound)
+            elif isinstance(literal, Comparison):
+                depth = self.compare(function, depth, literal, index, bound)
+            elif isinstance(literal, AggregateLiteral) and index is not None:
+                depth = self.aggregate(function, depth, literal, index, bound)
+            else:
+                raise EvaluationError(f"unsupported body literal {literal!r}", self.rule)
+            bound = bound | {self.slots[var] for var in literal_binds(literal)}
+        finish(function, depth, bound)
+
+    def split(self, function: _Function, depth: int, used: AbstractSet[int],
+              extra: tuple[str, ...], body: bool) -> _Function:
+        """A new helper function for the rest of the steps, which the
+        function calls with the slots ``used`` and the locals ``extra``;
+        in a body also with the record's entries so far, packed into one
+        tuple after the pack the function was given, if any."""
+        params = [*(f"v{slot}" for slot in sorted(used)), *extra]
+        args = list(params)
+        if body and (self.entries or self.pack):
+            self.packs.append((self.pack is not None, list(self.entries)))
+            args.append(_tuple([*([self.pack] if self.pack else []), *self.entries.values()]))
+            self.pack = self.local("r")
+            params.append(self.pack)
+            self.entries = {}
+        helper = self.source.function(params)
+        function.write(depth, f"{helper.name}({', '.join(args)})")
+        return helper
+
+    def value(self, function: _Function, depth: int, term: Term, bound: AbstractSet[int]) -> str:
+        """A name that holds a term's value: a slot's local, a referenced
+        constant, or a local set here to a sum, its left operand first."""
+        if isinstance(term, Variable):
+            if self.slots[term] in bound:
+                return f"v{self.slots[term]}"
+            name = self.local("t")
+            function.write(depth, f"{name} = {self.ref(partial(_unbound, term, self.rule))}()")
+            return name
+        if isinstance(term, ArithTerm):
+            left = self.value(function, depth, term.left, bound)
+            right = self.value(function, depth, term.right, bound)
+            add = partial(_sum, self.rule, term.op, sys.get_int_max_str_digits())
+            name = self.local("t")
+            function.write(depth, f"{name} = {self.ref(add)}({left}, {right})")
+            return name
+        return self.ref(term)
+
+    def fetch(self, function: _Function, depth: int, expression: str) -> str:
+        """A local set to an expression the first time this point is reached
+        in a call of the function: at once at its top level, else through a
+        local that starts as None."""
+        name = self.local("i")
+        if depth:
+            function.lazy.append(name)
+            function.write(depth, f"if {name} is None:")
+            depth += 1
+        function.write(depth, f"{name} = {expression}")
+        return name
+
+    def key(self, function: _Function, depth: int, terms: Sequence[Term],
+            bound: AbstractSet[int]) -> str:
+        """The terms' values as a key of :meth:`_Relation.index` on their
+        positions: the value itself for one term, a tuple otherwise."""
+        values = [self.value(function, depth, term, bound) for term in terms]
+        return values[0] if len(values) == 1 else _tuple(values)
+
+    def scan(self, function: _Function, depth: int, atom: Atom, index: Optional[int],
+             bound: frozenset[int]) -> int:
+        """Join one positive atom: loop over the rows that match its bound
+        positions in the relation's index on them, skip a row whose repeats
+        within the atom differ, and bind its new slots. Only the rows
+        present when the scan starts are visited. A delta scan reads the
+        current round's window. Only a model relation of the stratum being
+        evaluated grows during a scan, so only its rows are cut to their
+        length at the start: a delta window is a copy, and a lower stratum
+        is complete. An index is fetched, and so built, when its scan first
+        runs in a call of the function."""
+        positions: list[int] = []
+        key_terms: list[Term] = []
+        targets: list[str] = []  # per position, the local it sets or "_"
+        repeats: list[tuple[str, int]] = []  # a later occurrence's local, the slot
+        for position, term in enumerate(atom.terms):
+            slot = self.slots[term] if isinstance(term, Variable) else None
+            if slot is None or slot in bound:
+                positions.append(position)
+                key_terms.append(term)
+                targets.append("_")
+            elif f"v{slot}" in targets:
+                targets.append(self.local("t"))
+                repeats.append((targets[-1], slot))
+            else:
+                targets.append(f"v{slot}")
+        name = (atom.predicate, len(atom.terms))
+        delta = index is not None and index == self.delta_index
+        if delta:
+            relation = f"{self.ref(self.source.evaluator.windows)}[{self.ref(name)}]"
+        else:
+            relation = self.ref(self.source.evaluator.model.relation(*name))
+        if positions:
+            key = self.key(function, depth, key_terms, bound)
+            lookup = self.fetch(function, depth, f"{relation}.index({tuple(positions)!r})")
+            rows = f"{lookup}.get({key}, ())"
+        else:
+            rows = f"{relation}.rows"
+        if not delta and index in self.compiled.plan.deltas:  # it grows
+            cut = self.local("x")
+            function.write(depth, f"{cut} = {rows}")
+            rows = f"{self.ref(islice)}({cut}, {self.ref(len)}({cut}))"
+        used = [target for target in targets if target != "_"]
+        unpack = bool(used) and 2 * len(used) >= len(targets)
+        row = self.local("a")
+        if unpack and index is None:  # no record needs the row itself
+            function.write(depth, f"for {', '.join(targets)}, in {rows}:")
+        else:
+            function.write(depth, f"for {row} in {rows}:")
+            if unpack:
+                function.write(depth + 1, f"{', '.join(targets)}, = {row}")
+            else:
+                for position, target in enumerate(targets):
+                    if target != "_":
+                        function.write(depth + 1, f"{target} = {row}[{position}]")
+        for target, slot in repeats:
+            function.write(depth + 1, f"if {target} != v{slot}: continue")
+        if index is not None:
+            self.entries[index] = row
+        return depth + 1
+
+    def naf(self, function: _Function, depth: int, literal: NafLiteral, index: Optional[int],
+            bound: frozenset[int]) -> int:
+        atom = literal.atom
+        values = [self.value(function, depth, term, bound) for term in atom.terms]
+        args = self.local("n")
+        known = self.source.evaluator.model.relation(atom.predicate, len(atom.terms)).atoms
+        function.write(depth, f"{args} = {_tuple(values)}")
+        function.write(depth, f"if {args} not in {self.ref(known)}:")
+        if index is not None:
+            self.entries[index] = f"({self.ref(atom.predicate)}, {args})"
+        return depth + 1
+
+    def compare(self, function: _Function, depth: int, literal: Comparison,
+                index: Optional[int], bound: frozenset[int]) -> int:
+        """``==``/``!=`` across kinds are plain inequality; ordering
+        comparisons use the kind-first total order (integers < symbols <
+        strings)."""
+        left = self.value(function, depth, literal.left, bound)
+        right = self.value(function, depth, literal.right, bound)
+        op = literal.op
+        if op not in _COMPARISONS:
+            raise ValueError(f"unknown comparison operator {op!r}")
+        if op in ("==", "!="):
+            function.write(depth, f"if {left} {op} {right}:")
+        else:  # a constant's key is worked out here, once
+            left_key, right_key = (
+                f"{self.ref(constant_key)}({value})" if isinstance(term, (Variable, ArithTerm))
+                else self.ref(constant_key(term))
+                for term, value in ((literal.left, left), (literal.right, right)))
+            function.write(depth, f"if {left_key} {op} {right_key}:")
+        if index is not None:
+            self.entries[index] = f"({left}, {self.ref(op)}, {right})"
+        return depth + 1
+
+    def aggregate(self, function: _Function, depth: int, literal: AggregateLiteral, index: int,
+                  bound: frozenset[int]) -> int:
+        """Count the aggregate's elements, by bisection when it has a range
+        plan, else by joining its condition; then assign or test the count."""
+        count = self.local("n")
+        plan = self.compiled.range_counts.get(index)
+        if plan is None:
+            elements = self.enumerate(function, depth, literal, index, bound)
+            function.write(depth, f"{count} = {self.ref(len)}({elements})")
+        else:
+            self.range_count(function, depth, literal, index, bound, plan, count)
+        op = literal.op
+        if literal.is_assignment:
+            assert isinstance(literal.bound, Variable)
+            slot = self.slots[literal.bound]
+            self.entries[index] = f"({count}, {self.ref(op)}, {count})"
+            if slot in bound:
+                function.write(depth, f"if v{slot} == {count}:")
+                return depth + 1
+            function.write(depth, f"v{slot} = {count}")
+            return depth
+        if op not in _COMPARISONS:
+            raise ValueError(f"unknown comparison operator {op!r}")
+        threshold = self.value(function, depth, literal.bound, bound)
+        self.entries[index] = f"({count}, {self.ref(op)}, {threshold})"
+        function.write(depth, f"if {self.ref(isinstance)}({threshold}, {self.ref(int)}) and "
+                              f"{count} {op} {threshold}:")
+        return depth + 1
+
+    def enumerate(self, function: _Function, depth: int, literal: AggregateLiteral, index: int,
+                  bound: frozenset[int]) -> str:
+        """Join the aggregate's condition, collecting its distinct elements
+        into a set; return the set's local."""
+        elements = self.local("e")
+        function.write(depth, f"{elements} = {self.ref(set)}()")
+        terms = literal.aggregate.elements
+
+        def collect(function: _Function, depth: int, inner: frozenset[int]) -> None:
+            values = [self.value(function, depth, term, inner) for term in terms]
+            # one element is counted as itself: distinct 1-tuples are distinct values
+            element = values[0] if len(values) == 1 else _tuple(values)
+            function.write(depth, f"{elements}.add({element})")
+
+        condition = literal.aggregate.condition
+        self.steps(function, depth,
+                   [(condition[k], None) for k in self.compiled.plan.conditions[index]],
+                   bound, collect, self.slots_of(terms), (elements,), False)
+        return elements
+
+    def range_count(self, function: _Function, depth: int, literal: AggregateLiteral,
+                    index: int, bound: frozenset[int], plan: _RangeCount, count: str) -> None:
+        """Set ``count`` by bisecting the group's sorted keys. Guards are
+        never evaluated over an empty group; a guard that raises sends the
+        count down the general path, which raises its own error."""
+        groups = self.fetch(function, depth, f"{self.ref(self.source.evaluator.range_index)}"
+                                             f"({self.ref(plan.index)})")
+        keys = self.local("x")
+        function.write(depth, f"{keys} = {groups}.get("
+                              f"{self.key(function, depth, plan.key_terms, bound)})")
+        if not plan.guards:
+            function.write(depth, f"{count} = {self.ref(len)}({keys}) if {keys} else 0")
+            return
+        function.write(depth, f"if not {keys}:")
+        function.write(depth + 1, f"{count} = 0")
+        function.write(depth, "else:")
+        function.write(depth + 1, "try:")
+        values = []
+        for _, term in plan.guards:
+            values.append(self.local("t"))
+            value = self.value(function, depth + 2, term, bound)
+            function.write(depth + 2, f"{values[-1]} = {self.ref(constant_key)}({value})")
+        params = [f"v{slot}" for slot in sorted(bound & self.slots_of_literal(literal))]
+        general = self.source.function(params)
+        elements = self.enumerate(general, 0, literal, index, bound)
+        general.write(0, f"return {self.ref(len)}({elements})")
+        function.write(depth + 1, f"except {self.ref(EvaluationError)}:")
+        function.write(depth + 2, f"{count} = {general.name}({', '.join(params)})")
+        function.write(depth + 1, "else:")
+        lows, highs = [], []  # the bisections that bound the range from below, above
+        for (op, _), value in zip(plan.guards, values):
+            search = bisect_left if op in (">=", "<") else bisect_right
+            (lows if op in (">=", ">") else highs).append(f"{self.ref(search)}({keys}, {value})")
+        low = f"{self.ref(max)}(0, {', '.join(lows)})" if lows else "0"
+        high = f"{self.ref(min)}({self.ref(len)}({keys}), {', '.join(highs)})" if highs \
+            else f"{self.ref(len)}({keys})"
+        function.write(depth + 2, f"{count} = {high} - {low}")
+        function.write(depth + 2, f"if {count} < 0:")
+        function.write(depth + 3, f"{count} = 0")
+
+    def emit(self, function: _Function, depth: int, bound: frozenset[int]) -> None:
+        """The last step of a rule's plans: append the head atom if it is
+        new, with the record of the binding's supports and checks, as
+        :meth:`Model.add` would with no record."""
+        head = self.rule.head
+        assert head is not None
+        model, ref = self.source.evaluator.model, self.ref
+        relation = model.relation(head.predicate, len(head.terms))
+        values = [self.value(function, depth, term, bound) for term in head.terms]
+        args, key, index = self.local("h"), self.local("x"), self.local("i")
+        function.write(depth, f"{args} = {_tuple(values)}")
+        function.write(depth, f"if {args} not in {ref(relation.atoms)}:")
+        packed = self.pack
+        for chained, indexes in reversed(self.packs):  # the entries packed at splits
+            previous = self.local("r") if chained else None
+            names = [self.local("c") for _ in indexes]
+            targets = [*([previous] if previous else []), *names]
+            function.write(depth + 1, f"{', '.join(targets)}, = {packed}")
+            self.entries.update(zip(indexes, names))
+            packed = previous
+        records = self.compiled.records
+        record = [str(self.compiled.index),
+                  *(self.entries[i] for i in sorted(records, key=records.get))]
+        function.write(depth + 1, f"{ref(relation.atoms)}[{args}] = {_tuple(record)}")
+        function.write(depth + 1, f"{ref(relation.rows)}.append({args})")
+        function.write(depth + 1, f"{ref(model._order)}.append({ref(relation)})")
+        function.write(depth + 1, f"if {ref(relation.indexes)}:")
+        function.write(depth + 2, f"for {key}, {index} in {ref(relation.indexes)}.values():")
+        function.write(depth + 3, f"{index}.setdefault({key}({args}), []).append({args})")
+
+    def found(self, function: _Function, depth: int, bound: frozenset[int]) -> None:
+        """The last step of a constraint's plan: stop at the first binding,
+        with its named variables as the witness."""
+        named = sorted((var.name, slot) for var, slot in self.slots.items()
+                       if slot in bound and not var.is_anonymous)
+        names = tuple(name for name, _ in named)
+        values = _tuple([f"v{slot}" for _, slot in named])
+        function.write(depth, f"raise {self.ref(_Found)}({self.ref(dict)}"
+                              f"({self.ref(zip)}({self.ref(names)}, {values})))")
 
 
 class _Evaluator:
@@ -560,200 +941,15 @@ class _Evaluator:
         # sorted range indexes, built on first use: group key -> sorted keys
         self.ranges: dict[tuple, dict[object, list[tuple]]] = {}
 
-    # plan compilation
+    def plans(self, jobs: Sequence[tuple[_CompiledRule, Optional[int]]]
+              ) -> list[Callable[[], None]]:
+        """Compile plans in one batch, each a rule and the body index of its
+        delta atom (None for its static plan)."""
+        source = _Source(self)
+        names = [_PlanWriter(source, compiled, delta).write() for compiled, delta in jobs]
+        return source.build(names)
 
-    def _chain(self, compiled: _CompiledRule, steps: Sequence[tuple[BodyLiteral, Optional[int]]],
-               bound: set[int], finish: Callable[[set[int]], Step],
-               delta_index: Optional[int] = None) -> Step:
-        """Compile steps, each a literal and its body index (None inside an
-        aggregate), into closures over a slot environment. Each step calls
-        the next one per match; the last calls ``finish(slots bound then)``."""
-        slots, rule = compiled.slots, compiled.rule
-        before: list[set[int]] = []
-        for literal, _ in steps:
-            before.append(bound)
-            bound = bound | {slots[var] for var in literal_binds(literal)}
-        step = finish(bound)
-        for (literal, index), known in zip(reversed(steps), reversed(before)):
-            record = None if index is None else compiled.records[index]
-            if isinstance(literal, Atom):
-                step = self._scan(compiled, literal, known, record, step,
-                                  index is not None and index == delta_index,
-                                  index in compiled.plan.deltas)
-            elif isinstance(literal, NafLiteral):
-                step = self._naf(compiled, literal, known, record, step)
-            elif isinstance(literal, Comparison):
-                step = self._compare(compiled, literal, known, record, step)
-            elif isinstance(literal, AggregateLiteral) and index is not None:
-                step = self._aggregate(compiled, literal, index, known, record, step)
-            else:
-                raise EvaluationError(f"unsupported body literal {literal!r}", rule)
-        return step
-
-    def _plan(self, compiled: _CompiledRule, order: Sequence[int],
-              finish: Callable[[set[int]], Step], delta_index: Optional[int] = None) -> Step:
-        body = compiled.rule.body
-        return self._chain(compiled, [(body[i], i) for i in order], set(), finish, delta_index)
-
-    def _scan(self, compiled: _CompiledRule, atom: Atom, bound: set[int], record: Optional[int],
-              step: Step, from_delta: bool, in_stratum: bool) -> Step:
-        """Join one positive atom: look up the rows that match its bound
-        positions in the relation's index on them, then per row check
-        repeats within the atom and bind its new slots. Only the rows
-        present when the scan starts are visited. A model relation's index
-        is kept from the scan's first lookup; a delta scan reads the current
-        round's window. Only a model relation of the stratum being evaluated
-        grows during a scan, so only its rows are cut to their length at the
-        start: a delta window is a copy, and a lower stratum is complete."""
-        slots, rule = compiled.slots, compiled.rule
-        positions: list[int] = []
-        key_terms: list[Term] = []
-        binds: list[tuple[int, int]] = []
-        first_at: dict[int, int] = {}
-        repeats: list[tuple[int, int]] = []
-        for position, term in enumerate(atom.terms):
-            slot = slots[term] if isinstance(term, Variable) else None
-            if slot is None or slot in bound:
-                positions.append(position)
-                key_terms.append(term)
-            elif slot in first_at:
-                repeats.append((first_at[slot], position))
-            else:
-                first_at[slot] = position
-                binds.append((position, slot))
-        bound_positions = tuple(positions)
-        key = _key_getter(key_terms, slots, bound, rule)
-        repeat_check = (itemgetter(*(p for p, _ in repeats)),
-                        itemgetter(*(q for _, q in repeats))) if repeats else None
-        name = (atom.predicate, len(atom.terms))
-        relation = None if from_delta else self.model.relation(*name)
-        grows = relation is not None and in_stratum
-        binding = compiled.record
-        index = None
-
-        def scan(env: Env) -> None:
-            nonlocal index
-            if index is None or relation is None:
-                index = (relation or self.windows[name]).index(bound_positions)
-            rows = index.get(key(env), ())
-            for args in islice(rows, len(rows)) if grows else rows:
-                if repeat_check is not None and repeat_check[0](args) != repeat_check[1](args):
-                    continue
-                for position, slot in binds:
-                    env[slot] = args[position]
-                if record is not None:
-                    binding[record] = args
-                step(env)
-        return scan
-
-    def _naf(self, compiled: _CompiledRule, literal: NafLiteral, bound: set[int], record: int,
-             step: Step) -> Step:
-        predicate, terms = literal.atom.predicate, literal.atom.terms
-        ground = _tuple_getter(terms, compiled.slots, bound, compiled.rule)
-        known, binding = self.model.relation(predicate, len(terms)).atoms, compiled.record
-
-        def naf(env: Env) -> None:
-            args = ground(env)
-            if args not in known:
-                binding[record] = (predicate, args)
-                step(env)
-        return naf
-
-    def _compare(self, compiled: _CompiledRule, literal: Comparison, bound: set[int],
-                 record: Optional[int], step: Step) -> Step:
-        slots, rule = compiled.slots, compiled.rule
-        left, right = _getter(literal.left, slots, bound, rule), \
-            _getter(literal.right, slots, bound, rule)
-        op, binding = literal.op, compiled.record
-
-        def compare(env: Env) -> None:
-            a, b = left(env), right(env)
-            if compare_constants(a, op, b):
-                if record is not None:
-                    binding[record] = (a, op, b)
-                step(env)
-        return compare
-
-    def _aggregate(self, compiled: _CompiledRule, literal: AggregateLiteral, index: int,
-                   bound: set[int], record: int, step: Step) -> Step:
-        count = self._counter(compiled, literal, index, bound)
-        op, binding = literal.op, compiled.record
-        if literal.is_assignment:
-            assert isinstance(literal.bound, Variable)
-            slot = compiled.slots[literal.bound]
-            assigns = slot not in bound
-
-            def assign(env: Env) -> None:
-                n = count(env)
-                if assigns:
-                    env[slot] = n
-                elif env[slot] != n:
-                    return
-                binding[record] = (n, "=", n)
-                step(env)
-            return assign
-        threshold = _getter(literal.bound, compiled.slots, bound, compiled.rule)
-
-        def guard(env: Env) -> None:
-            n = count(env)
-            value = threshold(env)
-            if isinstance(value, int) and compare_constants(n, op, value):
-                binding[record] = (n, op, value)
-                step(env)
-        return guard
-
-    def _counter(self, compiled: _CompiledRule, literal: AggregateLiteral, index: int,
-                 bound: set[int]) -> Callable[[Env], int]:
-        """The aggregate's count: by bisection when it has a range plan,
-        else by joining its condition and collecting distinct elements."""
-        slots, rule = compiled.slots, compiled.rule
-        elements: set[tuple[Constant, ...]] = set()
-
-        def finish(inner: set[int]) -> Step:
-            element = _tuple_getter(literal.aggregate.elements, slots, inner, rule)
-            return lambda env: elements.add(element(env))
-
-        literals = literal.aggregate.condition
-        condition = self._chain(
-            compiled, [(literals[k], None) for k in compiled.plan.conditions[index]], bound, finish)
-
-        def enumerate_count(env: Env) -> int:
-            elements.clear()
-            condition(env)
-            return len(elements)
-
-        plan = compiled.range_counts.get(index)
-        if plan is None:
-            return enumerate_count
-        group = _key_getter(plan.key_terms, slots, bound, rule)
-        guards = [(op, _getter(term, slots, bound, rule)) for op, term in plan.guards]
-        groups = None
-
-        def range_count(env: Env) -> int:
-            nonlocal groups
-            if groups is None:
-                groups = self._range_index(plan.index)
-            keys = groups.get(group(env))
-            if not keys:
-                return 0  # guards are never evaluated over an empty group
-            low, high = 0, len(keys)
-            for op, get in guards:
-                try:
-                    value = constant_key(get(env))
-                except EvaluationError:
-                    return enumerate_count(env)  # raises the general path's error
-                if op == ">=":
-                    low = max(low, bisect_left(keys, value))
-                elif op == ">":
-                    low = max(low, bisect_right(keys, value))
-                elif op == "<=":
-                    high = min(high, bisect_right(keys, value))
-                else:
-                    high = min(high, bisect_left(keys, value))
-            return max(0, high - low)
-        return range_count
-
-    def _range_index(self, index: tuple) -> dict[object, list[tuple]]:
+    def range_index(self, index: tuple) -> dict[object, list[tuple]]:
         """Sorted distinct keys of the counted position per group, read from
         the relation's index on the group positions. The counted predicate
         sits in a strictly lower, complete stratum, so the sorted index
@@ -769,77 +965,48 @@ class _Evaluator:
 
     # stratum evaluation
 
-    def _emitter(self, compiled: _CompiledRule) -> Callable[[set[int]], Step]:
-        """The last step of a rule's plans: append the head atom if it is
-        new, with the binding's supports and checks as its derivation."""
-        rule = compiled.rule
-        head = rule.head
-        assert head is not None
-        relation = self.model.relation(head.predicate, len(head.terms))
-        known, rows, indexes = relation.atoms, relation.rows, relation.indexes
-        order = self.model._order
-        binding = compiled.record
-
-        def finish(bound: set[int]) -> Step:
-            head_args = _tuple_getter(head.terms, compiled.slots, bound, rule)
-
-            def emit(env: Env) -> None:
-                args = head_args(env)
-                if args in known:
-                    return
-                # Model.add without its membership test, inlined: a call per
-                # derived atom costs a few per cent of a recursive evaluation
-                known[args] = tuple(binding)
-                rows.append(args)
-                order.append(relation)
-                if indexes:
-                    for key, index in indexes.values():
-                        index.setdefault(key(args), []).append(args)
-            return emit
-        return finish
-
-    def run_stratum(self, compiled_rules: list[_CompiledRule],
+    def run_stratum(self, rules: Sequence[_CompiledRule], plans: Sequence[Callable[[], None]],
                     stratum_predicates: frozenset[str]) -> None:
-        """Fire every rule once over the model, then run semi-naive rounds:
-        each recursive rule re-joins once per body atom of the stratum,
-        scanning there only the window of rows the last round appended,
-        until a round appends none."""
-        firsts: list[tuple[Step, int]] = []
-        rounds: list[tuple[Step, int]] = []
-        for compiled in compiled_rules:
-            finish, width = self._emitter(compiled), len(compiled.slots)
-            firsts.append((self._plan(compiled, compiled.plan.order, finish), width))
-            for i, order in compiled.plan.deltas.items():
-                rounds.append((self._plan(compiled, order, finish, i), width))
+        """Run the static plans once over the model, then run semi-naive
+        rounds: each recursive rule re-joins once per body atom of the
+        stratum, scanning there only the window of rows the last round
+        appended, until a round appends none. The round plans are compiled
+        when the first round starts."""
+        for compiled in rules:  # every relation of the stratum that a round reads
+            for atom in (compiled.rule.head, *compiled.rule.body):
+                if isinstance(atom, Atom) and atom.predicate in stratum_predicates:
+                    self.model.relation(atom.predicate, len(atom.terms))
         relations = {name: relation for name, relation in self.model._relations.items()
                      if name[0] in stratum_predicates}
         before = {name: len(relation.rows) for name, relation in relations.items()}
-        for plan, width in firsts:
-            plan([None] * width)
-        while rounds:
+        for plan in plans:
+            plan()
+        deltas = [(compiled, i) for compiled in rules for i in compiled.plan.deltas]
+        rounds: Optional[list[Callable[[], None]]] = None
+        while deltas:
             after = {name: len(relation.rows) for name, relation in relations.items()}
             if after == before:
                 break
-            self.windows = {name: _Relation(name[0], relation.rows[before[name]:after[name]])
-                            for name, relation in relations.items()}
+            if rounds is None:
+                rounds = self.plans(deltas)
+            self.windows.clear()
+            for name, relation in relations.items():
+                self.windows[name] = _Relation(name[0], relation.rows[before[name]:after[name]])
             before = after
-            for plan, width in rounds:
-                plan([None] * width)
+            for plan in rounds:
+                plan()
 
-    def find_witness(self, compiled: _CompiledRule) -> Optional[dict[str, Constant]]:
-        def finish(bound: set[int]) -> Step:
-            named = sorted((var.name, slot) for var, slot in compiled.slots.items()
-                           if slot in bound and not var.is_anonymous)
 
-            def found(env: Env) -> None:
-                raise _Found({name: env[slot] for name, slot in named})
-            return found
-
-        try:
-            self._plan(compiled, compiled.plan.order, finish)([None] * len(compiled.slots))
-        except _Found as witness:
-            return witness.args[0]
-        return None
+def _starts_empty(compiled: _CompiledRule, derived: AbstractSet[str],
+                  relations: Mapping[tuple[str, int], _Relation]) -> bool:
+    """Whether a rule's static plan starts by scanning a predicate that no
+    rule derives and that holds no atom of the scanned arity."""
+    order = compiled.plan.order
+    first = compiled.rule.body[order[0]] if order else None
+    if not isinstance(first, Atom) or first.predicate in derived:
+        return False
+    relation = relations.get((first.predicate, len(first.terms)))
+    return relation is None or not relation.rows
 
 
 # -- public API ----------------------------------------------------------------
@@ -870,23 +1037,32 @@ def evaluate(program: Program,
         graph = DerivationGraph(model)
 
         evaluator = _Evaluator(model)
+        rules = [_compile_rule(rule, plan, index)
+                 for index, (rule, plan) in enumerate(zip(program.rules, analysis.plans))]
+        graph.rules.extend((c.rule, c.support_predicates, c.checks) for c in rules)
+        # A static plan that starts by scanning an input predicate with no
+        # rows joins nothing and raises nothing, so it is not compiled.
+        derived = {rule.head.predicate for rule in program.rules if rule.head is not None}
+        static = [compiled for compiled in rules
+                  if not _starts_empty(compiled, derived, model._relations)]
+        plans = dict(zip([compiled.index for compiled in static],
+                         evaluator.plans([(compiled, None) for compiled in static])))
         by_level: dict[int, list[_CompiledRule]] = {}
-        constraints: list[_CompiledRule] = []
-        for index, (rule, plan) in enumerate(zip(program.rules, analysis.plans)):
-            compiled = _compile_rule(rule, plan, index)
-            graph.rules.append((rule, compiled.support_predicates, compiled.checks))
-            if rule.head is None:
-                constraints.append(compiled)
-            else:
-                level = analysis.stratification.level[rule.head.predicate]
+        for compiled in rules:
+            if compiled.rule.head is not None:
+                level = analysis.stratification.level[compiled.rule.head.predicate]
                 by_level.setdefault(level, []).append(compiled)
         for level, predicates in enumerate(analysis.stratification.strata):
-            evaluator.run_stratum(by_level.get(level, []), frozenset(predicates))
+            stratum = by_level.get(level, [])
+            evaluator.run_stratum(stratum, [plans[c.index] for c in stratum if c.index in plans],
+                                  frozenset(predicates))
 
-        for compiled in constraints:
-            witness = evaluator.find_witness(compiled)
-            if witness is not None:
-                return Inconsistent(compiled.rule, witness)
+        for compiled in rules:
+            if compiled.rule.head is None and compiled.index in plans:
+                try:
+                    plans[compiled.index]()
+                except _Found as witness:
+                    return Inconsistent(compiled.rule, witness.args[0])
         return model, graph
     finally:
         if enabled:
@@ -898,15 +1074,16 @@ def query(model: Model, predicate: str) -> list[Fact]:
     in ``constant_key`` order; unknown predicates yield an empty list. The
     argument tuples are sorted, and each :class:`Fact` is built once sorted.
 
-    When every argument is a plain ``int``, or every argument a plain
-    ``str``, the values order as their keys do, so the argument tuples are
-    the sort key as they are."""
+    The tuples are first sorted as they are. Two constants of one kind
+    compare as their keys do, or raise (two symbols); two of different
+    kinds are never equal, and ordering them raises. So a sort that ends
+    has compared as the keys would and is in key order; one that raises is
+    redone by key, and distinct rows never tie."""
     rows = [args for (name, _), relation in model._relations.items() if name == predicate
             for args in relation.rows]
-    kinds = set(map(type, chain.from_iterable(rows)))
-    if kinds <= {int} or kinds <= {str}:
+    try:
         rows.sort()
-    else:
+    except TypeError:
         rows.sort(key=lambda args: tuple(map(constant_key, args)))
     return list(map(new_tuple, repeat(Fact), zip(repeat(predicate), rows)))
 

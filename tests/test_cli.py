@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import stratalog
 import stratalog.parser
-from stratalog.analysis import MAX_JOIN_LITERALS
+from stratalog.analysis import MAX_JOIN_LITERALS, MAX_STRATUM_ATOMS
 from stratalog.cli import EXIT_ERROR, EXIT_INCONSISTENT, EXIT_OK, main
 from stratalog.ingest import IngestOptions, read_csv_entries, read_syslog_entries
 from stratalog.lang import format_program
@@ -455,6 +455,27 @@ class TestLongBody:
         assert code == EXIT_OK, err
         assert out.startswith("system_issue: issue=x at 1 ")
         assert out.endswith("total: 1 (system_issue: 1)\n")
+
+
+class TestWideRecursion:
+    """A rule has at most ``MAX_STRATUM_ATOMS`` body atoms of its own
+    stratum; one more ends in the evaluate stage."""
+
+    @pytest.mark.parametrize("atoms", [MAX_STRATUM_ATOMS, MAX_STRATUM_ATOMS + 1])
+    def test_at_and_past_the_limit(self, capsys, sample_path, tmp_path, atoms):
+        rules = tmp_path / "wide.lp"
+        rules.write_text("base(1).\nsystem_issue(x, X) :- base(X), "
+                         + ", ".join(["system_issue(x, X)"] * atoms) + ".\n")
+        code, out, err = run_main(capsys, ["detect", str(sample_path), "--rules", str(rules)]
+                                  + BASE)
+        if atoms == MAX_STRATUM_ATOMS:
+            assert (code, err) == (EXIT_OK, "")
+            assert out.endswith("total: 0\n")
+        else:
+            assert (code, out) == (EXIT_ERROR, "")
+            assert err == (f"error in evaluate stage: 2:1: rule has {atoms} body atoms of its own "
+                           f"stratum, each joined first in a plan of its own; the limit is "
+                           f"{MAX_STRATUM_ATOMS}\n")
 
 
 class TestHugeIntegers:

@@ -1,14 +1,19 @@
 """Evaluator behavior: models, recursion, aggregates, explanations, errors."""
 import gc
 import hashlib
+import io
 import pickle
 import random
+import re
+import sys
+import tokenize
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratalog.analysis import MAX_JOIN_LITERALS, SafetyError, analyze
+from stratalog import engine
+from stratalog.analysis import MAX_JOIN_LITERALS, MAX_STRATUM_ATOMS, SafetyError, analyze
 from stratalog.engine import (
     ComparisonCheck,
     Derivation,
@@ -23,7 +28,7 @@ from stratalog.engine import (
     explain,
     query,
 )
-from stratalog.facts import Fact, Symbol, fact
+from stratalog.facts import Fact, Symbol, constant_key, fact
 from stratalog.lang import AggregateLiteral
 from stratalog.oracle import OracleEvaluationError, naive_oracle
 from stratalog.parser import parse_program
@@ -816,3 +821,142 @@ class TestOnePlanner:
         with pytest.raises(EvaluationError, match=f"1:1: rule joins {MAX_JOIN_LITERALS + 1} "
                                                   f"literals.*the limit is {MAX_JOIN_LITERALS}"):
             evaluate(parse_program(f"c(N) :- N = #count{{Y : {condition}}}. p(1)."))
+
+
+class TestQueryOrder:
+    """``query`` sorts the argument tuples as they are and falls back to
+    ``constant_key`` only when two kinds meet; either way the order is the
+    key order, also when rows tie at their first positions."""
+
+    CONSTANTS = st.sampled_from([0, 1, -1, Symbol("a"), Symbol("b"), "a", "b", ""])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(CONSTANTS, min_size=1, max_size=2).flatmap(
+        lambda prefix: st.lists(st.lists(TestQueryOrder.CONSTANTS, max_size=2).map(
+            lambda rest: (*prefix, *rest)), min_size=1, max_size=12)))
+    def test_rows_tied_at_a_prefix_sort_by_key(self, rows):
+        model = Model()
+        for args in rows:
+            model.add(Fact("p", args))
+        expected = sorted(set(rows), key=lambda args: tuple(map(constant_key, args)))
+        assert [atom.args for atom in query(model, "p")] == expected
+
+
+def generated_source(monkeypatch, text):
+    """The model of a program, checked against the oracle, and the source
+    of every plan compiled for it."""
+    sources = []
+    compile_plans = engine._compile
+
+    def recording(source):
+        sources.append(source)
+        return compile_plans(source)
+    monkeypatch.setattr(engine, "_compile", recording)
+    return agrees_with_oracle(text), "\n".join(sources)
+
+
+class TestGeneratedSource:
+    """Plans compile to Python source that holds only the names the
+    generator makes, the keywords it writes and small integers: every
+    constant, predicate and variable of the program reaches the code by
+    reference, so no name or value can change what the source says."""
+
+    BIG = "9" * sys.get_int_max_str_digits()
+    HOSTILE = f"""\
+lambda(1). lambda("\\"\\"\\""). lambda("back\\\\slash\\nnew line"). lambda(sym). lambda({BIG}).
+class(1, "\\"\\"\\""). class({BIG}, "x"). class("back\\\\slash\\nnew line", 2). class(sym, sym).
+def(None, True) :- lambda(None), class(None, True).
+def(None, _x1) :- lambda(None), class(_x1, None), _x1 != "\\"".
+count(None, N) :- lambda(None), N = #count{{True : class(True, None)}}.
+big(None) :- class(None, _), None == {BIG}.
+quote(True) :- lambda(True), True != "\\"\\"\\"", not def(True, True).
+sum(None, True + 1) :- class(True, None), True < 3, None == 2.
+class(0, 1). class(2, 1).
+window(None, N) :- class(None, _), None < 2,
+    N = #count{{True : class(True, None), True >= None - 1, True <= None + 1}}.
+:- def(None, True), None == "\\n".
+"""
+    # the keywords, throwaway target and attributes the generator writes
+    WORDS = {"def", "for", "in", "if", "not", "is", "None", "and", "else", "try", "except",
+             "raise", "return", "continue", "_", "rows", "index", "get", "add", "append",
+             "setdefault", "values"}
+
+    def test_hostile_names_and_values_stay_out_of_the_source(self, monkeypatch):
+        model, source = generated_source(monkeypatch, self.HOSTILE)
+        assert fact("big", int(self.BIG)) in model
+        assert fact("quote", "back\\slash\nnew line") in model
+        assert fact("window", 1, 2) in model
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        names = {token.string for token in tokens if token.type == tokenize.NAME}
+        assert names - self.WORDS and all(
+            name in self.WORDS or re.fullmatch(r"[a-z]\d+", name) for name in names)
+        assert not [token for token in tokens if token.type == tokenize.STRING]
+        assert all(int(token.string) < 100 for token in tokens if token.type == tokenize.NUMBER)
+        for name in ("lambda", "class", "True", "_x1", "sym", "back", "slash", self.BIG):
+            assert name not in names
+
+    def test_code_lives_only_as_long_as_its_evaluation(self):
+        """No cache keeps a generated function, and no reference cycle
+        does: with the collector off, they are all freed on return."""
+        program = parse_program(self.HOSTILE)
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            evaluate(program)
+            generated = [obj for obj in gc.get_objects() if type(obj) is type(generated_source)
+                         and obj.__code__.co_filename == "<plans>"]
+        finally:
+            if was:
+                gc.enable()
+        assert generated == []
+
+
+def loops(source):
+    """The scans in generated source: its loops but those over a relation's indexes."""
+    return sum(line.lstrip().startswith("for ") and not line.endswith(".values():")
+               for line in source.splitlines())
+
+
+class TestNesting:
+    """CPython refuses more than 20 statically nested blocks, so a plan of
+    more loops than that runs as a chain of helper functions."""
+
+    def test_recursive_rule_of_24_stratum_atoms(self, monkeypatch):
+        # the chain's edges in reverse, so the first pass derives one atom
+        # and the rounds derive the rest
+        edges = " ".join(f"q({i}, {i + 1})." for i in reversed(range(6)))
+        text = "p(Y) :- q(X, Y), " + ", ".join(["p(X)"] * 24) + f". p(0). {edges}"
+        model, source = generated_source(monkeypatch, text)
+        assert sorted(model.atoms("p")) == [(i,) for i in range(7)]
+        assert loops(source) == 25 * 25  # 25 nested scans in the static plan and each delta plan
+
+    def test_count_of_40_literals_in_a_body_of_30_atoms(self, monkeypatch):
+        condition = ", ".join(["e(X, Y)"] * 39 + ["Y > 1"])
+        text = ("c(X, N) :- " + ", ".join(["b(X)"] * 30) + f", N = #count{{Y : {condition}}}."
+                " b(1). b(2). b(3). e(1, 1). e(1, 2). e(1, 3). e(2, 0). e(3, 5).")
+        model, source = generated_source(monkeypatch, text)
+        assert sorted(model.atoms("c")) == [(1, 2), (2, 0), (3, 1)]
+        assert loops(source) == 30 + 39  # one plan
+
+
+class TestStratumAtomLimit:
+    """A rule has at most ``MAX_STRATUM_ATOMS`` body atoms of its own
+    stratum, each the first scan of a semi-naive plan of the whole body, so
+    the code compiled for a rule stays linear in its length."""
+
+    @staticmethod
+    def text(atoms):
+        # the chain's edges in reverse, so that rounds run
+        edges = " ".join(f"q({i}, {i + 1})." for i in reversed(range(3)))
+        return "p(Y) :- q(X, Y), " + ", ".join(["p(X)"] * atoms) + f". p(0). {edges}"
+
+    def test_at_the_limit(self):
+        model = agrees_with_oracle(self.text(MAX_STRATUM_ATOMS))
+        assert sorted(model.atoms("p")) == [(i,) for i in range(4)]
+
+    def test_past_the_limit(self):
+        with pytest.raises(EvaluationError) as raised:
+            evaluate(parse_program(self.text(MAX_STRATUM_ATOMS + 1)))
+        assert str(raised.value) == (
+            f"1:1: rule has {MAX_STRATUM_ATOMS + 1} body atoms of its own stratum, each joined "
+            f"first in a plan of its own; the limit is {MAX_STRATUM_ATOMS}")
