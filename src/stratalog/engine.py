@@ -10,11 +10,13 @@ when it starts, so a round never joins its own output. Negation and
 aggregates only consult strata that are already complete.
 
 Grounding is on-the-fly: ``evaluate`` takes every rule's join orders from
-one ``analysis.analyze`` call and writes each as Python source, one
-function per plan with a nested ``for`` loop per scan and an ``if`` per
-check, a local per variable, and the head atom and its record built inline
-where it is emitted. All static plans compile in one ``compile`` call, and
-a stratum's round plans in one more when its first round starts; the code
+one ``analysis.analyze`` call, and each stratum writes its rules' plans as
+Python source, one function per plan with a nested ``for`` loop per scan
+and an ``if`` per check, a local per variable, and the head atom and its
+record built inline where it is emitted. A stratum's static plans compile
+in one ``compile`` call when it starts, and its round plans in one more
+when its first round starts; the constraints run last, as a stratum of no
+predicates. A plan that can only join nothing is not written, and the code
 lives only as long as that ``evaluate`` call. The source names every
 constant, relation and helper by reference, never by value.
 
@@ -519,7 +521,8 @@ def _compile(source: str) -> CodeType:
 
 
 class _Found(Exception):
-    """Stops a join at its first solution."""
+    """Stops a constraint's join at its first solution; its arguments are
+    the constraint and the witness."""
 
 
 class _Function:
@@ -929,8 +932,8 @@ class _PlanWriter:
                        if slot in bound and not var.is_anonymous)
         names = tuple(name for name, _ in named)
         values = _tuple([f"v{slot}" for _, slot in named])
-        function.write(depth, f"raise {self.ref(_Found)}({self.ref(dict)}"
-                              f"({self.ref(zip)}({self.ref(names)}, {values})))")
+        function.write(depth, f"raise {self.ref(_Found)}({self.ref(self.rule)}, "
+                              f"{self.ref(dict)}({self.ref(zip)}({self.ref(names)}, {values})))")
 
 
 class _Evaluator:
@@ -941,13 +944,26 @@ class _Evaluator:
         # sorted range indexes, built on first use: group key -> sorted keys
         self.ranges: dict[tuple, dict[object, list[tuple]]] = {}
 
-    def plans(self, jobs: Sequence[tuple[_CompiledRule, Optional[int]]]
-              ) -> list[Callable[[], None]]:
-        """Compile plans in one batch, each a rule and the body index of its
-        delta atom (None for its static plan)."""
+    def plans(self, jobs: Sequence[tuple[_CompiledRule, Optional[int]]],
+              stratum_predicates: frozenset[str]) -> list[Callable[[], None]]:
+        """Compile in one batch the plans of a stratum, each a rule and the
+        body index of its delta atom (None for its static plan). A plan is
+        left out when its first literal is an atom with no arithmetic term
+        over a complete relation, one outside the stratum, that holds no row
+        at its arity: its scan joins nothing and raises nothing. A batch
+        left with no plan compiles nothing."""
         source = _Source(self)
-        names = [_PlanWriter(source, compiled, delta).write() for compiled, delta in jobs]
-        return source.build(names)
+        names = [_PlanWriter(source, compiled, delta).write() for compiled, delta in jobs
+                 if not self.joins_nothing(compiled, delta, stratum_predicates)]
+        return source.build(names) if names else []
+
+    def joins_nothing(self, compiled: _CompiledRule, delta: Optional[int],
+                      stratum_predicates: frozenset[str]) -> bool:
+        order = compiled.plan.order if delta is None else compiled.plan.deltas[delta]
+        first = compiled.rule.body[order[0]] if order else None
+        return isinstance(first, Atom) and first.predicate not in stratum_predicates \
+            and not any(isinstance(term, ArithTerm) for term in first.terms) \
+            and not self.model.relation(first.predicate, len(first.terms)).rows
 
     def range_index(self, index: tuple) -> dict[object, list[tuple]]:
         """Sorted distinct keys of the counted position per group, read from
@@ -965,13 +981,15 @@ class _Evaluator:
 
     # stratum evaluation
 
-    def run_stratum(self, rules: Sequence[_CompiledRule], plans: Sequence[Callable[[], None]],
+    def run_stratum(self, rules: Sequence[_CompiledRule],
                     stratum_predicates: frozenset[str]) -> None:
-        """Run the static plans once over the model, then run semi-naive
-        rounds: each recursive rule re-joins once per body atom of the
-        stratum, scanning there only the window of rows the last round
-        appended, until a round appends none. The round plans are compiled
-        when the first round starts."""
+        """Compile the rules' static plans in one batch and run each once
+        over the model, then run semi-naive rounds: each recursive rule
+        re-joins once per body atom of the stratum, scanning there only the
+        window of rows the last round appended, until a round appends none.
+        The round plans compile in a second batch when the first round
+        starts. A constraint's plan raises :class:`_Found` at its first
+        witness."""
         for compiled in rules:  # every relation of the stratum that a round reads
             for atom in (compiled.rule.head, *compiled.rule.body):
                 if isinstance(atom, Atom) and atom.predicate in stratum_predicates:
@@ -979,7 +997,7 @@ class _Evaluator:
         relations = {name: relation for name, relation in self.model._relations.items()
                      if name[0] in stratum_predicates}
         before = {name: len(relation.rows) for name, relation in relations.items()}
-        for plan in plans:
+        for plan in self.plans([(compiled, None) for compiled in rules], stratum_predicates):
             plan()
         deltas = [(compiled, i) for compiled in rules for i in compiled.plan.deltas]
         rounds: Optional[list[Callable[[], None]]] = None
@@ -988,25 +1006,13 @@ class _Evaluator:
             if after == before:
                 break
             if rounds is None:
-                rounds = self.plans(deltas)
+                rounds = self.plans(deltas, stratum_predicates)
             self.windows.clear()
             for name, relation in relations.items():
                 self.windows[name] = _Relation(name[0], relation.rows[before[name]:after[name]])
             before = after
             for plan in rounds:
                 plan()
-
-
-def _starts_empty(compiled: _CompiledRule, derived: AbstractSet[str],
-                  relations: Mapping[tuple[str, int], _Relation]) -> bool:
-    """Whether a rule's static plan starts by scanning a predicate that no
-    rule derives and that holds no atom of the scanned arity."""
-    order = compiled.plan.order
-    first = compiled.rule.body[order[0]] if order else None
-    if not isinstance(first, Atom) or first.predicate in derived:
-        return False
-    relation = relations.get((first.predicate, len(first.terms)))
-    return relation is None or not relation.rows
 
 
 # -- public API ----------------------------------------------------------------
@@ -1040,29 +1046,17 @@ def evaluate(program: Program,
         rules = [_compile_rule(rule, plan, index)
                  for index, (rule, plan) in enumerate(zip(program.rules, analysis.plans))]
         graph.rules.extend((c.rule, c.support_predicates, c.checks) for c in rules)
-        # A static plan that starts by scanning an input predicate with no
-        # rows joins nothing and raises nothing, so it is not compiled.
-        derived = {rule.head.predicate for rule in program.rules if rule.head is not None}
-        static = [compiled for compiled in rules
-                  if not _starts_empty(compiled, derived, model._relations)]
-        plans = dict(zip([compiled.index for compiled in static],
-                         evaluator.plans([(compiled, None) for compiled in static])))
-        by_level: dict[int, list[_CompiledRule]] = {}
+        strata = [*analysis.stratification.strata, ()]  # the constraints' stratum last
+        stratum_rules: list[list[_CompiledRule]] = [[] for _ in strata]
         for compiled in rules:
-            if compiled.rule.head is not None:
-                level = analysis.stratification.level[compiled.rule.head.predicate]
-                by_level.setdefault(level, []).append(compiled)
-        for level, predicates in enumerate(analysis.stratification.strata):
-            stratum = by_level.get(level, [])
-            evaluator.run_stratum(stratum, [plans[c.index] for c in stratum if c.index in plans],
-                                  frozenset(predicates))
-
-        for compiled in rules:
-            if compiled.rule.head is None and compiled.index in plans:
-                try:
-                    plans[compiled.index]()
-                except _Found as witness:
-                    return Inconsistent(compiled.rule, witness.args[0])
+            head = compiled.rule.head
+            level = -1 if head is None else analysis.stratification.level[head.predicate]
+            stratum_rules[level].append(compiled)
+        try:
+            for stratum, predicates in zip(stratum_rules, strata):
+                evaluator.run_stratum(stratum, frozenset(predicates))
+        except _Found as found:
+            return Inconsistent(*found.args)
         return model, graph
     finally:
         if enabled:

@@ -2,7 +2,7 @@
 with the engine.
 
 For every recorded derivation: the supports are the rule's positive body
-atoms in written order, grounded by one binding. The same binding grounds
+atoms in the order of its static plan, grounded by one binding. The same binding grounds
 the head to the derived atom and reproduces every recorded check, with
 aggregates recounted over the final model, in the order of the rule's
 static plan, whichever plan found the binding.
@@ -37,14 +37,15 @@ def _holds(left, op, right):
 
 
 def _unify(atom, args, env):
-    """Extend env so that the atom's terms, none of them arithmetic, match args."""
+    """Extend env so that the atom's terms match args; a sum's variables
+    are already in env."""
     if len(atom.terms) != len(args):
         return False
     for term, arg in zip(atom.terms, args):
         if isinstance(term, Variable):
             if env.setdefault(term, arg) != arg:
                 return False
-        elif term != arg:
+        elif _value(term, env) != arg:
             return False
     return True
 
@@ -70,15 +71,15 @@ def _count(aggregate, env, model):
 
 
 def check_derivations(model, graph):
-    """Supports follow the static join order, which is the written order as
-    long as no positive atom holds arithmetic (such an atom waits for its
-    variables); the programs checked here have none."""
+    """Supports follow the static join order's atoms and are unified in
+    that order, so a sum inside an atom is worked out from the atoms before
+    it: in the programs checked here, only atoms bind what such a sum reads."""
     recorded = set(graph.fact_atoms)
     plans = analyze(Program(consts={}, rules=[rule for rule, *_ in graph.rules], facts=[])).plans
     for atom, derivation in graph.entries.items():
         rule = derivation.rule
-        positive = [literal for literal in rule.body if isinstance(literal, Atom)]
-        assert not any(isinstance(t, ArithTerm) for a in positive for t in a.terms)
+        static_order = plans[graph.records[atom][0]].order
+        positive = [rule.body[i] for i in static_order if isinstance(rule.body[i], Atom)]
         assert [s.predicate for s in derivation.supports] == [a.predicate for a in positive], \
             (atom, derivation)
         assert set(derivation.supports) <= recorded, f"{atom} rests on an atom recorded later"
@@ -106,7 +107,6 @@ def check_derivations(model, graph):
                 left, right = _value(literal.left, env), _value(literal.right, env)
                 assert _holds(left, literal.op, right), atom
                 checks[i] = ComparisonCheck(left, literal.op, right)
-        static_order = plans[graph.records[atom][0]].order
         assert tuple(checks[i] for i in static_order if i in checks) == derivation.checks, \
             (atom, derivation)
         assert Fact(rule.head.predicate, tuple(_value(t, env) for t in rule.head.terms)) == atom

@@ -7,9 +7,11 @@ every generated program safe and stratified by construction, so both
 evaluators must accept it and agree on the model.
 
 Two flavors keep the engines' arithmetic semantics comparable: "arith"
-programs draw constants from integers only and may use +/- inside guards;
-"mixed" programs draw from all three constant kinds but never do
-arithmetic, since adding a symbol is a runtime error by design.
+programs draw constants from integers only and may use +/- inside guards
+and inside positive body atoms, as ``V + k`` over a variable an earlier
+atom of the body binds or as a ground ``c + k``; "mixed" programs draw
+from all three constant kinds but never do arithmetic, since adding a
+symbol is a runtime error by design.
 
 About a third of the aggregates carry range guards on the counted
 variable (two-sided windows ``L0 >= V - k, L0 <= V`` in arith mode,
@@ -54,9 +56,12 @@ def _weighted_arity(rng: random.Random) -> int:
     return 3
 
 
-def generate_program(seed: int) -> str:
+def generate_program(seed: int, atom_arithmetic: bool = True) -> str:
+    """The program of a seed. With ``atom_arithmetic`` off no body atom holds
+    arithmetic, and each seed gives the program it gave before atoms could."""
     rng = random.Random(seed)
     arith_mode = rng.random() < 0.5
+    keyed = arith_mode and atom_arithmetic
     palette = list(INT_PALETTE) if arith_mode \
         else INT_PALETTE + SYM_PALETTE + STR_PALETTE
 
@@ -91,13 +96,19 @@ def generate_program(seed: int) -> str:
         n_pos = 1 + (rng.random() < 0.45)
         for _ in range(n_pos):
             pred = rng.choice(same_or_lower)
+            earlier = list(bound)  # bound by the atoms before this one, so V + k is safe
             args = []
             for _ in range(pred.arity):
                 if rng.random() < 0.8:
+                    if keyed and earlier and rng.random() < 0.3:
+                        args.append(f"{rng.choice(earlier)} {rng.choice('+-')} {rng.choice('01')}")
+                        continue
                     var = rng.choice(pool)
                     args.append(var)
                     if var not in bound:
                         bound.append(var)
+                elif keyed and rng.random() < 0.4:
+                    args.append(f"{const()} {rng.choice('+-')} {rng.choice('01')}")
                 else:
                     args.append(const())
             body.append(f"{pred.name}({','.join(args)})")

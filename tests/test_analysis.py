@@ -100,12 +100,14 @@ class TestJoinOrder:
 
     # The engine planner that join_order replaced gave these orders: the
     # static one and one per body index taken first, for every rule of the
-    # bundled program and of progen seeds 0-199, 4,856 orders in all.
+    # bundled program and of progen seeds 0-199 with no arithmetic in an
+    # atom, 4,856 orders in all.
     ORDERS_DIGEST = "f676f1b880b7606816b8c0992cc537d2a2ae58c3cd8ffc89686e2bb17005e0bc"
 
     def test_the_orders_of_the_former_planner(self):
         lines = []
-        for text in [default_program()] + [generate_program(seed) for seed in range(200)]:
+        for text in [default_program()] + [generate_program(seed, atom_arithmetic=False)
+                                           for seed in range(200)]:
             for rule in parse_program(text).rules:
                 lines.append(" ".join(map(str, orders(rule, [None, *range(len(rule.body))]))))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.ORDERS_DIGEST
@@ -134,14 +136,14 @@ class TestAnalysis:
                   if isinstance(rule.body[i], Atom) and rule.body[i].predicate in stratum]
         return outer, order, conditions, deltas
 
-    # progen draws no arithmetic in a recursive atom
+    # the progen seeds read here draw no arithmetic in a recursive atom
     ARITHMETIC = ["count(0). count(X) :- count(X - 1), limit(X). limit(1).",
                   "p(1). q(1). p(X) :- p(X - 1), p(X), q(X), #count{Y : q(Y), Y < X} > 0."]
 
     def test_orders_equal_join_orders(self):
         deltas = arithmetic = 0
-        for text in [default_program()] + [generate_program(seed) for seed in range(200)] \
-                + self.ARITHMETIC:
+        for text in [default_program()] + [generate_program(seed, atom_arithmetic=False)
+                                           for seed in range(200)] + self.ARITHMETIC:
             program = parse_program(text)
             result = analyze(program)
             assert result.stratification == stratify(program)

@@ -478,6 +478,19 @@ class TestWideRecursion:
                            f"{MAX_STRATUM_ATOMS}\n")
 
 
+class TestArithmeticOnASymbol:
+    """A sum on a symbol inside a body atom ends in the evaluate stage even
+    when the atom's predicate has no facts and no rule derives it."""
+
+    def test_first_atom_over_an_empty_input(self, capsys, sample_path, tmp_path):
+        rules = tmp_path / "r.lp"
+        rules.write_text("p(X) :- q(1 + a, X).\n")
+        code, out, err = run_main(capsys, ["detect", str(sample_path), "--rules", str(rules)]
+                                  + BASE)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error in evaluate stage: 1:1: arithmetic on non-integer constant (1 + a)\n"
+
+
 class TestHugeIntegers:
     """Integers past the interpreter's digit limit for writing one out end in
     a named stage error: a literal in the rules stage, at its line and

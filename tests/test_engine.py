@@ -842,9 +842,8 @@ class TestQueryOrder:
         assert [atom.args for atom in query(model, "p")] == expected
 
 
-def generated_source(monkeypatch, text):
-    """The model of a program, checked against the oracle, and the source
-    of every plan compiled for it."""
+def recorded_sources(monkeypatch):
+    """The list that every batch of source compiled from now on joins."""
     sources = []
     compile_plans = engine._compile
 
@@ -852,6 +851,13 @@ def generated_source(monkeypatch, text):
         sources.append(source)
         return compile_plans(source)
     monkeypatch.setattr(engine, "_compile", recording)
+    return sources
+
+
+def generated_source(monkeypatch, text):
+    """The model of a program, checked against the oracle, and the source
+    of every plan compiled for it."""
+    sources = recorded_sources(monkeypatch)
     return agrees_with_oracle(text), "\n".join(sources)
 
 
@@ -909,6 +915,45 @@ window(None, N) :- class(None, _), None < 2,
             if was:
                 gc.enable()
         assert generated == []
+
+
+class TestPlansThatJoinNothing:
+    """A plan is not compiled when its first literal is an atom with no
+    arithmetic over a complete relation, one outside the stratum, that
+    holds no row at its arity; a stratum left with no plan compiles
+    nothing. A first atom that holds arithmetic is compiled and raises as
+    the oracle does, however empty its relation."""
+
+    ERROR = "1:1: arithmetic on non-integer constant (1 + a)"
+
+    @pytest.mark.parametrize("text", [
+        "p(X) :- q(1 + a, X).",
+        "p(X) :- q(1 + a, X). q(X, Y) :- r(X, Y).",
+        "p(X) :- q(1 + a, X). q(1, 2).",
+        "p(X) :- r(1 + a), q(X).",
+        ":- q(1 + a).",
+    ], ids=["input-empty", "derived-empty", "with-facts", "before-an-empty-atom", "constraint"])
+    def test_arithmetic_in_the_first_atom_raises(self, text):
+        program = parse_program(text)
+        with pytest.raises(EvaluationError) as raised:
+            evaluate(program)
+        assert str(raised.value) == self.ERROR
+        with pytest.raises(OracleEvaluationError):
+            naive_oracle(program)
+
+    def test_bundled_rules_over_logins_only(self, monkeypatch):
+        sources = recorded_sources(monkeypatch)
+        program = parse_program(RULES_TEXT)
+        logins = [fact("login_attempt", "10.0.0.9", t, Symbol("failed"), "root")
+                  for t in range(0, 100, 10)]
+        model, _ = evaluate(program, logins)
+        assert len(model.atoms("potential_brute_force")) == 6
+        # stratum 0 and the constraints have no rule, and compile no empty batch
+        assert sources and all(source.startswith("def ") for source in sources)
+        # an emit stores its record, which starts with the rule's index
+        emitting = {program.rules[int(index)].head.predicate for source in sources
+                    for index in re.findall(r"\[h\d+\] = \((\d+)\b", source)}
+        assert emitting == {"failed_count", "potential_brute_force"}
 
 
 def loops(source):
