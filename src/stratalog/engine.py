@@ -22,10 +22,13 @@ constant, relation and helper by reference, never by value.
 
 The model holds one relation per predicate and arity, with one kind of
 index: a hash map from the values at a set of positions to exactly the rows
-that hold them, built on first use and kept current. A ``#count`` of one
-range-guarded variable is answered by bisecting the sorted values of that
-variable in each bucket of the index on its group positions; every other
-aggregate enumerates its matches.
+that hold them, kept current once built. A generated function fetches each
+index it reads once, at its top, which builds the index if it does not exist
+yet. A ``#count`` of one range-guarded variable is answered from the sorted
+values of that variable in each bucket of the index on its group positions:
+the range starts as the whole bucket and each guard, in the condition's join
+order, narrows it by one bisection. Every other aggregate enumerates its
+matches.
 
 A relation maps each argument tuple to its :data:`Record`: the rule and
 supports that first derived the atom, from which any alert unfolds into
@@ -527,15 +530,15 @@ class _Found(Exception):
 
 class _Function:
     """A generated function: its name, its parameters, its body as indented
-    lines, and its locals that start as None, each an index that its scan
-    fetches the first time it runs."""
+    lines, and its prelude: each index it reads, as the expression that
+    fetches it and the local set to it once, at the top of the function."""
 
-    __slots__ = ("name", "params", "lines", "lazy")
+    __slots__ = ("name", "params", "lines", "prelude")
 
     def __init__(self, name: str, params: Sequence[str]) -> None:
         self.name, self.params = name, tuple(params)
         self.lines: list[str] = []
-        self.lazy: list[str] = []
+        self.prelude: dict[str, str] = {}  # expression -> its local
 
     def write(self, depth: int, line: str) -> None:
         self.lines.append("    " * (depth + 1) + line)
@@ -576,12 +579,12 @@ class _Source:
         defined the namespace is emptied and holds no reference cycle."""
         lines: list[str] = []
         for function in reversed(self.functions):  # a helper before its caller
-            used = dict.fromkeys(re.findall(_REFERENCE, "\n".join(function.lines)))
+            body = [*(f"    {name} = {fetch}" for fetch, name in function.prelude.items()),
+                    *function.lines]
+            used = dict.fromkeys(re.findall(_REFERENCE, "\n".join(body)))
             params = [*function.params, *(f"{name}={name}" for name in used)]
             lines.append(f"def {function.name}({', '.join(params)}):")
-            if function.lazy:
-                lines.append(f"    {' = '.join(function.lazy)} = None")
-            lines.extend(function.lines)
+            lines.extend(body)
         exec(_compile("\n".join(lines)), self.namespace)
         built = [self.namespace[name] for name in names]
         self.namespace.clear()
@@ -692,16 +695,12 @@ class _PlanWriter:
             return name
         return self.ref(term)
 
-    def fetch(self, function: _Function, depth: int, expression: str) -> str:
-        """A local set to an expression the first time this point is reached
-        in a call of the function: at once at its top level, else through a
-        local that starts as None."""
-        name = self.local("i")
-        if depth:
-            function.lazy.append(name)
-            function.write(depth, f"if {name} is None:")
-            depth += 1
-        function.write(depth, f"{name} = {expression}")
+    def fetch(self, function: _Function, expression: str) -> str:
+        """The local that the function sets to an index's expression once,
+        at its top."""
+        name = function.prelude.get(expression)
+        if name is None:
+            name = function.prelude[expression] = self.local("i")
         return name
 
     def key(self, function: _Function, depth: int, terms: Sequence[Term],
@@ -720,8 +719,8 @@ class _PlanWriter:
         current round's window. Only a model relation of the stratum being
         evaluated grows during a scan, so only its rows are cut to their
         length at the start: a delta window is a copy, and a lower stratum
-        is complete. An index is fetched, and so built, when its scan first
-        runs in a call of the function."""
+        is complete. The index is fetched at the top of the function, and
+        so built, if it does not exist yet, when the function is called."""
         positions: list[int] = []
         key_terms: list[Term] = []
         targets: list[str] = []  # per position, the local it sets or "_"
@@ -745,7 +744,7 @@ class _PlanWriter:
             relation = self.ref(self.source.evaluator.model.relation(*name))
         if positions:
             key = self.key(function, depth, key_terms, bound)
-            lookup = self.fetch(function, depth, f"{relation}.index({tuple(positions)!r})")
+            lookup = self.fetch(function, f"{relation}.index({tuple(positions)!r})")
             rows = f"{lookup}.get({key}, ())"
         else:
             rows = f"{relation}.rows"
@@ -753,19 +752,10 @@ class _PlanWriter:
             cut = self.local("x")
             function.write(depth, f"{cut} = {rows}")
             rows = f"{self.ref(islice)}({cut}, {self.ref(len)}({cut}))"
-        used = [target for target in targets if target != "_"]
-        unpack = bool(used) and 2 * len(used) >= len(targets)
         row = self.local("a")
-        if unpack and index is None:  # no record needs the row itself
-            function.write(depth, f"for {', '.join(targets)}, in {rows}:")
-        else:
-            function.write(depth, f"for {row} in {rows}:")
-            if unpack:
-                function.write(depth + 1, f"{', '.join(targets)}, = {row}")
-            else:
-                for position, target in enumerate(targets):
-                    if target != "_":
-                        function.write(depth + 1, f"{target} = {row}[{position}]")
+        function.write(depth, f"for {row} in {rows}:")
+        if any(target != "_" for target in targets):
+            function.write(depth + 1, f"{', '.join(targets)}, = {row}")
         for target, slot in repeats:
             function.write(depth + 1, f"if {target} != v{slot}: continue")
         if index is not None:
@@ -816,7 +806,7 @@ class _PlanWriter:
             elements = self.enumerate(function, depth, literal, index, bound)
             function.write(depth, f"{count} = {self.ref(len)}({elements})")
         else:
-            self.range_count(function, depth, literal, index, bound, plan, count)
+            self.range_count(function, depth, bound, plan, count)
         op = literal.op
         if literal.is_assignment:
             assert isinstance(literal.bound, Variable)
@@ -855,45 +845,28 @@ class _PlanWriter:
                    bound, collect, self.slots_of(terms), (elements,), False)
         return elements
 
-    def range_count(self, function: _Function, depth: int, literal: AggregateLiteral,
-                    index: int, bound: frozenset[int], plan: _RangeCount, count: str) -> None:
-        """Set ``count`` by bisecting the group's sorted keys. Guards are
-        never evaluated over an empty group; a guard that raises sends the
-        count down the general path, which raises its own error."""
-        groups = self.fetch(function, depth, f"{self.ref(self.source.evaluator.range_index)}"
-                                             f"({self.ref(plan.index)})")
-        keys = self.local("x")
+    def range_count(self, function: _Function, depth: int, bound: frozenset[int],
+                    plan: _RangeCount, count: str) -> None:
+        """Set ``count`` to how many of the group's sorted keys lie in range.
+        The range starts as the whole group; each guard, in the condition's
+        join order, narrows it from below or above by one bisection. A
+        guard's value is worked out only while the range holds a key, as
+        the general path works it out only on a row that passed the guards
+        before it, so the two raise alike."""
+        groups = self.fetch(function, f"{self.ref(self.source.evaluator.range_index)}"
+                                      f"({self.ref(plan.index)})")
+        keys, low = self.local("x"), self.local("l")
         function.write(depth, f"{keys} = {groups}.get("
-                              f"{self.key(function, depth, plan.key_terms, bound)})")
-        if not plan.guards:
-            function.write(depth, f"{count} = {self.ref(len)}({keys}) if {keys} else 0")
-            return
-        function.write(depth, f"if not {keys}:")
-        function.write(depth + 1, f"{count} = 0")
-        function.write(depth, "else:")
-        function.write(depth + 1, "try:")
-        values = []
-        for _, term in plan.guards:
-            values.append(self.local("t"))
-            value = self.value(function, depth + 2, term, bound)
-            function.write(depth + 2, f"{values[-1]} = {self.ref(constant_key)}({value})")
-        params = [f"v{slot}" for slot in sorted(bound & self.slots_of_literal(literal))]
-        general = self.source.function(params)
-        elements = self.enumerate(general, 0, literal, index, bound)
-        general.write(0, f"return {self.ref(len)}({elements})")
-        function.write(depth + 1, f"except {self.ref(EvaluationError)}:")
-        function.write(depth + 2, f"{count} = {general.name}({', '.join(params)})")
-        function.write(depth + 1, "else:")
-        lows, highs = [], []  # the bisections that bound the range from below, above
-        for (op, _), value in zip(plan.guards, values):
+                              f"{self.key(function, depth, plan.key_terms, bound)}, ())")
+        function.write(depth, f"{low}, {count} = 0, {self.ref(len)}({keys})")
+        for op, term in plan.guards:
+            function.write(depth, f"if {low} < {count}:")
+            value = self.value(function, depth + 1, term, bound)
             search = bisect_left if op in (">=", "<") else bisect_right
-            (lows if op in (">=", ">") else highs).append(f"{self.ref(search)}({keys}, {value})")
-        low = f"{self.ref(max)}(0, {', '.join(lows)})" if lows else "0"
-        high = f"{self.ref(min)}({self.ref(len)}({keys}), {', '.join(highs)})" if highs \
-            else f"{self.ref(len)}({keys})"
-        function.write(depth + 2, f"{count} = {high} - {low}")
-        function.write(depth + 2, f"if {count} < 0:")
-        function.write(depth + 3, f"{count} = 0")
+            narrowed = low if op in (">=", ">") else count
+            function.write(depth + 1, f"{narrowed} = {self.ref(search)}({keys}, "
+                                      f"{self.ref(constant_key)}({value}), {low}, {count})")
+        function.write(depth, f"{count} -= {low}")
 
     def emit(self, function: _Function, depth: int, bound: frozenset[int]) -> None:
         """The last step of a rule's plans: append the head atom if it is

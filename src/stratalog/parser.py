@@ -391,8 +391,9 @@ def parse_facts(text: str) -> list[Fact]:
     if program.rules:
         span = program.rules[0].span
         raise ParseError("facts file must contain only facts", span.line, span.column)
-    if program.consts:
-        raise ParseError("facts file must not define constants", 1, 1)
+    if program.consts:  # lexed again only here, for the first #const's place
+        const = next(token for token in _tokenize(text) if token.kind == "CONST")
+        raise ParseError("facts file must not define constants", const.line, const.column)
     return program.facts
 
 

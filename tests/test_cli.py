@@ -236,6 +236,14 @@ class TestFlags:
         assert code == EXIT_OK
         assert "account_anomaly" in out
 
+    def test_const_in_facts_file_is_reported_at_its_line(self, capsys, sample_path, tmp_path):
+        extra = tmp_path / "extra.facts"
+        extra.write_text("p(1).\n\n#const a = 1.\n")
+        code, out, err = run_main(
+            capsys, ["detect", str(sample_path), "--extra-facts", str(extra)] + BASE)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error in facts stage: 3:1: facts file must not define constants\n"
+
     def test_set_on_rule_file_rewrites_the_const_not_the_comment(
             self, capsys, sample_path, tmp_path):
         rules = tmp_path / "rules.lp"

@@ -465,6 +465,58 @@ class TestRangeCounts:
             " s(a, b). s(c, 3). p(c, 1). p(c, 2).")
         assert set(model.atoms("c")) == {(Symbol("a"), 0), (Symbol("c"), 1)}
 
+    def test_a_guard_after_one_that_empties_the_range_is_not_evaluated(self):
+        text = ("c(I, N) :- s(I, V), N = #count{T : p(I, T), T > 5, T >= V - 1}."
+                " s(a, b). p(a, 1). p(a, 2).")
+        assert range_counted(text) == [True]
+        model = agrees_with_oracle(text)
+        assert model.atoms("c") == [(Symbol("a"), 0)]
+
+    def test_a_guard_after_one_that_leaves_keys_raises(self):
+        text = ("c(I, N) :- s(I, V), N = #count{T : p(I, T), T > 1, T >= V - 1}."
+                " s(a, b). p(a, 1). p(a, 2).")
+        assert range_counted(text) == [True]
+        with pytest.raises(EvaluationError) as raised:
+            evaluate(parse_program(text))
+        assert str(raised.value) == "1:1: arithmetic on non-integer constant (b - 1)"
+        with pytest.raises(OracleEvaluationError):
+            naive_oracle(parse_program(text))
+
+    def test_three_guards_narrow_in_condition_order(self):
+        points = " ".join(f"p({group}, {t})." for t in range(8) for group in ("a", "z"))
+        text = ("c(I, N) :- s(I, L, H), N = #count{T : p(I, T), T >= L, H >= T, T > L + 1}."
+                f" s(a, 1, 6). s(z, q, 9). {points}")
+        assert range_counted(text) == [True]
+        model = agrees_with_oracle(text)
+        # z's first guard leaves no integer, so its third, q + 1, never runs
+        assert set(model.atoms("c")) == {(Symbol("a"), 4), (Symbol("z"), 0)}
+
+    VALUES = st.sampled_from(["0", "1", "2", "3", "5", "-1", "a", "b", '"x"', '"y"'])
+    SIDES = st.sampled_from(["V", "V + 1", "V - 1", "W", "0", "3", "-2", "b", "z", '"x"'])
+
+    @settings(max_examples=120, deadline=None)
+    @given(guards=st.lists(st.tuples(st.sampled_from(["<", "<=", ">", ">="]), SIDES,
+                                     st.booleans()), min_size=1, max_size=3),
+           points=st.lists(st.tuples(st.sampled_from("gh"), VALUES), max_size=6),
+           outer=st.lists(st.tuples(st.sampled_from("gh"), VALUES, VALUES),
+                          min_size=1, max_size=3))
+    def test_guards_raise_or_count_as_the_oracle_does(self, guards, points, outer):
+        condition = ", ".join(f"T {op} {side}" if left else f"{side} {op} T"
+                              for op, side, left in guards)
+        text = (f"c(G, V, W, N) :- s(G, V, W), N = #count{{T : p(G, T), {condition}}}.\n"
+                + " ".join([*(f"p({g}, {t})." for g, t in points),
+                            *(f"s({g}, {v}, {w})." for g, v, w in outer)]))
+        assert range_counted(text) == [True]
+        program = parse_program(text)
+        try:
+            expected = set(naive_oracle(program))
+        except OracleEvaluationError:
+            with pytest.raises(EvaluationError):
+                evaluate(program)
+        else:
+            model, _ = evaluate(program)
+            assert set(model) == expected
+
     def test_every_bundled_count_uses_the_range_index(self):
         flags = range_counted(RULES_TEXT)
         assert len(flags) == 4 and all(flags)
@@ -954,6 +1006,47 @@ class TestPlansThatJoinNothing:
         emitting = {program.rules[int(index)].head.predicate for source in sources
                     for index in re.findall(r"\[h\d+\] = \((\d+)\b", source)}
         assert emitting == {"failed_count", "potential_brute_force"}
+
+
+class TestPlanShape:
+    """Every step of a generated plan has one shape: a range count narrows
+    guard by guard with no fallback, each index a function reads is
+    fetched once at its top, and a scan binds its row by one unpacking."""
+
+    @staticmethod
+    def functions(sources):
+        return [function for source in sources
+                for function in re.split(r"\n(?=def )", source)]
+
+    def test_bundled_rules_over_logins_compile_two_functions(self, monkeypatch):
+        sources = recorded_sources(monkeypatch)
+        logins = [fact("login_attempt", "10.0.0.9", t, Symbol("failed"), "root")
+                  for t in range(0, 100, 10)]
+        model, _ = evaluate(parse_program(RULES_TEXT), logins)
+        assert len(model.atoms("potential_brute_force")) == 6
+        assert len(self.functions(sources)) == 2
+
+    @pytest.mark.parametrize("text", [
+        RULES_TEXT + 'login_attempt("10.0.0.9", 5, failed, root). session(1, x, opened, 5).',
+        TestGeneratedSource.HOSTILE,
+        WINDOW_TEXT + " attempt(a, 1). attempt(a, 2). attempt(b, 3).",
+        "reach(X, Z) :- reach(X, Y), reach(Y, Z). reach(X, Y) :- edge(X, Y)."
+        " edge(1, 2). edge(2, 3). edge(3, 1).",
+        "p(Y) :- q(X, Y), " + ", ".join(["p(X)"] * 20) + ". p(0). q(1, 2). q(0, 1).",
+    ], ids=["bundled", "hostile", "window", "nonlinear", "nested"])
+    def test_one_shape_per_step(self, monkeypatch, text):
+        _, source = generated_source(monkeypatch, text)
+        assert not re.search(r"\b(try|except)\b|\bis None\b", source)
+        for function in self.functions([source]):
+            lines = function.splitlines()
+            first_for = next((n for n, line in enumerate(lines)
+                              if line.lstrip().startswith("for ")), len(lines))
+            fetches = [n for n, line in enumerate(lines)
+                       if ".index(" in line or re.match(r"\s*i\d+ = ", line)]
+            assert all(n < first_for for n in fetches)
+            # a scan's row is unpacked in one line, never read by position
+            assert not re.search(r"\ba\d+\[\d+\]", function)
+            assert not re.search(r"for [^:]*,[^:]* in (?!k\d+\.values\(\))", function)
 
 
 def loops(source):

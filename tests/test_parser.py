@@ -352,6 +352,12 @@ class TestFactsOnlyParsing:
         with pytest.raises(ParseError):
             parse_facts("#const k = 1.")
 
+    def test_const_directive_is_reported_where_it_stands(self):
+        with pytest.raises(ParseError) as raised:
+            parse_facts('p(1).\n% "#const" in a comment\n  #const a = 1.\n#const b = 2.\n')
+        assert (raised.value.line, raised.value.column) == (3, 3)
+        assert str(raised.value) == "3:3: facts file must not define constants"
+
     def test_empty_input(self):
         assert parse_facts("") == []
         assert parse_facts("% nothing\n") == []

@@ -2,7 +2,10 @@
 lines, and alert counts equal to the benchmark generator's reference."""
 import importlib.util
 import io
+import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -14,7 +17,8 @@ import pytest
 from stratalog.cli import EXIT_OK, main
 from stratalog.ingest import LogEntry
 
-_CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_CORPUS = _ROOT / "bench" / "corpus.py"
 _spec = importlib.util.spec_from_file_location("corpus", _CORPUS)
 corpus = sys.modules["corpus"] = importlib.util.module_from_spec(_spec)  # for its dataclasses
 _spec.loader.exec_module(corpus)
@@ -72,3 +76,22 @@ def test_cli_counts_equal_the_benchmark_reference(tmp_path, workload, seed):
     counts = {kind: int(n) for kind, n in _SUMMARY.findall(summary) if kind != "total"}
     assert counts == manifest["expected"]
     assert sum(counts.values()) == int(summary.split()[1])
+
+
+@pytest.mark.parametrize("workload", ["hot", "closure"])
+def test_traced_benchmark_pass(tmp_path, workload):
+    """The benchmark's traced pass rebuilds the whole run from each layer's
+    public calls; one such pass, checked against the untimed one, must
+    succeed and report its layers."""
+    manifest = corpus.generate(workload, 1, tmp_path)
+    corpus.write_manifest(manifest, tmp_path / "manifest.json")
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(_ROOT / "bench" / "worker.py"), "--manifest",
+         str(tmp_path / "manifest.json"), "--seconds", "0", "--trace", "1",
+         "--spans-out", str(tmp_path / "spans.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, result["failures"]
+    assert isinstance(result["layers"], dict) and result["layers"]
