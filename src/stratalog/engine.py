@@ -52,7 +52,7 @@ from functools import cache, partial
 from itertools import chain, count, islice, repeat
 from operator import countOf, itemgetter
 from types import CodeType
-from typing import AbstractSet, Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .analysis import EvaluationError, RulePlan, analyze, literal_binds, literal_needs
 from .facts import Constant, Fact, constant_key, format_constant, new_tuple
@@ -196,6 +196,16 @@ class ComparisonCheck(NamedTuple):
         return f"{format_constant(self.left)} {self.op} {format_constant(self.right)}"
 
 
+class ThresholdCheck(ComparisonCheck):
+    """A comparison whose left side is a count: the rule reads it from the
+    position where its support's own rule puts a ``C = #count{...}``
+    result. :func:`explain` builds one in place of the
+    :class:`ComparisonCheck`, which it equals field for field and prints
+    as; a report labels it ``count C op threshold T``."""
+
+    __slots__ = ()
+
+
 class AggregateCheck(NamedTuple):
     count: int
     op: str  # '=' when the count was assigned to a variable
@@ -207,7 +217,7 @@ class AggregateCheck(NamedTuple):
         return f"count {self.count} {self.op} threshold {format_constant(self.bound)}"
 
 
-Check = Union[NafCheck, ComparisonCheck, AggregateCheck]
+Check = Union[NafCheck, ComparisonCheck, ThresholdCheck, AggregateCheck]
 
 
 class Derivation(NamedTuple):
@@ -287,9 +297,12 @@ class _FactAtoms(Set[Fact]):
 class DerivationGraph:
     """The first derivation of every atom of a model, read from the model
     itself: each relation maps an argument tuple to its record, None for an
-    input fact. ``rules[i]`` is rule i, its supports' predicates and what
-    builds each of its checks. ``records``, ``entries`` and ``fact_atoms``
-    are read-only views that build each :class:`Fact` as they yield it.
+    input fact. ``rules[i]`` is rule i, its supports' predicates, what
+    builds each of its checks, its possible count thresholds (check,
+    support and argument positions: see :class:`ThresholdCheck`) and the
+    head positions it puts a ``#count`` result at. ``records``, ``entries``
+    and ``fact_atoms`` are read-only views that build each :class:`Fact` as
+    they yield it.
 
     A record holds no :class:`Rule` and no check object, which the collector
     always tracks, so the collector can untrack it once it has untracked the
@@ -300,7 +313,7 @@ class DerivationGraph:
 
     def __init__(self, model: Model) -> None:
         self.model = model
-        self.rules: list[tuple[Rule, tuple[str, ...], tuple[Callable[[tuple], Check], ...]]] = []
+        self.rules: list[_RuleRecords] = []
 
     @property
     def records(self) -> Mapping[Fact, Record]:
@@ -330,7 +343,7 @@ class DerivationGraph:
 
     def resolve(self, record: Record) -> Derivation:
         """The derivation a record stands for, its supports as facts."""
-        rule, predicates, makers = self.rules[record[0]]
+        rule, predicates, makers, _, _ = self.rules[record[0]]
         end = 1 + len(predicates)
         supports = tuple([new_tuple(Fact, support) for support in zip(predicates, record[1:end])])
         checks = tuple([make(raw) for make, raw in zip(makers, record[end:])])
@@ -454,6 +467,30 @@ class _CompiledRule(NamedTuple):
     records: dict[int, int]  # body index -> its position in a Record
     support_predicates: tuple[str, ...]
     checks: tuple[Callable[[tuple], Check], ...]  # per check in a Record, what makes it
+    thresholds: tuple[tuple[int, int, int], ...]  # check, support and argument positions
+    counts: frozenset[int]  # the head positions holding a ``C = #count{...}`` result
+
+
+#: What :attr:`DerivationGraph.rules` holds per rule: the rule, then its
+#: ``support_predicates``, ``checks``, ``thresholds`` and ``counts``.
+_RuleRecords = tuple[Rule, tuple[str, ...], tuple[Callable[[tuple], Check], ...],
+                     tuple[tuple[int, int, int], ...], frozenset[int]]
+
+
+def _thresholds(rule: Rule, atoms: Sequence[int],
+                others: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
+    """Each comparison whose left side is a variable the rule takes from a
+    positive atom, as (its check's position, the atom's support position,
+    the variable's argument position), once per such occurrence."""
+    found = []
+    for check, i in enumerate(others):
+        literal = rule.body[i]
+        if isinstance(literal, Comparison) and isinstance(literal.left, Variable):
+            found.extend((check, support, position)
+                         for support, k in enumerate(atoms)
+                         for position, term in enumerate(rule.body[k].terms)
+                         if term == literal.left)
+    return tuple(found)
 
 
 def _compile_rule(rule: Rule, plan: RulePlan, index: int) -> _CompiledRule:
@@ -463,6 +500,9 @@ def _compile_rule(rule: Rule, plan: RulePlan, index: int) -> _CompiledRule:
             slots.setdefault(var, len(slots))
     atoms = [i for i in plan.order if isinstance(rule.body[i], Atom)]
     others = [i for i in plan.order if not isinstance(rule.body[i], Atom)]
+    counted = {literal.bound for literal in rule.body
+               if isinstance(literal, AggregateLiteral) and literal.is_assignment}
+    head_terms = () if rule.head is None else rule.head.terms
     return _CompiledRule(
         rule, index, plan, slots,
         range_counts={i: count for i in plan.conditions
@@ -470,7 +510,10 @@ def _compile_rule(rule: Rule, plan: RulePlan, index: int) -> _CompiledRule:
                       is not None},
         records={i: k for k, i in enumerate(atoms + others, 1)},
         support_predicates=tuple(rule.body[i].predicate for i in atoms),
-        checks=tuple(_CHECK_OF[type(rule.body[i])] for i in others))
+        checks=tuple(_CHECK_OF[type(rule.body[i])] for i in others),
+        thresholds=_thresholds(rule, atoms, others),
+        counts=frozenset(position for position, term in enumerate(head_terms)
+                         if term in counted))
 
 
 # -- generated join code ---------------------------------------------------------
@@ -1018,7 +1061,8 @@ def evaluate(program: Program,
         evaluator = _Evaluator(model)
         rules = [_compile_rule(rule, plan, index)
                  for index, (rule, plan) in enumerate(zip(program.rules, analysis.plans))]
-        graph.rules.extend((c.rule, c.support_predicates, c.checks) for c in rules)
+        graph.rules.extend((c.rule, c.support_predicates, c.checks, c.thresholds, c.counts)
+                           for c in rules)
         strata = [*analysis.stratification.strata, ()]  # the constraints' stratum last
         stratum_rules: list[list[_CompiledRule]] = [[] for _ in strata]
         for compiled in rules:
@@ -1057,23 +1101,48 @@ def query(model: Model, predicate: str) -> list[Fact]:
 
 def explain(graph: DerivationGraph, atom: Fact) -> DerivationNode:
     """Unfold an atom's first recorded derivation down to input facts: a
-    DAG with one node per derived atom, which unfolds to the tree of first
-    derivations; each input-fact leaf is a node of its own. Iterative, so a
-    derivation of any depth unfolds."""
-    nodes: dict[Fact, DerivationNode] = {}
+    DAG with one node per atom, which unfolds to the tree of first
+    derivations. A comparison of a count that a support's rule put where
+    the rule reads it is a :class:`ThresholdCheck`. Iterative, so a
+    derivation of any depth unfolds. Raises :class:`NotDerivedError` for an
+    atom the model does not hold."""
+    return _explain(graph, atom, {})
+
+
+def _explain(graph: DerivationGraph, atom: Fact,
+             nodes: dict[tuple, DerivationNode]) -> DerivationNode:
+    """:func:`explain` through ``nodes``, a memo from each atom, or its
+    plain ``(predicate, args)`` pair, to its node: callers that explain many
+    atoms of one graph share it, so an atom is resolved once. Records are
+    read straight from the model's relations."""
+    graph.record(atom)  # an atom not in the model raises here
+    relations, rules = graph.model._relations, graph.rules
     roots: list[DerivationNode] = []
-    pending: list[tuple[list[DerivationNode], Fact]] = [(roots, atom)]
-    record_of = graph.record
-    while pending:  # depth first, supports left to right
-        siblings, atom = pending.pop()
-        node = nodes.get(atom)
-        if node is None:
-            record = record_of(atom)
-            if record is None:
-                siblings.append(new_tuple(DerivationNode, (atom, None, (), [])))
-                continue
-            entry = graph.resolve(record)
-            node = nodes[atom] = new_tuple(DerivationNode, (atom, entry.rule, entry.checks, []))
-            pending.extend((node.children, support) for support in reversed(entry.supports))
-        siblings.append(node)
+    # (a node's children, its supports): each node joins its parent's
+    # children when it is made, in support order, and its own supports wait
+    pending: list[tuple[list[DerivationNode], Iterable[tuple]]] = [(roots, (atom,))]
+    while pending:
+        children, supports = pending.pop()
+        for support in supports:
+            node = nodes.get(support)
+            if node is None:
+                predicate, args = support
+                record = relations[predicate, len(args)].atoms[args]
+                if record is None:
+                    node = new_tuple(DerivationNode, (new_tuple(Fact, support), None, (), []))
+                else:
+                    rule, predicates, makers, thresholds, _ = rules[record[0]]
+                    end = 1 + len(predicates)
+                    checks = [make(raw) for make, raw in zip(makers, record[end:])]
+                    for check, position, argument in thresholds:
+                        row = record[1 + position]
+                        source = relations[predicates[position], len(row)].atoms[row]
+                        if source is not None and argument in rules[source[0]][4]:
+                            checks[check] = new_tuple(ThresholdCheck, checks[check])
+                    below: list[DerivationNode] = []
+                    node = new_tuple(DerivationNode, (new_tuple(Fact, support), rule,
+                                                      tuple(checks), below))
+                    pending.append((below, zip(predicates, record[1:end])))
+                nodes[support] = node
+            children.append(node)
     return roots[0]

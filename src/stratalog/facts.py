@@ -10,7 +10,8 @@ comparing one runs in C, and so does building one with :data:`new_tuple`,
 as the engine does for each atom it derives. It hashes as the tuple of its
 fields and equals the plain tuple of its fields:
 ``Fact("p", (1,)) == ("p", (1,))``. A :class:`Symbol` stays a class of its
-own, since it validates its name and must not equal ``("name",)``.
+own, since it validates its name and must not equal ``("name",)``; it is
+interned, one instance per name, so it compares and hashes by identity.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import re
 from typing import IO, Iterable, NamedTuple, Union
 
 _SYMBOL_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+_SYMBOLS: dict[str, "Symbol"] = {}  # name -> its one instance
 
 
 class Frozen:
@@ -37,20 +39,24 @@ class Frozen:
 
 
 class Symbol(Frozen):
-    """A bare lowercase identifier constant, distinct from the string kind."""
+    """A bare lowercase identifier constant, distinct from the string kind.
+
+    Symbols are interned: ``Symbol(name)`` returns the one instance made for
+    that name, so equality and hashing are identity and run in C. The table
+    keeps every name made in the process, as ``sys.intern`` does."""
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        if not _SYMBOL_RE.match(name):
-            raise ValueError(f"invalid symbol: {name!r}")
-        object.__setattr__(self, "name", name)
-
-    def __eq__(self, other: object) -> bool:
-        return self.name == other.name if other.__class__ is Symbol else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
+    def __new__(cls, name: str) -> Symbol:
+        symbol = _SYMBOLS.get(name)
+        if symbol is None:
+            if not _SYMBOL_RE.match(name):
+                raise ValueError(f"invalid symbol: {name!r}")
+            symbol = object.__new__(cls)
+            object.__setattr__(symbol, "name", name)
+            # two threads making one name both get the instance stored first
+            symbol = _SYMBOLS.setdefault(name, symbol)
+        return symbol
 
     def __str__(self) -> str:
         return self.name

@@ -2,9 +2,13 @@
 
 ``detect`` runs ingest output through fact extraction and rule evaluation,
 then maps every atom of the anomaly catalog to an :class:`Alert` carrying
-its full derivation tree. Alerts render as indented text for reading or as
-json-lines for machines; both renderings are byte-deterministic for a fixed
-input and configuration.
+its derivation, a DAG of :class:`~stratalog.engine.DerivationNode`; all
+alerts of a run are explained through one memo. Alerts render as indented
+text for reading or as json-lines for machines, each derivation as a DAG:
+a derived atom met again inside one alert refers back to its first
+occurrence (``[see #k]``, or a JSON ``see`` object). Each render call
+formats every constant, atom, rule tag and day once. Both renderings are
+byte-deterministic for a fixed input and configuration.
 
 Pipeline failures surface as :class:`StageError` naming the failing stage;
 a violated constraint is not an error but a distinguished result
@@ -17,17 +21,18 @@ from collections import Counter
 from datetime import datetime, timezone, tzinfo
 from pathlib import Path
 from types import MappingProxyType
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .engine import (
-    AggregateCheck,
     ComparisonCheck,
     DerivationGraph,
     DerivationNode,
     Inconsistent,
     Model,
+    ThresholdCheck,
+    _explain,
     evaluate,
-    explain,
     query,
 )
 from .extract import DEFAULT_TABLE, MappingTable, entries_to_facts
@@ -162,7 +167,10 @@ def _load_extra_facts(config: RunConfig) -> list[Fact]:
 
 
 def _alerts_from_model(model: Model, graph: DerivationGraph) -> list[Alert]:
+    """Every catalog alert of the model, explained through one memo, so an
+    atom that several alerts rest on is resolved once."""
     alerts: list[Alert] = []
+    nodes: dict[tuple, DerivationNode] = {}
     for entry in ANOMALY_CATALOG:
         for atom in query(model, entry.predicate):
             if len(atom.args) != entry.arity:
@@ -175,7 +183,7 @@ def _alerts_from_model(model: Model, graph: DerivationGraph) -> list[Alert]:
                 else:
                     entities[role] = value
             alerts.append(Alert(entry.kind, entities, timestamps, atom,
-                                explain(graph, atom)))
+                                _explain(graph, atom, nodes)))
     alerts.sort(key=Alert.sort_key)
     return alerts
 
@@ -232,17 +240,85 @@ def _iso(ts: int) -> str:
         raise StageError("report", "a timestamp is outside the years 1 to 9999") from None
 
 
-def _render_check(check, node: DerivationNode) -> str:
-    if isinstance(check, ComparisonCheck) and isinstance(check.left, int):
-        # A comparison consuming a counted value reads better as a
-        # threshold statement; detect the count in a direct support.
-        for child in node.children:
-            for inner in child.checks:
-                if isinstance(inner, AggregateCheck) and inner.op == "=" \
-                        and inner.count == check.left:
-                    return (f"count {check.left} {check.op} "
-                            f"threshold {format_constant(check.right)}")
-    return str(check)
+class _Constants(dict):
+    """Each constant's text, formatted when first asked for."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: Constant) -> str:
+        text = self[value] = str(value) if value.__class__ is int else format_constant(value)
+        return text
+
+
+class _Atoms(dict):
+    """Each atom's text, formatted when first asked for."""
+
+    __slots__ = ("constants",)
+
+    def __init__(self, constants: _Constants) -> None:
+        super().__init__()
+        self.constants = constants
+
+    def __missing__(self, atom: Fact) -> str:
+        predicate, args = atom
+        text = self[atom] = (f"{predicate}({','.join(map(self.constants.__getitem__, args))})"
+                             if args else predicate)
+        return text
+
+
+class _Days(dict):
+    """Each day's ISO date prefix, ``YYYY-MM-DDT``; a day is 86,400
+    seconds in UTC, which has no leap seconds."""
+
+    __slots__ = ()
+
+    def __missing__(self, day: int) -> str:
+        prefix = self[day] = _iso(day * 86400)[:11]
+        return prefix
+
+
+class _Texts:
+    """What one render call formats once: each constant's text, each
+    atom's, each rule's tag (by ``id``, as its ``  [rule at L:C]`` suffix
+    and its ``L:C`` position) and each day's ISO date prefix."""
+
+    __slots__ = ("constants", "atoms", "tags", "positions", "days")
+
+    def __init__(self) -> None:
+        self.constants = _Constants()
+        self.atoms = _Atoms(self.constants)
+        self.tags: dict[int, str] = {}
+        self.positions: dict[int, str] = {}
+        self.days = _Days()
+
+    def tag(self, rule) -> str:
+        """Store and return the rule's tag; a caller reads ``tags`` first."""
+        tag = self.tags[id(rule)] = f"  [rule at {self.position(rule)}]"
+        return tag
+
+    def position(self, rule) -> str:
+        position = self.positions.get(id(rule))
+        if position is None:
+            span = rule.span
+            position = self.positions[id(rule)] = f"{span.line}:{span.column}"
+        return position
+
+    def iso(self, ts: int) -> str:
+        """``_iso(ts)``, its date worked out once per day."""
+        day, seconds = divmod(ts, 86400)
+        minutes, second = divmod(seconds, 60)
+        hour, minute = divmod(minutes, 60)
+        return f"{self.days[day]}{hour:02d}:{minute:02d}:{second:02d}+00:00"
+
+    def check(self, check) -> str:
+        """A check's line: a :class:`ThresholdCheck` reads as a threshold
+        statement."""
+        kind, constants = type(check), self.constants
+        if kind is ThresholdCheck:
+            return f"count {constants[check.left]} {check.op} threshold {constants[check.right]}"
+        if kind is ComparisonCheck:
+            return f"{constants[check.left]} {check.op} {constants[check.right]}"
+        return str(check)
 
 
 #: The deepest level of a derivation line that is indented; a deeper line
@@ -250,38 +326,53 @@ def _render_check(check, node: DerivationNode) -> str:
 #: text of a derivation grows linearly with its depth.
 MAX_INDENT = 32
 
+_PADS = tuple("  " * level for level in range(MAX_INDENT + 1))
+
 
 def _pad(level: int) -> str:
     if level <= MAX_INDENT:
-        return "  " * level
-    return f"{'  ' * MAX_INDENT}[{level}] "
+        return _PADS[level]
+    return f"{_PADS[MAX_INDENT]}[{level}] "
 
 
-def _render_node(root: DerivationNode, indent: int, lines: list[str]) -> None:
-    """Indented text of a derivation tree: each rule node's line, then its
-    children, then its checks. Iterative, so any depth renders."""
-    pending: list[Union[tuple[DerivationNode, int], str]] = [(root, indent)]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, str):
-            lines.append(item)
-            continue
-        node, depth = item
+def _render_node(root: DerivationNode, indent: int, texts: _Texts, lines: list[str]) -> None:
+    """Indented text of a derivation DAG: each atom's line, then, for a
+    derived atom, its supports and its checks. The first line of a derived
+    atom unfolds it; a later one is ``[see #k]``, k the first one's place
+    among the atom lines, counting from 1. Iterative, so any depth renders."""
+    atoms, tags, check = texts.atoms, texts.tags, texts.check
+    seen: dict[Fact, int] = {}  # derived atom -> the number of its first line
+    number = 0
+    # per atom being unfolded: its supports still to print, their level, and
+    # its check lines, which follow them
+    stack: list[tuple[Iterator[DerivationNode], int, list[str]]] = [(iter((root,)), indent, [])]
+    while stack:
+        nodes, depth, after = stack[-1]
         pad = _pad(depth)
-        if node.is_fact:
-            lines.append(f"{pad}{node.atom}  [input fact]")
-            continue
-        span = node.rule.span
-        lines.append(f"{pad}{node.atom}  [rule at {span.line}:{span.column}]")
-        check_pad = _pad(depth + 1)
-        pending.extend(f"{check_pad}{_render_check(check, node)}"
-                       for check in reversed(node.checks))
-        pending.extend((child, depth + 1) for child in reversed(node.children))
+        for atom, rule, checks, children in nodes:
+            number += 1
+            if rule is None:
+                lines.append(f"{pad}{atoms[atom]}  [input fact]")
+                continue
+            first = seen.get(atom)
+            if first is not None:
+                lines.append(f"{pad}{atoms[atom]}  [see #{first}]")
+                continue
+            seen[atom] = number
+            lines.append(f"{pad}{atoms[atom]}{tags.get(id(rule)) or texts.tag(rule)}")
+            below = _pad(depth + 1)
+            stack.append((iter(children), depth + 1, [below + check(c) for c in checks]))
+            break
+        else:
+            stack.pop()
+            lines.extend(after)
 
 
-def _header(kind: str, entities: dict[str, Constant], parts: Sequence[str]) -> str:
+def _header(kind: str, entities: dict[str, Constant], parts: Sequence[str],
+            texts: _Texts) -> str:
+    constants = texts.constants
     return " ".join([f"{kind}:",
-                     *(f"{role}={format_constant(value)}" for role, value in entities.items()),
+                     *(f"{role}={constants[value]}" for role, value in entities.items()),
                      *parts])
 
 
@@ -298,23 +389,34 @@ def _json_value(value: Constant):
     return value
 
 
-def _json_time(ts: Optional[int]) -> Optional[dict]:
-    return None if ts is None else {"unix": ts, "iso": _iso(ts)}
+def _json_time(ts: Optional[int], texts: _Texts) -> Optional[dict]:
+    return None if ts is None else {"unix": ts, "iso": texts.iso(ts)}
 
 
-def _json_explanation(root: DerivationNode) -> dict:
+def _json_explanation(root: DerivationNode, texts: _Texts) -> dict:
+    """The JSON of a derivation DAG: one object per atom, numbered from 1
+    in pre-order. A derived atom's first object unfolds it; a later one is
+    ``{"atom": ..., "see": k}``, k the first one's number."""
+    atoms, check = texts.atoms, texts.check
+    seen: dict[Fact, int] = {}
+    number = 0
     records: list[dict] = []
     pending: list[tuple[list[dict], DerivationNode]] = [(records, root)]
     while pending:
-        siblings, node = pending.pop()
-        record = {
-            "atom": str(node.atom),
-            "rule": None if node.is_fact else f"{node.rule.span.line}:{node.rule.span.column}",
-            "checks": [_render_check(check, node) for check in node.checks],
-            "supports": [],
-        }
-        siblings.append(record)
-        pending.extend((record["supports"], child) for child in reversed(node.children))
+        siblings, (atom, rule, checks, children) = pending.pop()
+        number += 1
+        if rule is None:
+            siblings.append({"atom": atoms[atom], "rule": None, "checks": [], "supports": []})
+            continue
+        first = seen.get(atom)
+        if first is not None:
+            siblings.append({"atom": atoms[atom], "see": first})
+            continue
+        seen[atom] = number
+        supports: list[dict] = []
+        siblings.append({"atom": atoms[atom], "rule": texts.position(rule),
+                         "checks": [check(c) for c in checks], "supports": supports})
+        pending.extend(zip(repeat(supports), reversed(children)))
     return records[0]
 
 
@@ -322,59 +424,68 @@ _Row = Union[Alert, GroupedAlert]
 
 
 def _render(rows: Sequence[_Row], output: str, kinds: Sequence[str],
-            record: Callable[[_Row], dict],
-            text: Callable[[_Row], tuple[list[str], list[str]]]) -> str:
+            record: Callable[[_Row, _Texts], dict],
+            text: Callable[[_Row, _Texts], tuple[list[str], list[str]]]) -> str:
     """The report skeleton shared by alerts and grouped summaries.
 
     json: one object per row, its kind and entities first, then the fields
     ``record`` gives. text: per row a header line (kind, entities, then the
     parts ``text`` gives) followed by the row's own lines, and a closing
-    summary line counting ``kinds``.
+    summary line counting ``kinds``. Both callbacks format through the
+    call's one :class:`_Texts`.
     """
+    texts = _Texts()
     if output == "json":
         try:
             return "".join(
                 json.dumps({"kind": row.kind,
                             **{role: _json_value(value) for role, value in row.entities.items()},
-                            **record(row)}) + "\n"
+                            **record(row, texts)}) + "\n"
                 for row in rows)
         except RecursionError:  # json.dumps recurses once per nesting level
             raise StageError("report", "derivation too deep to encode as JSON") from None
     lines = [] if rows else ["no anomalies detected"]
     for row in rows:
-        parts, body = text(row)
-        lines.append(_header(row.kind, row.entities, parts))
+        parts, body = text(row, texts)
+        lines.append(_header(row.kind, row.entities, parts, texts))
         lines.extend(body)
     lines.append(_summary_line(kinds))
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + "\n"
 
 
 def render_alerts(alerts: Sequence[Alert], output: str) -> str:
-    """Render alerts as readable text or json-lines (one object per alert)."""
-    def record(alert: Alert) -> dict:
-        return {"timestamps": [_json_time(ts) for ts in alert.timestamps],
-                "explanation": _json_explanation(alert.explanation)}
+    """Render alerts as readable text or json-lines (one object per alert).
 
-    def text(alert: Alert) -> tuple[list[str], list[str]]:
+    Each alert's derivation prints as a DAG: inside one alert, a derived
+    atom that occurs again prints as ``{pad}{atom}  [see #k]`` in text and
+    as ``{"atom": ..., "see": k}`` in JSON, k the place of its first
+    occurrence among the alert's atoms in pre-order, the root being 1.
+    Input facts repeat in full. Constants, atoms, rule tags and dates are
+    formatted once per call."""
+    def record(alert: Alert, texts: _Texts) -> dict:
+        return {"timestamps": [_json_time(ts, texts) for ts in alert.timestamps],
+                "explanation": _json_explanation(alert.explanation, texts)}
+
+    def text(alert: Alert, texts: _Texts) -> tuple[list[str], list[str]]:
         body: list[str] = []
-        _render_node(alert.explanation, 1, body)
+        _render_node(alert.explanation, 1, texts, body)
         body.append("")
-        return [f"at {ts} ({_iso(ts)})" for ts in alert.timestamps], body
+        return [f"at {ts} ({texts.iso(ts)})" for ts in alert.timestamps], body
 
     return _render(alerts, output, [a.kind for a in alerts], record, text)
 
 
 def render_grouped(groups: Sequence[GroupedAlert], output: str) -> str:
     """Render grouped summaries in the same two formats."""
-    def record(g: GroupedAlert) -> dict:
-        return {"count": g.count, "first": _json_time(g.first_timestamp),
-                "last": _json_time(g.last_timestamp)}
+    def record(g: GroupedAlert, texts: _Texts) -> dict:
+        return {"count": g.count, "first": _json_time(g.first_timestamp, texts),
+                "last": _json_time(g.last_timestamp, texts)}
 
-    def text(g: GroupedAlert) -> tuple[list[str], list[str]]:
+    def text(g: GroupedAlert, texts: _Texts) -> tuple[list[str], list[str]]:
         parts = [f"count={g.count}"]
         if g.first_timestamp is not None:
-            parts.append(f"first={g.first_timestamp} ({_iso(g.first_timestamp)})")
-            parts.append(f"last={g.last_timestamp} ({_iso(g.last_timestamp)})")
+            parts.append(f"first={g.first_timestamp} ({texts.iso(g.first_timestamp)})")
+            parts.append(f"last={g.last_timestamp} ({texts.iso(g.last_timestamp)})")
         return parts, []
 
     kinds = [g.kind for g in groups for _ in range(g.count)]

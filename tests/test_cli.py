@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -381,6 +382,71 @@ class TestDeepDerivation:
 
 def _sum(ones: int) -> str:
     return "+".join(["1"] * ones)
+
+
+class TestThresholdLabel:
+    def test_a_value_equal_to_a_count_is_no_threshold(self, capsys, sample_path, tmp_path):
+        # X equals the count beside it, but the rules put no count at X's place
+        rules = tmp_path / "rules.lp"
+        rules.write_text("a(1).\nb(X, C) :- a(X), C = #count{Y : a(Y)}.\n"
+                         "system_issue(x, X) :- b(X, C), X >= 0.\n")
+        argv = ["detect", str(sample_path), "--rules", str(rules)] + BASE
+        code, out, err = run_main(capsys, argv)
+        assert code == EXIT_OK, err
+        assert out.splitlines()[1:6] == [
+            "  system_issue(x,1)  [rule at 3:1]",
+            "    b(1,1)  [rule at 2:1]",
+            "      a(1)  [input fact]",
+            "      count 1",
+            "    1 >= 0",
+        ]
+        code, out, err = run_main(capsys, argv + ["--output", "json"])
+        assert json.loads(out)["explanation"]["checks"] == ["1 >= 0"]
+
+
+class TestSharedDerivation:
+    """A derivation that reaches one atom along many paths: a ladder whose
+    rung n rests on rung n-1 twice, once directly and once through t."""
+
+    @staticmethod
+    def ladder_rules(path, n):
+        path.write_text("s(0).\n" + " ".join(f"e({i}, {i + 1})." for i in range(n)) + "\n"
+                        + "s(Y) :- s(X), e(X, Y), t(X).\nt(X) :- s(X).\n"
+                        + f"system_issue(dag, Y) :- s(Y), Y == {n}.\n")
+        return path
+
+    def test_report_size_is_linear_in_the_rungs(self, capsys, sample_path, tmp_path):
+        started = time.perf_counter()
+        sizes: dict[str, list[int]] = {"text": [], "json": []}
+        lines: list[int] = []
+        for n in (16, 32, 64):
+            rules = self.ladder_rules(tmp_path / f"ladder{n}.lp", n)
+            for output in ("text", "json"):
+                code, out, err = run_main(capsys, ["detect", str(sample_path), "--rules",
+                                                   str(rules), "--output", output] + BASE)
+                assert code == EXIT_OK, err
+                sizes[output].append(len(out.encode()))
+                # unfolded as a tree, the text at n = 16 is 18,088,448 bytes
+                assert sizes[output][0] < 8 * 1024
+                if output == "text":
+                    lines.append(out.count("\n"))
+                    widest = max(len(line) for line in out.splitlines())
+                    texts = [re.sub(r"^ *(\[\d+\] )?", "", line)
+                             for line in out.splitlines()[1:-2]]
+                    atom_lines = [text for text in texts if re.search(
+                        r"  \[(input fact|rule at \d+:\d+|see #\d+)\]$", text)]
+                    sees = [re.fullmatch(r"(.*)  \[see #(\d+)\]", text) for text in atom_lines]
+                    assert sum(1 for see in sees if see) == n - 1
+                    for see in filter(None, sees):  # each names a line of its atom
+                        assert atom_lines[int(see[2]) - 1] == f"{see[1]}  [rule at 3:1]"
+        assert lines[2] - lines[1] == 2 * (lines[1] - lines[0])  # four lines a rung
+        # a line is at most 2 * MAX_INDENT + 40 bytes wide, so the text is linear
+        # once the pads are full; every JSON rung costs about the same bytes
+        assert widest < 2 * MAX_INDENT + 40
+        first, second = sizes["json"][1] - sizes["json"][0], sizes["json"][2] - sizes["json"][1]
+        assert abs(second - 2 * first) < 0.05 * second
+        assert sizes["text"][2] < 64 * (2 * MAX_INDENT + 40) * 5
+        assert time.perf_counter() - started < 1.0
 
 
 class TestDeepTerm:

@@ -32,7 +32,7 @@ from stratalog.facts import Fact, Symbol, constant_key, fact
 from stratalog.lang import AggregateLiteral
 from stratalog.oracle import OracleEvaluationError, naive_oracle
 from stratalog.parser import parse_program
-from stratalog.report import _render_node
+from stratalog.report import _render_node, _Texts
 from stratalog.rules import RULES_TEXT
 
 from derivations import check_derivations
@@ -841,7 +841,7 @@ class TestOneEntryPerAtom:
         assert [(child.atom, child.is_fact) for child in node.children] == \
             [(fact("r", 1, 3), True), (fact("e", 3, 4), True)]
         lines = []
-        _render_node(node, 0, lines)
+        _render_node(node, 0, _Texts(), lines)
         assert lines[1] == "  r(1,3)  [input fact]"
 
     @pytest.mark.parametrize("atom", [fact("r", 3, 1), fact("r", 1), fact("t", 1, 3)],

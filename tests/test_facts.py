@@ -1,6 +1,8 @@
 """Constants, ground facts, and their serialized form."""
+import copy
 import io
 import pickle
+import sys
 
 import pytest
 from hypothesis import given
@@ -31,6 +33,45 @@ class TestSymbol:
     def test_distinct_from_equal_text_string(self):
         assert Symbol("root") != "root"
         assert "root" != Symbol("root")
+
+
+class TestInternedSymbol:
+    """One instance per name: equality and hashing are identity, in C."""
+
+    def test_one_instance_per_name(self):
+        assert Symbol("failed") is Symbol("failed")
+        assert Symbol("failed") is not Symbol("opened")
+
+    @pytest.mark.parametrize("again", [lambda s: pickle.loads(pickle.dumps(s)),
+                                       copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_copies_are_the_instance(self, again):
+        symbol = Symbol("opened")
+        assert again(symbol) is symbol
+        assert again(Fact("p", (symbol,))).args[0] is symbol
+
+    def test_invalid_name_error_text(self):
+        with pytest.raises(ValueError, match=r"^invalid symbol: 'Bad'$"):
+            Symbol("Bad")
+        with pytest.raises(ValueError, match=r"^invalid symbol: 'Bad'$"):
+            Symbol("Bad")  # still refused: a refused name is not kept
+
+    def test_assignment_raises(self):
+        symbol = Symbol("closed")
+        with pytest.raises(AttributeError):
+            symbol.name = "opened"
+        with pytest.raises(AttributeError):
+            del symbol.name
+        assert symbol.name == "closed"
+
+    def test_hashing_a_symbol_runs_no_python_frame(self):
+        table, same, events = {Symbol("x"): 1}, Symbol("x"), []
+        sys.setprofile(lambda frame, event, arg: events.append(event))
+        try:
+            found = table[same]  # a hash, then an identity test
+        finally:
+            sys.setprofile(None)
+        assert found == 1 and "call" not in events
 
 
 class TestConstantOrder:

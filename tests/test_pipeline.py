@@ -1,5 +1,6 @@
 """The command line's whole pass: memory that grows with the facts, not the
 lines, and alert counts equal to the benchmark generator's reference."""
+import hashlib
 import importlib.util
 import io
 import json
@@ -95,3 +96,69 @@ def test_traced_benchmark_pass(tmp_path, workload):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, result["failures"]
     assert isinstance(result["layers"], dict) and result["layers"]
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory) -> dict[str, list[str]]:
+    """The argv of the benchmark's ``hot`` and ``spread`` runs at seed 1."""
+    argvs = {}
+    for workload in ("hot", "spread"):
+        directory = tmp_path_factory.mktemp(workload)
+        manifest = corpus.generate(workload, 1, directory)
+        argv = ["detect", str(directory / manifest["input"]), "--format", manifest["format"],
+                "--year", str(manifest["year"])]
+        if manifest["extra_facts"]:
+            argv += ["--extra-facts", str(directory / manifest["extra_facts"])]
+        argvs[workload] = argv
+    return argvs
+
+
+#: SHA-256 of every report of the seeded benchmark corpora; no derived atom
+#: repeats inside one of their alerts, so these are the bytes of the
+#: renderers that unfolded every derivation as a tree.
+CORPUS_DIGESTS = {
+    ("hot", "text", False): "f2398bb0d2ec254942285a223ca5651d4fb43f865435036acf91924907e126a4",
+    ("hot", "text", True): "c2e78f4c474affc4261221646999193b8c6e15206033b05600ff4e5c75444a4e",
+    ("hot", "json", False): "d013f6fbf96c96232ddae1898eeaebae875b764092510cd0dedef7ec5cc15222",
+    ("hot", "json", True): "b0527b2a5d84024af9749dd5550684c560c0e63f8712637b206868efe3f733b2",
+    ("spread", "text", False): "c3dcb7e189ae9f9a25ed63600d849a2aea4a5c7655b7219f3bfd6c5f9ee33647",
+    ("spread", "text", True): "382e56ff6dba6aa4d1b6dd5da59f8c492625569ce9e600a3822cf0c160eae8c5",
+    ("spread", "json", False): "cde97c02d9578ca6dd5a3980542f6e7ccf73bd4039f657d165b4036b24d3ac6b",
+    ("spread", "json", True): "5351f52b0df6ecc6bc1d47eada2636f869f7cd8a8c2adc91be295abc3761b8af",
+}
+
+
+@pytest.mark.parametrize("workload, output, grouped", sorted(CORPUS_DIGESTS))
+def test_corpus_report_digest(corpora, workload, output, grouped):
+    argv = corpora[workload] + ["--output", output] + (["--group"] if grouped else [])
+    digest = hashlib.sha256(_run(argv).encode("utf-8")).hexdigest()
+    assert digest == CORPUS_DIGESTS[workload, output, grouped]
+
+
+#: Runs each report in one fresh interpreter and prints its SHA-256.
+_DIGEST_SCRIPT = """\
+import hashlib, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from stratalog.cli import main
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        assert main(argv, env={}) == 0
+    print(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
+"""
+
+
+def test_reports_are_byte_identical_in_fresh_processes(corpora):
+    """Symbols hash by address, so set layouts differ from process to
+    process: no report byte may depend on them."""
+    sample = ["detect", str(_ROOT / "demos" / "data" / "sample.log"), "--format", "syslog"]
+    argvs = [sample, corpora["hot"], corpora["spread"] + ["--output", "json"]]
+    outputs = set()
+    for seed in range(5):
+        env = {**os.environ, "PYTHONPATH": str(_ROOT / "src"), "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    (digests,) = outputs
+    assert digests.split()[1:] == [CORPUS_DIGESTS["hot", "text", False],
+                                   CORPUS_DIGESTS["spread", "json", False]]

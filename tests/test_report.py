@@ -1,11 +1,15 @@
 """Alert pipeline: detect, group, render (text and JSON), staged errors."""
 import hashlib
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
 
-from stratalog.engine import Inconsistent, evaluate
-from stratalog.facts import Symbol
+import reference_render
+from progen import programs
+from stratalog.engine import Inconsistent, evaluate, explain
+from stratalog.facts import Fact, Symbol
 from stratalog.parser import parse_facts, parse_program
 from stratalog.report import (
     Alert,
@@ -336,3 +340,184 @@ class TestDeterminism:
             outputs.append(render_alerts(alerts, "text") +
                            render_alerts(alerts, "json"))
         assert outputs[0] == outputs[1]
+
+
+# -- derivations as DAGs -------------------------------------------------------
+
+_SEE = re.compile(r"(.*)  \[see #(\d+)\]")
+_ATOM_LINE = re.compile(r".*  \[(?:input fact|rule at \d+:\d+|see #\d+)\]")
+_DEEP = re.compile(r"\[(\d+)\] ")
+
+
+def _level(line: str) -> tuple[int, str]:
+    """A derivation line's level and its text without the pad."""
+    text = line.lstrip(" ")
+    level = (len(line) - len(text)) // 2
+    deep = _DEEP.match(text) if level == reference_render.MAX_INDENT else None
+    return (int(deep[1]), text[deep.end():]) if deep else (level, text)
+
+
+def expand_text(lines: list[str]) -> list[str]:
+    """An alert's derivation lines with each ``[see #k]`` line replaced by
+    the block of the k-th atom line, counting from 1, re-indented; asserts
+    that the k-th line holds the same atom and unfolds it."""
+    numbered: list[list] = []  # per atom line: [level, text, child entries]
+    roots: list[list] = []
+    stack: list[list] = []
+    for line in lines:
+        level, text = _level(line)
+        entry = [level, text, []]
+        while stack and stack[-1][0] >= level:
+            stack.pop()
+        (stack[-1][2] if stack else roots).append(entry)
+        if _ATOM_LINE.fullmatch(text):
+            numbered.append(entry)
+            stack.append(entry)
+    out: list[str] = []
+
+    def emit(entry: list, level: int) -> None:
+        see = _SEE.fullmatch(entry[1])
+        if see:
+            target = numbered[int(see[2]) - 1]
+            assert target[1].rsplit("  [", 1)[0] == see[1], (entry[1], target[1])
+            assert "  [rule at " in target[1], target[1]
+            emit(target, level)
+            return
+        out.append(reference_render.pad(level) + entry[1])
+        for child in entry[2]:
+            emit(child, level + 1)
+
+    for root in roots:
+        emit(root, root[0])
+    return out
+
+
+def expand_json(root: dict) -> dict:
+    """A JSON explanation with each ``{"atom": ..., "see": k}`` object
+    replaced by the k-th object in pre-order, counting from 1."""
+    numbered: list[dict] = []
+    pending = [root]
+    while pending:
+        obj = pending.pop()
+        numbered.append(obj)
+        pending.extend(reversed(obj.get("supports", [])))
+
+    def expand(obj: dict) -> dict:
+        if "see" in obj:
+            target = numbered[obj["see"] - 1]
+            assert set(obj) == {"atom", "see"} and target["atom"] == obj["atom"], obj
+            assert target["rule"] is not None and "see" not in target, target
+            return expand(target)
+        return {**obj, "supports": [expand(s) for s in obj["supports"]]}
+
+    return expand(root)
+
+
+def _check_against_reference(program_text: str, limit: int = 40) -> int:
+    """Render each derived atom's explanation alone, text and JSON, and
+    compare it with the unfolding reference; return how many outputs held
+    a back reference."""
+    result = evaluate(parse_program(program_text))
+    if isinstance(result, Inconsistent):
+        return 0
+    model, graph = result
+    plans = reference_render.Plans(rule for rule, *_ in graph.rules)
+    referenced = 0
+    for atom in list(graph.records)[:limit]:
+        node = explain(graph, atom)
+        alert = Alert("k", {}, [], atom, node)
+        text = render_alerts([alert], "text")
+        lines = text.split("\n")
+        assert lines[0] == "k:" and lines[-3:] == ["", "total: 1 (k: 1)", ""]
+        expected: list[str] = []
+        reference_render.render_node(node, 1, expected, plans)
+        assert expand_text(lines[1:-3]) == expected
+        explanation = json.loads(render_alerts([alert], "json"))["explanation"]
+        reference = reference_render.json_explanation(node, plans)
+        assert expand_json(explanation) == reference
+        if "  [see #" in text:
+            referenced += 1
+        else:
+            assert lines[1:-3] == expected and explanation == reference
+    return referenced
+
+
+class TestDerivationDag:
+    LADDER = "s(0). e(0, 1). e(1, 2). e(2, 3).\n" \
+             "s(Y) :- s(X), e(X, Y), t(X).\nt(X) :- s(X).\n"
+
+    def test_a_repeated_derived_atom_refers_back(self):
+        model, graph = evaluate(parse_program(self.LADDER))
+        node = explain(graph, Fact("s", (3,)))
+        lines = render_alerts([Alert("k", {}, [], node.atom, node)], "text").splitlines()
+        assert lines[1:] == [
+            "  s(3)  [rule at 2:1]",
+            "    s(2)  [rule at 2:1]",
+            "      s(1)  [rule at 2:1]",
+            "        s(0)  [input fact]",
+            "        e(0,1)  [input fact]",
+            "        t(0)  [rule at 3:1]",
+            "          s(0)  [input fact]",
+            "      e(1,2)  [input fact]",
+            "      t(1)  [rule at 3:1]",
+            "        s(1)  [see #3]",
+            "    e(2,3)  [input fact]",
+            "    t(2)  [rule at 3:1]",
+            "      s(2)  [see #2]",
+            "",
+            "total: 1 (k: 1)",
+        ]
+        record = json.loads(render_alerts([Alert("k", {}, [], node.atom, node)], "json"))
+        t2 = record["explanation"]["supports"][2]
+        assert t2 == {"atom": "t(2)", "rule": "3:1", "checks": [],
+                      "supports": [{"atom": "s(2)", "see": 2}]}
+
+    def test_numbers_restart_with_each_alert(self):
+        model, graph = evaluate(parse_program(self.LADDER))
+        alerts = [Alert("k", {}, [], atom, explain(graph, atom))
+                  for atom in (Fact("s", (2,)), Fact("s", (3,)))]
+        text = render_alerts(alerts, "text")
+        first, second = text.split("\n\n")[:2]
+        assert "s(1)  [see #2]" in first and "s(1)  [see #3]" in second
+
+    def test_ladder_matches_the_reference_once_expanded(self):
+        assert _check_against_reference(self.LADDER) > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(programs())
+    def test_generated_programs_match_the_reference(self, text):
+        _check_against_reference(text)
+
+
+class TestThresholdLabel:
+    """A comparison reads as a count threshold exactly when the rules put a
+    ``#count`` result where it reads its left side."""
+
+    RULES = """\
+a(1). a(2). c(1, 7).
+b(X, C) :- a(X), C = #count{Y : a(Y)}.
+c(X, X) :- a(X), X > 1.
+big(X, C) :- b(X, C), C >= 2.
+same(X) :- b(X, C), X >= 1.
+either(X, C) :- c(X, C), C >= 1.
+"""
+
+    def checks(self, atom: Fact) -> list[str]:
+        _, graph = evaluate(parse_program(self.RULES))
+        node = explain(graph, atom)
+        record = json.loads(render_alerts([Alert("k", {}, [], atom, node)], "json"))
+        return record["explanation"]["checks"]
+
+    def test_a_count_read_where_its_rule_put_it(self):
+        assert self.checks(Fact("big", (1, 2))) == ["count 2 >= threshold 2"]
+
+    def test_a_value_beside_a_count_is_a_plain_comparison(self):
+        assert self.checks(Fact("same", (1,))) == ["1 >= 1"]
+
+    def test_decided_by_the_rule_that_derived_the_support(self):
+        # c(1, 7) is an input fact and c(2, 2) comes from a rule without a count
+        assert self.checks(Fact("either", (1, 7))) == ["7 >= 1"]
+        assert self.checks(Fact("either", (2, 2))) == ["2 >= 1"]
+
+    def test_the_reference_decides_alike(self):
+        _check_against_reference(self.RULES)
