@@ -33,9 +33,10 @@ matches.
 A relation maps each argument tuple to its :data:`Record`: the rule and
 supports that first derived the atom, from which any alert unfolds into
 its derivation, in one flat tuple of constants and plain tuples that the
-cyclic collector can untrack. :class:`DerivationGraph` resolves a record
-when it is read. Checks, derivations and nodes are named tuples, as facts
-are; :class:`Inconsistent` is a class, so it cannot unpack as a result.
+cyclic collector can untrack. One function reads a record's fields, for
+:func:`explain` and ``DerivationGraph.entries`` alike. Checks, derivations
+and nodes are named tuples, as facts are; :class:`Inconsistent` is a
+class, so it cannot unpack as a result.
 ``evaluate`` pauses the cyclic collector while it runs. Iteration never
 depends on hash seeds: atom storage is insertion-ordered and all query
 output is sorted.
@@ -47,7 +48,7 @@ import math
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping, Set
+from collections.abc import Mapping
 from functools import cache, partial
 from itertools import chain, count, islice, repeat
 from operator import countOf, itemgetter
@@ -156,8 +157,9 @@ class Model:
         return relation
 
     def __contains__(self, atom: Fact) -> bool:
-        relation = self._relations.get((atom.predicate, len(atom.args)))
-        return relation is not None and atom.args in relation.atoms
+        predicate, args = atom
+        relation = self._relations.get((predicate, len(args)))
+        return relation is not None and args in relation.atoms
 
     def __len__(self) -> int:
         return len(self._order)
@@ -199,7 +201,7 @@ class ComparisonCheck(NamedTuple):
 class ThresholdCheck(ComparisonCheck):
     """A comparison whose left side is a count: the rule reads it from the
     position where its support's own rule puts a ``C = #count{...}``
-    result. :func:`explain` builds one in place of the
+    result. Reading a record builds one in place of the
     :class:`ComparisonCheck`, which it equals field for field and prints
     as; a report labels it ``count C op threshold T``."""
 
@@ -222,8 +224,8 @@ Check = Union[NafCheck, ComparisonCheck, ThresholdCheck, AggregateCheck]
 
 class Derivation(NamedTuple):
     """The rule and ground supports that first derived an atom, and the
-    checks its binding passed: what ``DerivationGraph.entries`` resolves a
-    record into. A named tuple, as :class:`Fact` is."""
+    checks its binding passed: what ``DerivationGraph.entries`` reads a
+    record as. A named tuple, as :class:`Fact` is."""
 
     rule: Rule
     supports: tuple[Fact, ...]
@@ -243,111 +245,81 @@ _CHECK_OF: dict[type, Callable[[tuple], Check]] = {
 }
 
 
-class _Records(Mapping[Fact, Record]):
-    """Each derived atom's record, read from its relation, in derivation
-    order: the model's order without its input facts."""
+class _Entries(Mapping[Fact, Derivation]):
+    """Each derived atom's :class:`Derivation`, read from its record when
+    looked up, in derivation order: the model's order without its input
+    facts. An atom's plain ``(predicate, args)`` pair looks it up too."""
 
     def __init__(self, graph: "DerivationGraph") -> None:
         self._graph = graph
 
-    def __getitem__(self, atom: Fact) -> Record:
+    def __getitem__(self, atom: Fact) -> Derivation:
         try:
             record = self._graph.record(atom)
         except NotDerivedError:
             record = None
         if record is None:
             raise KeyError(atom)
-        return record
+        rule, supports, checks = _decode(self._graph, record)
+        return new_tuple(Derivation, (rule, tuple([new_tuple(Fact, s) for s in supports]), checks))
 
     def __iter__(self) -> Iterator[Fact]:
-        return self._graph._atoms(derived=True)
+        for relation, args in self._graph.model._walk():
+            if relation.atoms[args] is not None:
+                yield new_tuple(Fact, (relation.predicate, args))
 
     def __len__(self) -> int:
         return sum(len(relation.atoms) - countOf(relation.atoms.values(), None)
                    for relation in self._graph.model._relations.values())
 
 
-class _Entries(_Records):
-    """Each derived atom's :class:`Derivation`, resolved from its record
-    when read, in derivation order."""
-
-    def __getitem__(self, atom: Fact) -> Derivation:  # type: ignore[override]
-        return self._graph.resolve(super().__getitem__(atom))
-
-
-class _FactAtoms(Set[Fact]):
-    """The model's input facts, in model order."""
-
-    def __init__(self, graph: "DerivationGraph") -> None:
-        self._graph = graph
-
-    def __contains__(self, atom: object) -> bool:
-        try:
-            return self._graph.record(atom) is None  # type: ignore[arg-type]
-        except NotDerivedError:
-            return False
-
-    def __iter__(self) -> Iterator[Fact]:
-        return self._graph._atoms(derived=False)
-
-    def __len__(self) -> int:
-        return len(self._graph.model) - len(self._graph.records)
-
-
 class DerivationGraph:
     """The first derivation of every atom of a model, read from the model
     itself: each relation maps an argument tuple to its record, None for an
-    input fact. ``rules[i]`` is rule i, its supports' predicates, what
-    builds each of its checks, its possible count thresholds (check,
-    support and argument positions: see :class:`ThresholdCheck`) and the
-    head positions it puts a ``#count`` result at. ``records``, ``entries``
-    and ``fact_atoms`` are read-only views that build each :class:`Fact` as
-    they yield it.
+    input fact. ``rules[i]`` is the compiled rule i, which says how its
+    records read. ``entries`` is the graph's one view: a read-only mapping
+    that builds each :class:`Fact` as it yields it.
 
     A record holds no :class:`Rule` and no check object, which the collector
     always tracks, so the collector can untrack it once it has untracked the
-    tuples in it; ``resolve`` builds the checks from those tuples.
+    tuples in it; :func:`_decode` builds the checks from those tuples.
     The graph references the model; the model does not reference the graph."""
 
     __slots__ = ("model", "rules")
 
-    def __init__(self, model: Model) -> None:
-        self.model = model
-        self.rules: list[_RuleRecords] = []
-
-    @property
-    def records(self) -> Mapping[Fact, Record]:
-        return _Records(self)
+    def __init__(self, model: Model, rules: list[_CompiledRule]) -> None:
+        self.model, self.rules = model, rules
 
     @property
     def entries(self) -> Mapping[Fact, Derivation]:
         return _Entries(self)
 
-    @property
-    def fact_atoms(self) -> AbstractSet[Fact]:
-        return _FactAtoms(self)
-
     def record(self, atom: Fact) -> Optional[Record]:
         """An atom's record, None for an input fact. Raises
         :class:`NotDerivedError` for an atom the model does not hold."""
+        predicate, args = atom
         try:
-            return self.model._relations[atom.predicate, len(atom.args)].atoms[atom.args]
+            return self.model._relations[predicate, len(args)].atoms[args]
         except KeyError:
             raise NotDerivedError(atom) from None
 
-    def _atoms(self, derived: bool) -> Iterator[Fact]:
-        """The model's derived atoms, or else its input facts, in model order."""
-        for relation, args in self.model._walk():
-            if (relation.atoms[args] is not None) is derived:
-                yield new_tuple(Fact, (relation.predicate, args))
 
-    def resolve(self, record: Record) -> Derivation:
-        """The derivation a record stands for, its supports as facts."""
-        rule, predicates, makers, _, _ = self.rules[record[0]]
-        end = 1 + len(predicates)
-        supports = tuple([new_tuple(Fact, support) for support in zip(predicates, record[1:end])])
-        checks = tuple([make(raw) for make, raw in zip(makers, record[end:])])
-        return new_tuple(Derivation, (rule, supports, checks))
+def _decode(graph: DerivationGraph,
+            record: Record) -> tuple[Rule, tuple[tuple[str, Row], ...], tuple[Check, ...]]:
+    """The one reading of a record: its rule, its supports as plain
+    ``(predicate, args)`` pairs, and its checks. A comparison of a count
+    that a support's rule put where the rule reads it is a
+    :class:`ThresholdCheck`."""
+    rules = graph.rules
+    compiled = rules[record[0]]
+    predicates = compiled.support_predicates
+    end = 1 + len(predicates)
+    checks = [make(raw) for make, raw in zip(compiled.checks, record[end:])]
+    for check, position, argument in compiled.thresholds:
+        source = graph.record((predicates[position], record[1 + position]))
+        if source is not None and argument in rules[source[0]].counts:
+            checks[check] = new_tuple(ThresholdCheck, checks[check])
+    return compiled.rule, tuple(zip(predicates, record[1:end])), tuple(checks)
 
 
 class DerivationNode(NamedTuple):
@@ -452,7 +424,7 @@ def _range_count_plan(literal: AggregateLiteral,
 
 class _CompiledRule(NamedTuple):
     """A rule, its index in :attr:`DerivationGraph.rules`, its plan from the
-    analysis, and what each step of a plan needs.
+    analysis, what each step of a plan needs, and how a record of it reads.
 
     Every variable has a slot, a local of each generated plan. A record
     holds the supports in the static order of the positive atoms, then the
@@ -469,12 +441,6 @@ class _CompiledRule(NamedTuple):
     checks: tuple[Callable[[tuple], Check], ...]  # per check in a Record, what makes it
     thresholds: tuple[tuple[int, int, int], ...]  # check, support and argument positions
     counts: frozenset[int]  # the head positions holding a ``C = #count{...}`` result
-
-
-#: What :attr:`DerivationGraph.rules` holds per rule: the rule, then its
-#: ``support_predicates``, ``checks``, ``thresholds`` and ``counts``.
-_RuleRecords = tuple[Rule, tuple[str, ...], tuple[Callable[[tuple], Check], ...],
-                     tuple[tuple[int, int, int], ...], frozenset[int]]
 
 
 def _thresholds(rule: Rule, atoms: Sequence[int],
@@ -1056,13 +1022,9 @@ def evaluate(program: Program,
         model = Model()
         for atom in chain(program.facts, extra_facts):
             model.add(atom)
-        graph = DerivationGraph(model)
-
         evaluator = _Evaluator(model)
         rules = [_compile_rule(rule, plan, index)
                  for index, (rule, plan) in enumerate(zip(program.rules, analysis.plans))]
-        graph.rules.extend((c.rule, c.support_predicates, c.checks, c.thresholds, c.counts)
-                           for c in rules)
         strata = [*analysis.stratification.strata, ()]  # the constraints' stratum last
         stratum_rules: list[list[_CompiledRule]] = [[] for _ in strata]
         for compiled in rules:
@@ -1074,7 +1036,7 @@ def evaluate(program: Program,
                 evaluator.run_stratum(stratum, frozenset(predicates))
         except _Found as found:
             return Inconsistent(*found.args)
-        return model, graph
+        return model, DerivationGraph(model, rules)
     finally:
         if enabled:
             gc.enable()
@@ -1113,10 +1075,7 @@ def _explain(graph: DerivationGraph, atom: Fact,
              nodes: dict[tuple, DerivationNode]) -> DerivationNode:
     """:func:`explain` through ``nodes``, a memo from each atom, or its
     plain ``(predicate, args)`` pair, to its node: callers that explain many
-    atoms of one graph share it, so an atom is resolved once. Records are
-    read straight from the model's relations."""
-    graph.record(atom)  # an atom not in the model raises here
-    relations, rules = graph.model._relations, graph.rules
+    atoms of one graph share it, so an atom's record is read once."""
     roots: list[DerivationNode] = []
     # (a node's children, its supports): each node joins its parent's
     # children when it is made, in support order, and its own supports wait
@@ -1126,23 +1085,15 @@ def _explain(graph: DerivationGraph, atom: Fact,
         for support in supports:
             node = nodes.get(support)
             if node is None:
-                predicate, args = support
-                record = relations[predicate, len(args)].atoms[args]
+                record = graph.record(support)  # an atom not in the model raises here
                 if record is None:
                     node = new_tuple(DerivationNode, (new_tuple(Fact, support), None, (), []))
                 else:
-                    rule, predicates, makers, thresholds, _ = rules[record[0]]
-                    end = 1 + len(predicates)
-                    checks = [make(raw) for make, raw in zip(makers, record[end:])]
-                    for check, position, argument in thresholds:
-                        row = record[1 + position]
-                        source = relations[predicates[position], len(row)].atoms[row]
-                        if source is not None and argument in rules[source[0]][4]:
-                            checks[check] = new_tuple(ThresholdCheck, checks[check])
+                    rule, below_supports, checks = _decode(graph, record)
                     below: list[DerivationNode] = []
-                    node = new_tuple(DerivationNode, (new_tuple(Fact, support), rule,
-                                                      tuple(checks), below))
-                    pending.append((below, zip(predicates, record[1:end])))
+                    node = new_tuple(DerivationNode,
+                                     (new_tuple(Fact, support), rule, checks, below))
+                    pending.append((below, below_supports))
                 nodes[support] = node
             children.append(node)
     return roots[0]

@@ -74,11 +74,11 @@ def check_derivations(model, graph):
     """Supports follow the static join order's atoms and are unified in
     that order, so a sum inside an atom is worked out from the atoms before
     it: in the programs checked here, only atoms bind what such a sum reads."""
-    recorded = set(graph.fact_atoms)
+    recorded = {atom for atom in model if graph.record(atom) is None}
     plans = analyze(Program(consts={}, rules=[rule for rule, *_ in graph.rules], facts=[])).plans
     for atom, derivation in graph.entries.items():
         rule = derivation.rule
-        static_order = plans[graph.records[atom][0]].order
+        static_order = plans[graph.record(atom)[0]].order
         positive = [rule.body[i] for i in static_order if isinstance(rule.body[i], Atom)]
         assert [s.predicate for s in derivation.supports] == [a.predicate for a in positive], \
             (atom, derivation)

@@ -18,6 +18,14 @@ variable (two-sided windows ``L0 >= V - k, L0 <= V`` in arith mode,
 one-sided bounds of any constant kind otherwise), the shape the engine
 answers from a sorted index instead of enumerating the group.
 
+Unless ``atom_arithmetic`` is off, about half the programs of at most 8
+rules end with two more, drawn after everything else: one puts a
+``C = #count{...}`` of a lower predicate at a head position, and the other
+reads that position and compares it, the shape ``explain`` labels a count
+threshold. The count needs no join, so it holds whenever its predicate has
+atoms. With ``atom_arithmetic`` off each seed gives the program it gave
+before.
+
 Sizes stay small (few variables, a handful of constants) so the naive
 oracle's full grounding stays cheap; the caps match the documented limits
 (at most 8 predicates, arity 3, 30 facts, 10 rules, 1 aggregate per rule).
@@ -58,7 +66,8 @@ def _weighted_arity(rng: random.Random) -> int:
 
 def generate_program(seed: int, atom_arithmetic: bool = True) -> str:
     """The program of a seed. With ``atom_arithmetic`` off no body atom holds
-    arithmetic, and each seed gives the program it gave before atoms could."""
+    arithmetic and no count rule is appended, so each seed gives the
+    program it gave before either could."""
     rng = random.Random(seed)
     arith_mode = rng.random() < 0.5
     keyed = arith_mode and atom_arithmetic
@@ -175,6 +184,25 @@ def generate_program(seed: int, atom_arithmetic: bool = True) -> str:
         pred = rng.choice(fact_preds)
         args = [const() for _ in range(pred.arity)]
         lines.append(f"{pred.name}({','.join(args)}).")
+
+    if atom_arithmetic and nrules <= 8 and rng.random() < 0.5:
+        counter = rng.choice(rule_heads)
+        counted = rng.choice([p for p in preds if p.layer < counter.layer])
+        condition = ["_"] * counted.arity
+        condition[rng.randrange(counted.arity)] = "L0"
+        position = rng.randrange(counter.arity)
+        head_args = [const() for _ in range(counter.arity)]
+        head_args[position] = "C"
+        args = ["C" if i == position else f"V{i}" for i in range(counter.arity)]
+        left = "C" if rng.random() < 0.8 else rng.choice(args)
+        reader = rng.choice([p for p in rule_heads if p.layer >= counter.layer])
+        reader_args = [rng.choice(args) if rng.random() < 0.7 else const()
+                       for _ in range(reader.arity)]
+        lines[nrules:nrules] = [
+            f"{counter.name}({','.join(head_args)}) :- "
+            f"C = #count{{L0 : {counted.name}({','.join(condition)})}}.",
+            f"{reader.name}({','.join(reader_args)}) :- {counter.name}({','.join(args)}), "
+            f"{left} {rng.choice(COMPARE_OPS)} {rng.choice(INT_PALETTE)}."]
 
     return "\n".join(lines) + "\n"
 

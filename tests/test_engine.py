@@ -23,19 +23,24 @@ from stratalog.engine import (
     Model,
     NafCheck,
     NotDerivedError,
+    ThresholdCheck,
     _compile_rule,
     evaluate,
     explain,
     query,
 )
+from stratalog.extract import entries_to_facts
 from stratalog.facts import Fact, Symbol, constant_key, fact
+from stratalog.ingest import IngestOptions, read_syslog_entries
 from stratalog.lang import AggregateLiteral
 from stratalog.oracle import OracleEvaluationError, naive_oracle
 from stratalog.parser import parse_program
 from stratalog.report import _render_node, _Texts
 from stratalog.rules import RULES_TEXT
 
+from conftest import REPO_ROOT
 from derivations import check_derivations
+from progen import programs
 
 WINDOW_TEXT = """\
 #const window = 600.
@@ -785,14 +790,15 @@ class TestCollector:
         _, graph = evaluate(parse_program(text))
         gc.collect()
         gc.collect()
-        assert len(graph.records) > 400
-        assert not any(map(gc.is_tracked, graph.records.values()))
+        records = list(map(graph.record, graph.entries))
+        assert len(records) > 400
+        assert not any(map(gc.is_tracked, records))
 
 
 class TestOneEntryPerAtom:
     """A relation maps each argument tuple to its derivation record, None
-    for an input fact; the graph's views read the model, and a :class:`Fact`
-    is built only when a view or ``query`` hands one out."""
+    for an input fact; the graph's one view, ``entries``, reads the model,
+    and a :class:`Fact` is built only when it or ``query`` hands one out."""
 
     TEXT = ("e(1, 2). e(2, 3). r(1, 3). r(X, Y) :- e(X, Y). "
             "r(X, Z) :- r(X, Y), e(Y, Z). s(X) :- r(X, _).")
@@ -825,14 +831,16 @@ class TestOneEntryPerAtom:
         atoms = list(model)
         assert atoms[:4] == self.INPUTS
         derived = atoms[4:]
-        assert list(graph.records) == list(graph.entries) == derived
-        assert len(graph.records) == len(graph.entries) == len(derived) == len(model) - 4
-        assert list(graph.fact_atoms) == self.INPUTS and len(graph.fact_atoms) == 4
-        assert all(atom in graph.fact_atoms and atom not in graph.records
+        assert list(graph.entries) == derived
+        assert len(graph.entries) == len(derived) == len(model) - 4
+        assert all(graph.record(atom) is None and atom not in graph.entries
                    for atom in self.INPUTS)
-        assert not any(atom in graph.fact_atoms for atom in derived)
-        assert all(graph.records[atom] is graph.records[atom] for atom in derived)
-        assert fact("r", 9, 9) not in graph.fact_atoms and fact("r", 9, 9) not in graph.records
+        assert all(graph.record(atom) is not None and atom in graph.entries
+                   for atom in derived)
+        assert all(graph.record(atom) is graph.record(atom) for atom in derived)
+        assert fact("r", 9, 9) not in graph.entries
+        with pytest.raises(NotDerivedError):
+            graph.record(fact("r", 9, 9))
 
     def test_an_input_fact_a_rule_also_derives_stays_an_input_fact(self):
         _, graph = self.evaluate()
@@ -851,6 +859,61 @@ class TestOneEntryPerAtom:
         with pytest.raises(NotDerivedError) as raised:
             explain(graph, atom)
         assert raised.value.atom == atom
+
+    def test_an_atoms_plain_pair_finds_it(self):
+        """A :class:`Fact` equals its ``(predicate, args)`` pair, and the
+        pair finds the atom wherever the atom does."""
+        model, graph = evaluate(parse_program("e(1,2). r(X,Y) :- e(X,Y)."))
+        derived, given = ("r", (1, 2)), ("e", (1, 2))
+        assert derived in model and given in model and ("r", (2, 1)) not in model
+        assert graph.record(derived) == graph.record(fact("r", 1, 2)) is not None
+        assert graph.record(given) is None
+        assert derived in graph.entries and given not in graph.entries
+        assert graph.entries[derived] == graph.entries[fact("r", 1, 2)]
+        assert explain(graph, derived) == explain(graph, fact("r", 1, 2))
+        with pytest.raises(NotDerivedError):
+            graph.record(("r", (2, 1)))
+
+
+class TestOneReading:
+    """``explain`` and ``graph.entries`` read a record through one function:
+    each node's rule, children and checks are its entry's. A
+    :class:`ThresholdCheck` equals a :class:`ComparisonCheck` field for
+    field, so each check is compared with its type."""
+
+    COUNTED = ("a(1). a(2). b(X, C) :- a(X), C = #count{Y : a(Y)}. "
+               "system_issue(x, X) :- b(X, C), C >= 2.")
+
+    @staticmethod
+    def assert_agree(graph, atoms):
+        for atom in atoms:
+            node, entry = explain(graph, atom), graph.entries[atom]
+            assert node.rule is entry.rule, atom
+            assert tuple(child.atom for child in node.children) == entry.supports, atom
+            assert [(type(c), c) for c in node.checks] == \
+                [(type(c), c) for c in entry.checks], atom
+
+    def test_a_count_threshold_reads_alike(self):
+        _, graph = evaluate(parse_program(self.COUNTED))
+        entry = graph.entries[fact("system_issue", Symbol("x"), 1)]
+        assert [type(check) for check in entry.checks] == [ThresholdCheck]
+        self.assert_agree(graph, graph.entries)
+
+    def test_the_bundled_brute_force_alert_reads_alike(self, bundled_program):
+        lines = (REPO_ROOT / "demos" / "data" / "sample.log").read_text().splitlines()
+        entries, _ = read_syslog_entries(lines, IngestOptions(base_year=2005))
+        _, graph = evaluate(bundled_program, entries_to_facts(entries))
+        alerts = [atom for atom in graph.entries if atom.predicate == "potential_brute_force"]
+        assert alerts and all(ThresholdCheck in map(type, graph.entries[atom].checks)
+                              for atom in alerts)
+        self.assert_agree(graph, alerts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs())
+    def test_generated_programs_read_alike(self, text):
+        result = evaluate(parse_program(text))
+        if not isinstance(result, Inconsistent):
+            self.assert_agree(result[1], result[1].entries)
 
 
 class TestOnePlanner:

@@ -423,7 +423,7 @@ def _check_against_reference(program_text: str, limit: int = 40) -> int:
     model, graph = result
     plans = reference_render.Plans(rule for rule, *_ in graph.rules)
     referenced = 0
-    for atom in list(graph.records)[:limit]:
+    for atom in list(graph.entries)[:limit]:
         node = explain(graph, atom)
         alert = Alert("k", {}, [], atom, node)
         text = render_alerts([alert], "text")
